@@ -301,11 +301,18 @@ def attach(model: AlignmentModel, itemset: EvaluationItemSet) -> AlignmentModel:
     for item in itemset.by_rule(Rule.R3_BUSINESS):
         for source in item.sources:
             business_by_activity.setdefault(source, []).append(item.id)
+    # (relation position, target) per source activity, so that each user-value
+    # item visits only its own pairs and still emits them in relation order.
+    influenced: dict[str, list[tuple[int, str]]] = {}
+    for position, (activity, target) in enumerate(_influence_pairs(model)):
+        influenced.setdefault(activity, []).append((position, target))
     for item in itemset.by_rule(Rule.R4_USER):
-        for activity, target in _influence_pairs(model):
-            if activity in item.sources:
-                for business_id in business_by_activity.get(target, []):
-                    out.add_relation(RelationKind.INFLUENCE, item.id, business_id)
+        pairs = sorted(
+            pair for source in dict.fromkeys(item.sources) for pair in influenced.get(source, ())
+        )
+        for _, target in pairs:
+            for business_id in business_by_activity.get(target, []):
+                out.add_relation(RelationKind.INFLUENCE, item.id, business_id)
 
     out.freeze()
     return out

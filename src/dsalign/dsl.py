@@ -15,6 +15,7 @@ newline.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .model import (
@@ -111,96 +112,101 @@ class _Token:
 
 _PUNCT = {"{": "lbrace", "}": "rbrace", ":": "colon", ";": "semi", ",": "comma"}
 
+# One alternative per lexeme, tried in order ("Writing a Tokenizer" in the
+# ``re`` docs), each match taking the blanks after its lexeme with it.  ``\w``
+# matches exactly the characters for which ``isalnum() or == "_"`` holds.  A
+# string runs to its closing quote or to the end of the line; a backslash
+# escapes only a quote or a backslash, and a lone backslash is left for
+# ``_string_value`` to report.
+_TOKEN_RE = re.compile(
+    "(?:"
+    + "|".join(
+        f"(?P<{name}>{pattern})"
+        for name, pattern in (
+            ("word", r"\w+"),
+            ("newline", r"\n"),
+            ("punct", r"[{}:;,]"),
+            ("string", r'"(?P<body>[^"\\\n]*(?:\\["\\]?[^"\\\n]*)*)(?P<close>"?)'),
+            ("comment", r"#[^\n]*"),
+            ("bad", r"."),
+        )
+    )
+    + r")[ \t\r]*",
+    re.DOTALL,
+)
+
+# Characters XML 1.0 (section 2.2, ``Char``) cannot carry: C0 controls other
+# than tab, U+FFFE, U+FFFF and lone surrogates.  A line feed never reaches a
+# string body.  A carriage return is a legal XML character, but parsers fold
+# it into a space or a line feed, so it could not survive export either.
+_XML_FORBIDDEN = "\x00-\x08\x0b-\x1f\ufffe\uffff\ud800-\udfff"
+_STRING_PIECE = re.compile(f'\\\\(["\\\\])?|[{_XML_FORBIDDEN}]')
+
+
+def _string_value(
+    text: str, start: int, end: int, quote: SourceSpan, diags: list[Diagnostic]
+) -> str:
+    """Unescape the string body ``text[start:end]``, reporting E107 and E108.
+
+    ``quote`` is the span of the string's opening quote, at ``start - 1``.
+    A lone backslash is dropped and reported with the character after it; a
+    forbidden character is kept and reported.
+    """
+
+    def piece(m: re.Match) -> str:
+        if m.group(1):
+            return m.group(1)
+        ch = m.group()
+        if ch == "\\":
+            nxt = text[start + m.end() : start + m.end() + 1]
+            shown = f"\\{nxt}" if nxt.isprintable() else f"\\ followed by {nxt!r}"
+            code, message, length, ch = "E107", f"invalid escape sequence {shown}", 2, ""
+        else:
+            code, message, length = "E108", f"character {ch!r} is not allowed in a string", 1
+        span = SourceSpan(quote.file, quote.line, quote.column + 1 + m.start(), length)
+        diags.append(Diagnostic(code, Severity.ERROR, message, location=span))
+        return ch
+
+    return _STRING_PIECE.sub(piece, text[start:end])
+
 
 def _lex(text: str, file: str) -> tuple[list[_Token], list[Diagnostic]]:
     toks: list[_Token] = []
     diags: list[Diagnostic] = []
-    line, col, i, n = 1, 1, 0, len(text)
-
-    def span(length: int = 1) -> SourceSpan:
-        return SourceSpan(file, line, col, length)
-
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
+    line, line_start = 1, 0
+    first = len(text) - len(text.lstrip(" \t\r"))  # matches start after blanks
+    m = None
+    for m in _TOKEN_RE.finditer(text, first):
+        kind = m.lastgroup
+        start = m.start()
+        col = start - line_start + 1
+        if kind == "word":
+            word = m.group(kind)
+            kw = "keyword" if word in KEYWORDS else "word"
+            toks.append(_Token(kw, word, word, SourceSpan(file, line, col, len(word))))
+        elif kind == "newline":
             line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch in _PUNCT:
-            toks.append(_Token(_PUNCT[ch], ch, ch, span()))
-            i += 1
-            col += 1
-            continue
-        if ch == '"':
-            start = span()
-            i += 1
-            col += 1
-            raw: list[str] = []
-            closed = False
-            while i < n:
-                c = text[i]
-                if c == "\n":
-                    break
-                if c == '"':
-                    i += 1
-                    col += 1
-                    closed = True
-                    break
-                if c == "\\":
-                    if i + 1 < n and text[i + 1] in ('"', "\\"):
-                        raw.append(text[i + 1])
-                        i += 2
-                        col += 2
-                        continue
-                    diags.append(
-                        Diagnostic(
-                            "E107",
-                            Severity.ERROR,
-                            f"invalid escape sequence \\{text[i + 1] if i + 1 < n else ''}",
-                            location=SourceSpan(file, line, col, 2),
-                        )
-                    )
-                    i += 1
-                    col += 1
-                    continue
-                raw.append(c)
-                i += 1
-                col += 1
-            value = "".join(raw)
-            start.length = max(col - start.column, 1)
-            if not closed:
+            line_start = start + 1
+        elif kind == "punct":
+            ch = m.group(kind)
+            toks.append(_Token(_PUNCT[ch], ch, ch, SourceSpan(file, line, col, 1)))
+        elif kind == "string":
+            value = m.group("body")
+            span = SourceSpan(file, line, col, m.end(kind) - start)
+            if "\\" in value or not value.isprintable():  # no forbidden character is printable
+                value = _string_value(text, start + 1, m.end("body"), span, diags)
+            if not m.group("close"):
                 diags.append(
-                    Diagnostic("E102", Severity.ERROR, "unterminated string", location=start)
+                    Diagnostic("E102", Severity.ERROR, "unterminated string", location=span)
                 )
-            toks.append(_Token("string", f'"{value}"', value, start))
-            continue
-        if ch.isalnum() or ch == "_":
-            start = span()
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            start.length = len(word)
-            kind = "keyword" if word in KEYWORDS else "word"
-            toks.append(_Token(kind, word, word, start))
-            col += j - i
-            i = j
-            continue
-        diags.append(
-            Diagnostic("E103", Severity.ERROR, f"invalid character {ch!r}", location=span())
-        )
-        i += 1
-        col += 1
-    toks.append(_Token("eof", "", "", SourceSpan(file, line, col, 0)))
+            toks.append(_Token("string", f'"{value}"', value, span))
+        elif kind == "bad":
+            message = f"invalid character {m.group(kind)!r}"
+            span = SourceSpan(file, line, col, 1)
+            diags.append(Diagnostic("E103", Severity.ERROR, message, location=span))
+    # Comments do not advance the column, so a trailing one leaves EOF at its '#'.
+    end = m.start() if m is not None and m.lastgroup == "comment" else len(text)
+    toks.append(_Token("eof", "", "", SourceSpan(file, line, end - line_start + 1, 0)))
     return toks, diags
 
 

@@ -257,3 +257,19 @@ def test_pipeline_stdout_is_reproducible():
     second = run_cli("derive", FAQ)
     assert first.stdout == second.stdout
     assert first.returncode == second.returncode == 0
+
+
+def test_control_character_in_a_name_never_reaches_open_exchange(tmp_path, monkeypatch, capsys):
+    from dsalign import cli, export
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("to_open_exchange was called")
+
+    monkeypatch.setattr(export, "to_open_exchange", unreachable)
+    src = tmp_path / "ctl.dsa"
+    text = (FIXTURES / "faq_chatbot.dsa").read_text(encoding="utf-8")
+    src.write_text(text.replace('system "', 'system "FAQ\x01', 1), encoding="utf-8")
+    assert cli.main(["export", "--format", "open_exchange", str(src)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "E108: character '\\x01' is not allowed in a string" in captured.err

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from dsalign.derive import (
+    EvaluationItem,
     EvaluationItemSet,
     Rule,
     attach,
@@ -15,7 +16,14 @@ from dsalign.derive import (
     serialize_itemset,
     summary_line,
 )
-from dsalign.model import ElementKind, ModelError, RelationKind, Severity, new_model
+from dsalign.model import (
+    AlignmentModel,
+    ElementKind,
+    ModelError,
+    RelationKind,
+    Severity,
+    new_model,
+)
 from dsalign.dsl import parse
 
 from conftest import FIXTURE_NAMES, FIXTURES
@@ -415,3 +423,60 @@ def test_attach_unknown_source_rejected(faq_model):
     with pytest.raises(ModelError) as err:
         attach(faq_model, bogus)
     assert err.value.code == "E201"
+
+
+def _influence_model(activities: int):
+    """User activities u1..uN, each influencing operator activity o(i % 3 + 1)."""
+    model = new_model("Influences")
+    for i in range(1, 4):
+        model.add_element(K.OPERATOR_ACTIVITY, f"o{i}", f"O{i}")
+    for i in range(1, activities + 1):
+        model.add_element(K.USER_ACTIVITY, f"u{i}", f"U{i}")
+        model.add_relation(RelationKind.INFLUENCE, f"u{i}", f"o{i % 3 + 1}")
+    return model
+
+
+def _itemset(model, r4_sources):
+    def item(rule, n, sources, category):
+        return EvaluationItem(f"item_{rule.value.lower()}_{n}", category, "x", sources, rule)
+
+    business = [item(Rule.R3_BUSINESS, i, [f"o{i}"], "revenue_increase") for i in range(1, 4)]
+    user = [item(Rule.R4_USER, n, s, "functional") for n, s in enumerate(r4_sources, start=1)]
+    return EvaluationItemSet(system_name=model.system_name, items=business + user)
+
+
+def test_attach_multi_source_user_item_keeps_relation_order():
+    # u1 -> o2, then u2 -> o3, then u1 -> o1: the pairs of u1 are not adjacent.
+    model = _influence_model(2)
+    model.add_relation(RelationKind.INFLUENCE, "u1", "o1")
+    attached = attach(model, _itemset(model, [["u2", "u1", "u2"]]))
+    lifts = [
+        (r.source, r.target)
+        for r in attached.relations
+        if r.kind is RelationKind.INFLUENCE and r.source.startswith("item_r4")
+    ]
+    assert lifts == [
+        ("item_r4_user_1", "item_r3_business_2"),
+        ("item_r4_user_1", "item_r3_business_3"),
+        ("item_r4_user_1", "item_r3_business_1"),
+    ]
+
+
+def test_attach_scans_relations_a_constant_number_of_times(monkeypatch):
+    reads = []
+    plain = AlignmentModel.relations.fget
+
+    def counting(self):
+        reads.append(self)
+        return plain(self)
+
+    monkeypatch.setattr(AlignmentModel, "relations", property(counting))
+
+    def relation_reads(activities: int) -> int:
+        model = _influence_model(activities)
+        itemset = _itemset(model, [[f"u{i}"] for i in range(1, activities + 1)])
+        before = len(reads)
+        attach(model, itemset)
+        return len(reads) - before
+
+    assert relation_reads(2) == relation_reads(20)

@@ -4,8 +4,10 @@ import random
 import re
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
-from dsalign.dsl import format_model, load_file, parse
+from dsalign.dsl import _lex, format_model, load_file, parse
 from dsalign.model import ALL_LEAVES, ElementKind, ModelError, Severity
 
 from conftest import FIXTURES, FIXTURE_NAMES
@@ -82,6 +84,8 @@ def test_model_absent_iff_errors():
         ('system "X" { data d "D }', "E102"),  # unterminated string
         ('system "X" { data d @ "D" }', "E103"),  # invalid character
         ('system "X" { data d "a\\qb" }', "E107"),  # invalid escape
+        ('system "X" { data d "a\\\nb" }', "E107"),  # backslash before a line break
+        ('system "X" { data d "a\x01b" }', "E108"),  # character XML 1.0 forbids
         ('system "X" { component c "C" { function f "F"; runs_on: cloud; } }', "E123"),
         ('system "X" { event e "E" { implies_cost: gold "x"; } }', "E124"),
         (
@@ -103,6 +107,8 @@ def test_model_absent_iff_errors():
 def test_parse_error_codes(snippet, code):
     result = parse(snippet)
     assert code in codes(result), (codes(result), [d.message for d in result.diagnostics])
+    for d in result.diagnostics:
+        assert "\n" not in d.render() and "\r" not in d.render(), d.render()
 
 
 def test_unknown_leaf_suggestion():
@@ -190,6 +196,56 @@ def test_crlf_accepted():
 def test_comments_ignored():
     result = parse("# leading\n" + MINIMAL + "# trailing\n")
     assert result.model is not None
+
+
+def lexed(text):
+    toks, diags = _lex(text, "f")
+    return (
+        [(t.kind, t.text, t.span.line, t.span.column, t.span.length) for t in toks],
+        [(d.code, d.message, d.location.line, d.location.column, d.location.length) for d in diags],
+    )
+
+
+def test_lex_eof_after_trailing_comment_points_at_the_hash():
+    # Comments never advance the column, so EOF sits at the '#'.
+    toks, _ = lexed("data d\n  d # note")
+    assert toks[-1] == ("eof", "", 2, 5, 0)
+    assert lexed("data d # note\n")[0][-1] == ("eof", "", 2, 1, 0)
+
+
+def test_lex_unicode_word_characters():
+    toks, diags = lexed("café² x_1")
+    assert toks == [("word", "café²", 1, 1, 5), ("word", "x_1", 1, 7, 3), ("eof", "", 1, 10, 0)]
+    assert diags == []
+
+
+def test_lex_escape_and_unterminated_string_spans_on_second_line():
+    _, diags = lexed('system "X" {\n  data d "a\\qb\n}')
+    assert diags == [
+        ("E107", "invalid escape sequence \\q", 2, 12, 2),
+        ("E102", "unterminated string", 2, 10, 5),
+    ]
+
+
+def test_lex_escape_before_line_break_renders_with_repr():
+    _, diags = lexed('data d "a\\\r\nb')
+    assert diags[0] == ("E107", "invalid escape sequence \\ followed by '\\r'", 1, 10, 2)
+
+
+def test_lex_lone_carriage_return_is_blank_outside_strings():
+    toks, diags = lexed("a\rb")
+    assert toks == [("word", "a", 1, 1, 1), ("word", "b", 1, 3, 1), ("eof", "", 1, 4, 0)]
+    assert diags == []
+
+
+def test_lex_forbidden_string_characters():
+    toks, diags = lexed('"a\x01\tb\ufffe\r"')
+    assert toks[0][:2] == ("string", '"a\x01\tb\ufffe\r"')
+    assert diags == [
+        ("E108", "character '\\x01' is not allowed in a string", 1, 3, 1),
+        ("E108", "character '\\ufffe' is not allowed in a string", 1, 6, 1),
+        ("E108", "character '\\r' is not allowed in a string", 1, 7, 1),
+    ]
 
 
 def test_junk_before_system_block_recovers():
@@ -342,6 +398,16 @@ def test_parse_never_raises_on_random_text():
         text = "".join(rng.choice(alphabet) for _ in range(length))
         result = parse(text)
         assert result.model is None or isinstance(result.diagnostics, list)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@seed(20261018)
+# Lexer-significant characters are drawn about as often as all others together.
+@given(st.text(st.sampled_from('"\\\n\r#{}; d') | st.characters(), min_size=10))
+def test_parse_is_total_and_diagnostics_render_on_one_line(text):
+    result = parse(text)
+    for d in result.diagnostics:
+        assert d.render().splitlines() == [d.render()]
 
 
 def test_parse_never_raises_on_mangled_fixture():
