@@ -21,12 +21,10 @@ from dataclasses import dataclass, field
 from .model import (
     ALL_LEAVES,
     AlignmentModel,
-    BUSINESS_VALUE_LEAVES,
     Diagnostic,
     Element,
     ElementKind,
     ModelError,
-    QUALITY_VALUE_LEAVES,
     RelationKind,
     RISK_LEAVES,
     RUNTIME_TARGETS,
@@ -34,7 +32,8 @@ from .model import (
     DEFAULT_RISK_SEVERITY,
     Severity,
     SourceSpan,
-    USER_VALUE_LEAVES,
+    XML_FORBIDDEN,
+    YIELDS_LEAVES,
     is_leaf,
     is_valid_id,
 )
@@ -135,12 +134,7 @@ _TOKEN_RE = re.compile(
     re.DOTALL,
 )
 
-# Characters XML 1.0 (section 2.2, ``Char``) cannot carry: C0 controls other
-# than tab, U+FFFE, U+FFFF and lone surrogates.  A line feed never reaches a
-# string body.  A carriage return is a legal XML character, but parsers fold
-# it into a space or a line feed, so it could not survive export either.
-_XML_FORBIDDEN = "\x00-\x08\x0b-\x1f\ufffe\uffff\ud800-\udfff"
-_STRING_PIECE = re.compile(f'\\\\(["\\\\])?|[{_XML_FORBIDDEN}]')
+_STRING_PIECE = re.compile(f'\\\\(["\\\\])?|[{XML_FORBIDDEN}]')
 
 
 def _string_value(
@@ -584,13 +578,8 @@ class _Parser:
                     f"(expected one of: {', '.join(RUNTIME_TARGETS)})",
                     word.span,
                 )
-        elif key in ("yields_user_value", "yields_quality_value", "yields_business_value"):
-            leaves = {
-                "yields_user_value": USER_VALUE_LEAVES,
-                "yields_quality_value": QUALITY_VALUE_LEAVES,
-                "yields_business_value": BUSINESS_VALUE_LEAVES,
-            }[key]
-            leaf = self.parse_leaf(leaves, key)
+        elif key in YIELDS_LEAVES:
+            leaf = self.parse_leaf(YIELDS_LEAVES[key], key)
             desc = self.expect("string", "description string")
             if leaf:
                 attrs.setdefault(key, []).append((leaf, desc.value if desc else ""))

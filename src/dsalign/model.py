@@ -10,9 +10,11 @@ instead of raising.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 from enum import Enum
 import re
+from types import MappingProxyType
 
 
 class ElementKind(str, Enum):
@@ -71,6 +73,13 @@ RISK_LEAVES = (
 COST_LEAVES = ("human_resources", "information_resources", "it_resources")
 
 ALL_LEAVES = VALUE_LEAVES + RISK_LEAVES + COST_LEAVES
+
+# The leaves each ``yields_*`` entry may name, for the parser and for V7.
+YIELDS_LEAVES: dict[str, tuple[str, ...]] = {
+    "yields_user_value": USER_VALUE_LEAVES,
+    "yields_quality_value": QUALITY_VALUE_LEAVES,
+    "yields_business_value": BUSINESS_VALUE_LEAVES,
+}
 
 _LEAF_PATHS = {
     **{leaf: f"value/user/{leaf}" for leaf in USER_VALUE_LEAVES},
@@ -220,6 +229,13 @@ del K
 
 _ID_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 
+# Characters XML 1.0 (section 2.2, ``Char``) cannot carry: C0 controls other
+# than tab and line feed, U+FFFE, U+FFFF and lone surrogates.  A carriage
+# return is a legal XML character, but parsers fold it into a space or a line
+# feed, so it could not survive export either.  The lexer rejects them in
+# strings (E108) and ``validate`` in every text that reaches an export (E013).
+XML_FORBIDDEN = "\x00-\x08\x0b-\x1f\ufffe\uffff\ud800-\udfff"
+
 
 def is_valid_id(candidate: str) -> bool:
     return bool(_ID_RE.match(candidate))
@@ -247,7 +263,7 @@ class SourceSpan:
     length: int = 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class Diagnostic:
     code: str
     severity: Severity
@@ -277,11 +293,19 @@ class ModelError(Exception):
 
 @dataclass
 class Element:
+    """One element record.
+
+    Records belong to the model that made them and to its copies.  Their
+    fields must not be reassigned nor their attr entries edited, because
+    ``validate`` caches its findings per model state; ``attrs`` itself is a
+    read-only view.
+    """
+
     id: str
     kind: ElementKind
     name: str
     description: str | None = None
-    attrs: dict = field(default_factory=dict)
+    attrs: Mapping = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -297,17 +321,24 @@ class AlignmentModel:
 
     Elements and relations keep insertion order; that order is the canonical
     order for formatting, derivation, and export.  Models are mutable while
-    being built and should be frozen before they are shared.
+    being built and should be frozen before they are shared.  Only
+    ``add_element`` and ``add_relation`` change a model, so ``validate``
+    runs its rules once per model state.
     """
 
     def __init__(self, system_name: str):
         if not system_name:
             raise ModelError("E000", "system name must not be empty")
-        self.system_name = system_name
+        self._system_name = system_name
         self._elements: list[Element] = []
         self._by_id: dict[str, Element] = {}
         self._relations: list[Relation] = []
         self._frozen = False
+        self._diagnostics: list[Diagnostic] | None = None  # last rule pass
+
+    @property
+    def system_name(self) -> str:
+        return self._system_name
 
     # -- construction -------------------------------------------------------
 
@@ -336,9 +367,10 @@ class AlignmentModel:
                 raise ModelError(
                     "E002", f"attr {key!r} is not allowed on {kind.value}"
                 )
-        element = Element(id=id, kind=kind, name=name, description=description, attrs=attrs)
+        element = Element(id, kind, name, description, MappingProxyType(attrs))
         self._elements.append(element)
         self._by_id[id] = element
+        self._diagnostics = None
         return id
 
     def add_relation(self, kind: RelationKind, source: str, target: str) -> str:
@@ -358,6 +390,7 @@ class AlignmentModel:
             id=f"r{len(self._relations) + 1:03d}", kind=kind, source=source, target=target
         )
         self._relations.append(rel)
+        self._diagnostics = None
         return rel.id
 
     def freeze(self) -> None:
@@ -426,23 +459,26 @@ class AlignmentModel:
         return [self._by_id[other] for other in seen]
 
     def copy(self) -> AlignmentModel:
-        """Unfrozen deep-enough copy (attrs dicts are copied, values shared)."""
+        """Unfrozen copy that shares the (read-only) element and relation records."""
         dup = AlignmentModel(self.system_name)
-        for e in self._elements:
-            dup._elements.append(replace(e, attrs=dict(e.attrs)))
-            dup._by_id[e.id] = dup._elements[-1]
+        dup._elements = list(self._elements)
+        dup._by_id = dict(self._by_id)
         dup._relations = list(self._relations)
         return dup
 
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> list[Diagnostic]:
-        """Run structural rules V1-V8 and return every finding.
+        """Run structural rules V1-V9 and return every finding.
 
         An empty list means the model is a well-formed pre-derivation model;
         error-level findings make it unsuitable for derivation and export.
+        The rules run once per model state; every call returns a new list.
         """
+        if self._diagnostics is not None:
+            return list(self._diagnostics)
         out: list[Diagnostic] = []
+        _check_text(self._system_name, "the system name", None, out)
         realizes: dict[str, list[str]] = {}
         accessed: set[str] = set()
         served: set[str] = set()
@@ -464,7 +500,8 @@ class AlignmentModel:
             out.extend(self._validate_element(e, realizes, accessed, served, associated))
         for rel in self._relations:
             out.extend(self._validate_relation(rel))
-        return out
+        self._diagnostics = out
+        return list(out)
 
     def _validate_element(
         self,
@@ -479,6 +516,8 @@ class AlignmentModel:
         def add(code: str, severity: Severity, message: str) -> None:
             out.append(Diagnostic(code, severity, message, subject=e.id))
 
+        _check_text(e.name, "its name", e.id, out)
+        _check_text(e.description, "its description", e.id, out)
         kind = e.kind
         if kind is ElementKind.SYSTEM_COMPONENT and not realizes.get(e.id):
             # V1: a component must expose at least one function.
@@ -558,14 +597,9 @@ class AlignmentModel:
             elif key == "severity":
                 if value not in SEVERITY_LEVELS:
                     add("E122", f"{e.id!r}: unknown severity level {value!r}")
-            elif key in ("yields_user_value", "yields_quality_value", "yields_business_value"):
-                leaves = {
-                    "yields_user_value": USER_VALUE_LEAVES,
-                    "yields_quality_value": QUALITY_VALUE_LEAVES,
-                    "yields_business_value": BUSINESS_VALUE_LEAVES,
-                }[key]
+            elif key in YIELDS_LEAVES:
                 for entry in _entries(value, 2, e.id, key, out):
-                    check_leaf(entry[0], leaves, key)
+                    check_leaf(entry[0], YIELDS_LEAVES[key], key)
             elif key == "implies_cost":
                 for entry in _entries(value, 2, e.id, key, out):
                     check_leaf(entry[0], COST_LEAVES, key)
@@ -606,7 +640,11 @@ class AlignmentModel:
 def _entries(
     value: object, arity: int, subject: str, key: str, out: list[Diagnostic]
 ) -> list[tuple]:
-    """Return the well-shaped entries of a list-valued attr, reporting E012 otherwise."""
+    """Return the well-shaped entries of a list-valued attr.
+
+    Reports E012 for a malformed entry and E013 for a forbidden character in
+    any string part of a well-shaped one.
+    """
     if not isinstance(value, (list, tuple)):
         out.append(
             Diagnostic(
@@ -618,6 +656,7 @@ def _entries(
         )
         return []
     good = []
+    where = f"its {key!r} entry"
     for entry in value:
         if not isinstance(entry, (list, tuple)) or len(entry) != arity:
             out.append(
@@ -630,7 +669,26 @@ def _entries(
             )
         else:
             good.append(tuple(entry))
+            for part in entry:
+                _check_text(part, where, subject, out)
     return good
+
+
+def _check_text(text: object, where: str, subject: str | None, out: list[Diagnostic]) -> None:
+    """V9: report E013 if a string holds a character XML 1.0 cannot carry.
+
+    Every text that reaches an export is checked; the lexer's E108 already
+    keeps these characters out of parsed models.
+    """
+    if not isinstance(text, str) or text.isprintable():  # no forbidden character is printable
+        return
+    # Compiled on first use and cached by ``re``: compiling costs about 1 ms,
+    # which every CLI run would otherwise pay at import.
+    m = re.search(f"[{XML_FORBIDDEN}]", text)
+    if m:
+        prefix = f"{subject!r}: " if subject else ""
+        message = f"{prefix}character {m.group()!r} is not allowed in {where}"
+        out.append(Diagnostic("E013", Severity.ERROR, message, subject=subject))
 
 
 def new_model(system_name: str) -> AlignmentModel:

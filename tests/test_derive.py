@@ -24,7 +24,8 @@ from dsalign.model import (
     Severity,
     new_model,
 )
-from dsalign.dsl import parse
+from dsalign.dsl import format_model, parse
+from dsalign.export import to_dot, to_open_exchange
 
 from conftest import FIXTURE_NAMES, FIXTURES
 
@@ -480,3 +481,28 @@ def test_attach_scans_relations_a_constant_number_of_times(monkeypatch):
         return len(reads) - before
 
     assert relation_reads(2) == relation_reads(20)
+
+
+def test_pipeline_runs_the_rules_once_per_model_state(monkeypatch):
+    checked = []
+    plain = AlignmentModel._validate_element
+
+    def counting(self, *args):
+        checked.append(self)
+        return plain(self, *args)
+
+    monkeypatch.setattr(AlignmentModel, "_validate_element", counting)
+    model = parse((FIXTURES / "faq_chatbot.dsa").read_text(), "faq_chatbot").model
+    attached = attach(model, derive_all(model))
+    to_open_exchange(attached)
+    to_dot(attached)
+    format_model(model)
+    assert len(checked) == len(model.elements) + len(attached.elements)
+
+
+def test_element_attrs_are_read_only(faq_model):
+    attached = attach(faq_model, derive_all(faq_model))
+    for model in (faq_model, attached):
+        for e in model.elements:
+            with pytest.raises(TypeError):
+                e.attrs["x"] = 1

@@ -5,6 +5,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from dsalign.derive import attach, derive_all
+from dsalign.dsl import format_model
 from dsalign.export import ExportOptions, export_model, to_dot, to_open_exchange
 from dsalign.model import ElementKind, ModelError, new_model
 
@@ -118,6 +119,19 @@ def test_export_rejects_invalid_model():
     assert err.value.code == "E300"
     with pytest.raises(ModelError):
         to_dot(m)
+
+
+def test_xml_forbidden_character_from_the_api_never_reaches_an_export():
+    m = new_model("S\x01")
+    m.add_element(ElementKind.DATA_MODEL, "d", "bad\x01name")
+    assert [d.code for d in m.validate()] == ["E013", "E013", "W104"]
+    for render in (to_open_exchange, to_dot):
+        with pytest.raises(ModelError) as err:
+            render(m)
+        assert err.value.code == "E300"
+    with pytest.raises(ModelError) as err:
+        format_model(m)
+    assert err.value.code == "E141"
 
 
 def test_xml_escaping_round_trips():

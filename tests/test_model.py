@@ -273,6 +273,53 @@ def test_validate_bad_severity_level():
     assert "E122" in codes(m.validate())
 
 
+@pytest.mark.parametrize(
+    "description, attrs",
+    [
+        ("a\x1fb", {}),
+        (None, {"hinders": [("privacy", "medium", "leaks \ud800")]}),
+        (None, {"implies_cost": [("it_resources", "\ufffe")]}),
+    ],
+)
+def test_validate_xml_forbidden_character_e013(description, attrs):
+    m = new_model("x")
+    m.add_element(K.OBSERVED_EVENT, "e", "Event", description, attrs)
+    found = [d for d in m.validate() if d.code == "E013"]
+    assert len(found) == 1 and found[0].severity is Severity.ERROR
+    assert found[0].subject == "e" and "\n" not in found[0].render()
+
+
+def test_validate_tab_and_line_feed_are_not_e013():
+    m = new_model("S\tT")
+    m.add_element(K.USER_ACTIVITY, "a", "line\tone\nline two")
+    assert "E013" not in codes(m.validate())
+
+
+def test_validate_reruns_rules_after_add_element():
+    m = new_model("x")
+    assert m.validate() == []
+    m.add_element(K.USER_ACTIVITY, "a", "Activity")
+    assert codes(m.validate()) == ["W103"]
+
+
+def test_validate_reruns_rules_after_add_relation():
+    m = two_element_model(K.DIALOGUE_SERVICE, K.USER_ACTIVITY)
+    assert codes(m.validate()) == ["W103"]
+    m.add_relation(R.SERVING, "src", "dst")
+    assert m.validate() == []
+
+
+def test_validate_returns_a_fresh_list():
+    m = new_model("x")
+    m.add_element(K.DATA_MODEL, "d", "D")
+    first = m.validate()
+    with pytest.raises(AttributeError):  # diagnostics are shared between calls
+        first[0].message = "edited"
+    first.clear()
+    assert codes(m.validate()) == ["W104"]
+    assert m.validate() is not m.validate()
+
+
 def test_validation_soundness_replay(fixture_models):
     # A model with zero errors accepts a replay of its own contents.
     for model in fixture_models.values():
