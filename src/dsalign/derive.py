@@ -16,7 +16,6 @@ motivation-layer elements with provenance edges.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -330,6 +329,8 @@ def summary_line(itemset: EvaluationItemSet) -> str:
 
 def serialize_itemset(itemset: EvaluationItemSet) -> str:
     """Deterministic JSON rendering used for golden files (LF, fixed keys)."""
+    import json  # imported here: of the CLI commands, only ``derive --items`` needs it
+
     doc = {
         "system": itemset.system_name,
         "items": [

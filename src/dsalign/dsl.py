@@ -5,11 +5,12 @@ statement inside the block declares one element; keyed entries inside a
 statement either set attrs (``yields_user_value:``, ``runs_on:``, ...) or
 declare relations (``by:``, ``serves:``, ``realized_by:``, ``uses:``,
 ``about:``, ``influences:``).  ``function`` entries nest a component function
-and create its realization edge.
+and create its realization edge.  ``model.STATEMENTS`` lists every statement
+and entry; the lexer, the parser and the printer read it.
 
 Parsing is total: arbitrary input yields diagnostics, never an exception.
 ``format_model`` prints the canonical form: two-space indents, elements in
-insertion order, entries in allowlist order, LF line endings, and a trailing
+insertion order, entries in table order, LF line endings, and a trailing
 newline.
 """
 
@@ -20,56 +21,55 @@ from dataclasses import dataclass, field
 
 from .model import (
     ALL_LEAVES,
+    STATEMENTS,
     AlignmentModel,
     Diagnostic,
-    Element,
     ElementKind,
     ModelError,
     RelationKind,
-    RISK_LEAVES,
-    RUNTIME_TARGETS,
     SEVERITY_LEVELS,
     DEFAULT_RISK_SEVERITY,
+    Entry,
     Severity,
     SourceSpan,
     XML_FORBIDDEN,
-    YIELDS_LEAVES,
     is_leaf,
     is_valid_id,
 )
 
-KEYWORDS = frozenset(
-    {
-        "system",
-        "actor",
-        "user",
-        "operator",
-        "user_activity",
-        "operator_activity",
-        "service",
-        "component",
-        "data",
-        "event",
-        "function",
-        "by",
-        "serves",
-        "realized_by",
-        "uses",
-        "runs_on",
-        "about",
-        "influences",
-        "implies_cost",
-        "hinders",
-        "severity",
-        "yields_user_value",
-        "yields_quality_value",
-        "yields_business_value",
-    }
+# Lookups derived once from the statement table.  ``actor`` maps to None: the
+# role word after it picks the kind.
+_STATEMENT_KINDS = {s.keyword: None if s.role else kind for kind, s in STATEMENTS.items()}
+_ROLE_KINDS = {s.role: kind for kind, s in STATEMENTS.items() if s.role}
+STATEMENT_KEYWORDS = frozenset(_STATEMENT_KINDS)
+KEYWORDS = (
+    STATEMENT_KEYWORDS
+    | frozenset(_ROLE_KINDS)
+    | {"system", "severity"}
+    | {key for s in STATEMENTS.values() for key in s.entries}
 )
 
-STATEMENT_KEYWORDS = frozenset(
-    {"actor", "user_activity", "operator_activity", "service", "component", "data", "event"}
-)
+# Nested entries: the kind they declare -> (entry key, owner's keyword).
+_NESTED = {
+    entry.nested: (key, s.keyword)
+    for s in STATEMENTS.values()
+    for key, entry in s.entries.items()
+    if entry.nested
+}
+_NESTED_OWNER = dict(_NESTED.values())
+
+# (relation kind, owner kind, owner is source) -> (entry key, entry), for the
+# printer.  An association is undirected, so it prints under an owner at
+# either end; the printer tries the source end first.
+_ENTRY_OF_RELATION = {
+    (entry.relation, kind, side): (key, entry)
+    for kind, s in STATEMENTS.items()
+    for key, entry in s.entries.items()
+    if entry.relation is not None
+    for side in (
+        (True, False) if entry.relation is RelationKind.ASSOCIATION else (entry.owner_is_source,)
+    )
+}
 
 # Surface words of implies_cost mapped to the cost leaves they denote.
 COST_WORDS = {
@@ -134,7 +134,9 @@ _TOKEN_RE = re.compile(
     re.DOTALL,
 )
 
-_STRING_PIECE = re.compile(f'\\\\(["\\\\])?|[{XML_FORBIDDEN}]')
+# Compiled on first use and cached by ``re``: compiling the forbidden class
+# costs about 1 ms, which every CLI run would otherwise pay at import.
+_STRING_PIECE = f'\\\\(["\\\\])?|[{XML_FORBIDDEN}]'
 
 
 def _string_value(
@@ -161,7 +163,7 @@ def _string_value(
         diags.append(Diagnostic(code, Severity.ERROR, message, location=span))
         return ch
 
-    return _STRING_PIECE.sub(piece, text[start:end])
+    return re.sub(_STRING_PIECE, piece, text[start:end])
 
 
 def _lex(text: str, file: str) -> tuple[list[_Token], list[Diagnostic]]:
@@ -241,45 +243,11 @@ class _RelSpec:
     span: SourceSpan
 
 
-_BLOCK_KINDS = {
-    "user_activity": ElementKind.USER_ACTIVITY,
-    "operator_activity": ElementKind.OPERATOR_ACTIVITY,
-    "service": ElementKind.DIALOGUE_SERVICE,
-    "component": ElementKind.SYSTEM_COMPONENT,
-    "event": ElementKind.OBSERVED_EVENT,
-}
-
-# Relation-bearing entry keys in canonical materialization order per statement.
-_REL_KEY_ORDER = {
-    ElementKind.USER_ACTIVITY: ("by", "influences"),
-    ElementKind.OPERATOR_ACTIVITY: ("by",),
-    ElementKind.DIALOGUE_SERVICE: ("serves", "realized_by"),
-    ElementKind.SYSTEM_COMPONENT: ("function", "uses"),
-    ElementKind.OBSERVED_EVENT: ("about",),
-}
-
-_ENTRY_KEYS = {
-    ElementKind.USER_ACTIVITY: (
-        "by",
-        "yields_user_value",
-        "yields_quality_value",
-        "influences",
-    ),
-    ElementKind.OPERATOR_ACTIVITY: ("by", "yields_business_value"),
-    ElementKind.DIALOGUE_SERVICE: ("serves", "realized_by"),
-    ElementKind.SYSTEM_COMPONENT: ("function", "uses", "runs_on"),
-    ElementKind.OBSERVED_EVENT: ("about", "implies_cost", "hinders"),
-}
-
-_SCALAR_KEYS = frozenset({"by", "runs_on"})
-
-
 class _Parser:
-    def __init__(self, toks: list[_Token], diags: list[Diagnostic], file: str):
+    def __init__(self, toks: list[_Token], diags: list[Diagnostic]):
         self.toks = toks
         self.i = 0
         self.diags = diags
-        self.file = file
         self.model: AlignmentModel | None = None
         self.rel_specs: list[_RelSpec] = []
         self.spans: dict[str, SourceSpan] = {}
@@ -370,20 +338,24 @@ class _Parser:
 
     def parse_statement(self) -> None:
         tok = self.peek()
-        if tok.text == "actor":
-            self.next()
-            self.parse_actor()
-        elif tok.text == "data":
-            self.next()
-            self.parse_data()
-        elif tok.text in _BLOCK_KINDS:
-            self.next()
-            self.parse_block_statement(tok.text)
-        else:
+        if tok.text not in _STATEMENT_KINDS:
             shown = tok.text or "end of file"
             self.error("E101", f"expected a statement, found {shown!r}")
             self.next()
             self.sync_statement()
+            return
+        self.next()
+        kind = _STATEMENT_KINDS[tok.text]
+        if kind is None:
+            role = self.peek()
+            kind = _ROLE_KINDS.get(role.text)
+            if kind is None:
+                roles = " or ".join(map(repr, _ROLE_KINDS))
+                self.error("E101", f"expected {roles}, found {role.text!r}")
+                self.sync_statement()
+                return
+            self.next()
+        self.parse_element(kind, tok.text)
 
     def parse_id(self) -> tuple[str, SourceSpan] | None:
         tok = self.peek()
@@ -431,113 +403,62 @@ class _Parser:
         self.spans[id] = span
         return id
 
-    def parse_actor(self) -> None:
-        role = self.peek()
-        if role.text not in ("user", "operator"):
-            self.error("E101", f"expected 'user' or 'operator', found {role.text!r}")
-            self.sync_statement()
-            return
-        self.next()
-        ident = self.parse_id()
-        name_tok = self.expect("string", "actor name string")
-        kind = ElementKind.USER if role.text == "user" else ElementKind.OPERATOR
-        self.add_element(kind, ident, name_tok.value if name_tok else "", {})
-
-    def parse_data(self) -> None:
-        ident = self.parse_id()
-        name_tok = self.expect("string", "data name string")
-        self.add_element(
-            ElementKind.DATA_MODEL, ident, name_tok.value if name_tok else "", {}
-        )
-
-    def parse_block_statement(self, keyword: str) -> None:
-        kind = _BLOCK_KINDS[keyword]
+    def parse_element(self, kind: ElementKind, keyword: str) -> None:
+        entries = STATEMENTS[kind].entries
         ident = self.parse_id()
         name_tok = self.expect("string", f"{keyword} name string")
         name = name_tok.value if name_tok else ""
-        attrs: dict[str, list] = {}
-        rel_targets: dict[str, list[tuple[str, SourceSpan]]] = {}
-        functions: list[tuple[tuple[str, SourceSpan], str]] = []
-        seen_scalar: set[str] = set()
-        if self.at("lbrace"):
+        attrs: dict[str, object] = {}
+        # Entry key -> (id, span, name) per reference; only a nested
+        # declaration has a name.
+        refs: dict[str, list[tuple[str, SourceSpan, str]]] = {}
+        seen_single: set[str] = set()
+        if entries and self.at("lbrace"):
             self.next()
             while not self.at("eof") and not self.at("rbrace"):
                 if self.peek().text in STATEMENT_KEYWORDS:
                     self.error("E101", "expected an entry or '}'")
                     break
                 before = self.i
-                self.parse_entry(kind, attrs, rel_targets, functions, seen_scalar)
+                self.parse_entry(kind, attrs, refs, seen_single)
                 if self.i == before:
                     self.next()
             if self.at("rbrace"):
                 self.next()
-        element_id = self.add_element(kind, ident, name, {k: v for k, v in attrs.items()})
-        if element_id is None:
-            element_id = ident[0] if ident else None
-        self.queue_relations(kind, element_id, rel_targets, functions)
-
-    def queue_relations(
-        self,
-        kind: ElementKind,
-        element_id: str | None,
-        rel_targets: dict[str, list[tuple[str, SourceSpan]]],
-        functions: list[tuple[tuple[str, SourceSpan], str]],
-    ) -> None:
-        if element_id is None:
+        self.add_element(kind, ident, name, attrs)
+        if ident is None:
             return
-        for key in _REL_KEY_ORDER.get(kind, ()):
-            if key == "function":
-                for (fn_id, fn_span), fn_name in functions:
-                    if self.model is not None:
-                        try:
-                            self.model.add_element(
-                                ElementKind.COMPONENT_FUNCTION, fn_id, fn_name
-                            )
-                        except ModelError as err:
-                            self.error(err.code, err.message, fn_span)
-                            continue
-                        self.spans[fn_id] = fn_span
-                    self.rel_specs.append(
-                        _RelSpec(RelationKind.REALIZATION, element_id, fn_id, fn_span)
-                    )
-                continue
-            for ref, span in rel_targets.get(key, []):
-                if key == "by":
-                    spec = _RelSpec(RelationKind.ASSIGNMENT, ref, element_id, span)
-                elif key == "serves":
-                    spec = _RelSpec(RelationKind.SERVING, element_id, ref, span)
-                elif key == "realized_by":
-                    spec = _RelSpec(RelationKind.REALIZATION, ref, element_id, span)
-                elif key == "uses":
-                    spec = _RelSpec(RelationKind.ACCESS, element_id, ref, span)
-                elif key == "about":
-                    spec = _RelSpec(RelationKind.ASSOCIATION, element_id, ref, span)
-                else:  # influences
-                    spec = _RelSpec(RelationKind.INFLUENCE, element_id, ref, span)
-                self.rel_specs.append(spec)
+        element_id = ident[0]
+        # Relations are queued in entry order; nested elements follow their owner.
+        for key, entry in entries.items():
+            for ref, span, ref_name in refs.get(key, ()):
+                if entry.nested and not self.add_element(entry.nested, (ref, span), ref_name, {}):
+                    continue
+                source, target = (element_id, ref) if entry.owner_is_source else (ref, element_id)
+                self.rel_specs.append(_RelSpec(entry.relation, source, target, span))
 
     def parse_entry(
         self,
         kind: ElementKind,
-        attrs: dict[str, list],
-        rel_targets: dict[str, list[tuple[str, SourceSpan]]],
-        functions: list[tuple[tuple[str, SourceSpan], str]],
-        seen_scalar: set[str],
+        attrs: dict[str, object],
+        refs: dict[str, list[tuple[str, SourceSpan, str]]],
+        seen_single: set[str],
     ) -> None:
+        entries = STATEMENTS[kind].entries
         tok = self.peek()
-        if tok.text == "function":
-            if kind is not ElementKind.SYSTEM_COMPONENT:
-                self.error(
-                    "E101", "function declarations are only allowed inside component blocks"
-                )
+        key = tok.text
+        if key in _NESTED_OWNER:
+            if key not in entries:
+                owner = _NESTED_OWNER[key]
+                self.error("E101", f"{key} declarations are only allowed inside {owner} blocks")
                 self.next()
                 self.sync_entry()
                 return
             self.next()
             ident = self.parse_id()
-            name_tok = self.expect("string", "function name string")
+            name_tok = self.expect("string", f"{key} name string")
             if ident:
-                functions.append((ident, name_tok.value if name_tok else ""))
+                refs.setdefault(key, []).append((*ident, name_tok.value if name_tok else ""))
             self.expect("semi", "';'")
             return
         if tok.kind not in ("keyword", "word"):
@@ -545,80 +466,72 @@ class _Parser:
             self.error("E101", f"expected an entry or '}}', found {shown!r}")
             self.sync_entry()
             return
-        key = tok.text
         self.next()
         self.expect("colon", "':'")
-        if key not in _ENTRY_KEYS.get(kind, ()):
+        entry = entries.get(key)
+        if entry is None:
             self.error("E002", f"attr {key!r} is not allowed on {kind.value}", tok.span)
             self.sync_entry()
             return
-        if key in _SCALAR_KEYS:
-            if key in seen_scalar:
+        if entry.single:
+            if key in seen_single:
                 self.error("E130", f"repeated entry {key!r}", tok.span)
-            seen_scalar.add(key)
-        self.parse_entry_value(key, attrs, rel_targets)
+            seen_single.add(key)
+        self.parse_entry_value(key, entry, attrs, refs)
 
     def parse_entry_value(
         self,
         key: str,
-        attrs: dict[str, list],
-        rel_targets: dict[str, list[tuple[str, SourceSpan]]],
+        entry: Entry,
+        attrs: dict[str, object],
+        refs: dict[str, list[tuple[str, SourceSpan, str]]],
     ) -> None:
-        if key in ("by", "serves", "realized_by", "uses", "about", "influences"):
-            ids = [self.parse_id()] if key == "by" else self.parse_id_list()
-            rel_targets.setdefault(key, []).extend(i for i in ids if i)
-        elif key == "runs_on":
+        if entry.relation is not None:
+            ids = [self.parse_id()] if entry.single else self.parse_id_list()
+            refs.setdefault(key, []).extend((*i, "") for i in ids if i)
+        elif entry.form == "word":
             word = self.next()
-            if word.text in RUNTIME_TARGETS:
-                attrs["runs_on"] = word.text
+            if word.text in entry.leaves:
+                attrs[key] = word.text
             else:
                 self.error(
                     "E123",
                     f"unknown runtime target {word.text!r} "
-                    f"(expected one of: {', '.join(RUNTIME_TARGETS)})",
+                    f"(expected one of: {', '.join(entry.leaves)})",
                     word.span,
                 )
-        elif key in YIELDS_LEAVES:
-            leaf = self.parse_leaf(YIELDS_LEAVES[key], key)
-            desc = self.expect("string", "description string")
-            if leaf:
-                attrs.setdefault(key, []).append((leaf, desc.value if desc else ""))
-        elif key == "implies_cost":
-            word = self.next()
-            leaf = COST_WORDS.get(word.text)
-            if leaf is None:
-                self.error(
-                    "E124",
-                    f"unknown cost kind {word.text!r} "
-                    f"(expected one of: {', '.join(COST_WORDS)})",
-                    word.span,
-                )
-            desc = self.expect("string", "description string")
-            if leaf:
-                attrs.setdefault("implies_cost", []).append(
-                    (leaf, desc.value if desc else "")
-                )
-        elif key == "hinders":
-            leaf = self.parse_leaf(RISK_LEAVES, "hinders")
-            severity = DEFAULT_RISK_SEVERITY
-            if self.at("keyword", "severity"):
-                self.next()
-                self.expect("colon", "':'")
+        else:
+            if entry.form == "cost":
                 word = self.next()
-                if word.text in SEVERITY_LEVELS:
-                    severity = word.text
-                else:
+                leaf = COST_WORDS.get(word.text)
+                if leaf is None:
                     self.error(
-                        "E122",
-                        f"unknown severity level {word.text!r} "
-                        f"(expected one of: {', '.join(SEVERITY_LEVELS)})",
+                        "E124",
+                        f"unknown cost kind {word.text!r} "
+                        f"(expected one of: {', '.join(COST_WORDS)})",
                         word.span,
                     )
+            else:
+                leaf = self.parse_leaf(entry.leaves, key)
+            severity: tuple[str, ...] = ()
+            if entry.form == "hinders":
+                severity = (DEFAULT_RISK_SEVERITY,)
+                if self.at("keyword", "severity"):
+                    self.next()
+                    self.expect("colon", "':'")
+                    word = self.next()
+                    if word.text in SEVERITY_LEVELS:
+                        severity = (word.text,)
+                    else:
+                        self.error(
+                            "E122",
+                            f"unknown severity level {word.text!r} "
+                            f"(expected one of: {', '.join(SEVERITY_LEVELS)})",
+                            word.span,
+                        )
             desc = self.expect("string", "description string")
             if leaf:
-                attrs.setdefault("hinders", []).append(
-                    (leaf, severity, desc.value if desc else "")
-                )
+                attrs.setdefault(key, []).append((leaf, *severity, desc.value if desc else ""))
         self.expect("semi", "';'")
 
     def parse_leaf(self, expected: tuple[str, ...], what: str) -> str | None:
@@ -661,7 +574,7 @@ class _Parser:
 def parse(text: str, file: str = "<input>") -> ParseResult:
     """Parse ``.dsa`` source text into an :class:`AlignmentModel`."""
     toks, diags = _lex(text, file)
-    parser = _Parser(toks, diags, file)
+    parser = _Parser(toks, diags)
     parser.parse_file()
     model = parser.finish()
     return ParseResult(model=model, diagnostics=parser.diags, spans=parser.spans)
@@ -696,131 +609,87 @@ def load_file(path) -> ParseResult:
 
 
 def _quote(value: str) -> str:
+    if "\n" in value:  # a string ends at the end of its line
+        raise ModelError("E140", f"line feed in {value!r} is not expressible in the DSL")
     return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def format_model(model: AlignmentModel) -> str:
     """Render a model in canonical ``.dsa`` form.
 
-    Only pre-derivation models are expressible: motivation-layer elements and
-    relations without a surface statement raise E140, and models with
-    validation errors raise E141.
+    Only pre-derivation models are expressible.  Models with validation
+    errors raise E141.  Content the language cannot carry raises E140:
+    motivation-layer elements, relations without a surface entry, a second
+    value for a single-valued entry, a nested element with no owner or with
+    two, a reserved word as an id, a line feed in a string, and element
+    descriptions.
     """
     if any(d.severity is Severity.ERROR for d in model.validate()):
         raise ModelError("E141", "cannot format a model with validation errors")
 
-    owner_of: dict[str, str] = {}
-    functions_of: dict[str, list[str]] = {}
-    by_of: dict[str, list[str]] = {}
-    serves_of: dict[str, list[str]] = {}
-    realized_by_of: dict[str, list[str]] = {}
-    uses_of: dict[str, list[str]] = {}
-    about_of: dict[str, list[str]] = {}
-    influences_of: dict[str, list[str]] = {}
-
+    refs: dict[tuple[str, str], list[str]] = {}  # (owner id, entry key) -> other ends
+    nested: set[str] = set()  # ids declared inside their owner's statement
     for rel in model.relations:
-        skind = model.element(rel.source).kind
-        tkind = model.element(rel.target).kind
-        pair = (rel.kind, skind, tkind)
-        if pair == (RelationKind.REALIZATION, ElementKind.SYSTEM_COMPONENT, ElementKind.COMPONENT_FUNCTION):
-            functions_of.setdefault(rel.source, []).append(rel.target)
-            owner_of[rel.target] = rel.source
-        elif pair == (RelationKind.REALIZATION, ElementKind.COMPONENT_FUNCTION, ElementKind.DIALOGUE_SERVICE):
-            realized_by_of.setdefault(rel.target, []).append(rel.source)
-        elif rel.kind is RelationKind.ASSIGNMENT:
-            by_of.setdefault(rel.target, []).append(rel.source)
-        elif rel.kind is RelationKind.SERVING and skind is ElementKind.DIALOGUE_SERVICE:
-            serves_of.setdefault(rel.source, []).append(rel.target)
-        elif rel.kind is RelationKind.ACCESS and skind is ElementKind.SYSTEM_COMPONENT:
-            uses_of.setdefault(rel.source, []).append(rel.target)
-        elif rel.kind is RelationKind.ASSOCIATION and skind is ElementKind.OBSERVED_EVENT:
-            about_of.setdefault(rel.source, []).append(rel.target)
-        elif rel.kind is RelationKind.ASSOCIATION and tkind is ElementKind.OBSERVED_EVENT:
-            about_of.setdefault(rel.target, []).append(rel.source)
-        elif rel.kind is RelationKind.INFLUENCE and skind is ElementKind.USER_ACTIVITY:
-            influences_of.setdefault(rel.source, []).append(rel.target)
-        else:
+        owner, other = rel.source, rel.target
+        found = _ENTRY_OF_RELATION.get((rel.kind, model.element(owner).kind, True))
+        if found is None:
+            owner, other = other, owner
+            found = _ENTRY_OF_RELATION.get((rel.kind, model.element(owner).kind, False))
+        if found is None:
             raise ModelError(
                 "E140",
                 f"{rel.kind.value} from {rel.source!r} to {rel.target!r} "
                 "is not expressible in the DSL",
             )
-
-    def entry_lines(e: Element) -> list[str]:
-        lines: list[str] = []
-        if e.kind is ElementKind.USER_ACTIVITY:
-            for ref in by_of.get(e.id, []):
-                lines.append(f"by: {ref};")
-            for leaf, desc in e.attrs.get("yields_user_value", []):
-                lines.append(f"yields_user_value: {leaf} {_quote(desc)};")
-            for leaf, desc in e.attrs.get("yields_quality_value", []):
-                lines.append(f"yields_quality_value: {leaf} {_quote(desc)};")
-            if influences_of.get(e.id):
-                lines.append(f"influences: {', '.join(influences_of[e.id])};")
-        elif e.kind is ElementKind.OPERATOR_ACTIVITY:
-            for ref in by_of.get(e.id, []):
-                lines.append(f"by: {ref};")
-            for leaf, desc in e.attrs.get("yields_business_value", []):
-                lines.append(f"yields_business_value: {leaf} {_quote(desc)};")
-        elif e.kind is ElementKind.DIALOGUE_SERVICE:
-            if serves_of.get(e.id):
-                lines.append(f"serves: {', '.join(serves_of[e.id])};")
-            if realized_by_of.get(e.id):
-                lines.append(f"realized_by: {', '.join(realized_by_of[e.id])};")
-        elif e.kind is ElementKind.SYSTEM_COMPONENT:
-            for fn_id in functions_of.get(e.id, []):
-                fn = model.element(fn_id)
-                lines.append(f"function {fn.id} {_quote(fn.name)};")
-            if uses_of.get(e.id):
-                lines.append(f"uses: {', '.join(uses_of[e.id])};")
-            if "runs_on" in e.attrs:
-                lines.append(f"runs_on: {e.attrs['runs_on']};")
-        elif e.kind is ElementKind.OBSERVED_EVENT:
-            if about_of.get(e.id):
-                lines.append(f"about: {', '.join(about_of[e.id])};")
-            for leaf, desc in e.attrs.get("implies_cost", []):
-                lines.append(f"implies_cost: {_COST_LEAF_TO_WORD[leaf]} {_quote(desc)};")
-            for leaf, severity, desc in e.attrs.get("hinders", []):
-                lines.append(
-                    f"hinders: {leaf} severity: {severity} {_quote(desc)};"
-                )
-        return lines
+        key, entry = found
+        others = refs.setdefault((owner, key), [])
+        if entry.single and others:
+            raise ModelError("E140", f"a second {key!r} entry on {owner!r} is not expressible")
+        if entry.nested:
+            if other in nested:
+                raise ModelError("E140", f"{key} {other!r} is declared by more than one owner")
+            nested.add(other)
+        others.append(other)
 
     statements: list[tuple[str, list[str]]] = []  # (leading keyword, lines)
     for e in model.elements:
-        if e.kind is ElementKind.COMPONENT_FUNCTION:
-            if e.id not in owner_of:
-                raise ModelError(
-                    "E140", f"function {e.id!r} has no owning component"
-                )
+        if e.id in KEYWORDS:
+            raise ModelError("E140", f"reserved word {e.id!r} is not expressible as an id")
+        if e.description is not None:
+            raise ModelError("E140", f"the description of {e.id!r} is not expressible")
+        if e.kind in _NESTED:
+            if e.id not in nested:
+                key, owner = _NESTED[e.kind]
+                raise ModelError("E140", f"{key} {e.id!r} has no owning {owner}")
             continue
-        if e.kind is ElementKind.USER:
-            statements.append(("actor", [f"actor user {e.id} {_quote(e.name)}"]))
-            continue
-        if e.kind is ElementKind.OPERATOR:
-            statements.append(("actor", [f"actor operator {e.id} {_quote(e.name)}"]))
-            continue
-        if e.kind is ElementKind.DATA_MODEL:
-            statements.append(("data", [f"data {e.id} {_quote(e.name)}"]))
-            continue
-        keyword = {
-            ElementKind.USER_ACTIVITY: "user_activity",
-            ElementKind.OPERATOR_ACTIVITY: "operator_activity",
-            ElementKind.DIALOGUE_SERVICE: "service",
-            ElementKind.SYSTEM_COMPONENT: "component",
-            ElementKind.OBSERVED_EVENT: "event",
-        }.get(e.kind)
-        if keyword is None:
+        statement = STATEMENTS.get(e.kind)
+        if statement is None:
             raise ModelError(
                 "E140", f"{e.kind.value} elements are not expressible in the DSL"
             )
-        header = f"{keyword} {e.id} {_quote(e.name)}"
-        body = entry_lines(e)
+        words = (statement.keyword, statement.role, e.id, _quote(e.name))
+        header = " ".join(word for word in words if word)
+        body: list[str] = []
+        for key, entry in statement.entries.items():
+            if entry.nested:
+                for ref in refs.get((e.id, key), ()):
+                    body.append(f"{key} {ref} {_quote(model.element(ref).name)};")
+            elif entry.relation is not None:
+                if (e.id, key) in refs:
+                    body.append(f"{key}: {', '.join(refs[e.id, key])};")
+            elif entry.form == "word":
+                if key in e.attrs:
+                    body.append(f"{key}: {e.attrs[key]};")
+            else:
+                for leaf, *rest in e.attrs.get(key, ()):
+                    word = _COST_LEAF_TO_WORD[leaf] if entry.form == "cost" else leaf
+                    severity = f" severity: {rest[0]}" if entry.form == "hinders" else ""
+                    body.append(f"{key}: {word}{severity} {_quote(rest[-1])};")
         if body:
             lines = [header + " {"] + ["  " + line for line in body] + ["}"]
         else:
             lines = [header]
-        statements.append((keyword, lines))
+        statements.append((statement.keyword, lines))
 
     out: list[str] = [f"system {_quote(model.system_name)} {{"]
     prev_keyword: str | None = None

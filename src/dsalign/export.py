@@ -7,7 +7,6 @@ attributes in fixed order, ids derived 1:1 from element slugs.
 
 from __future__ import annotations
 
-import uuid
 from dataclasses import dataclass
 
 from .model import (
@@ -63,7 +62,6 @@ _CLUSTER_OF = {
 class ExportOptions:
     format: str = "open_exchange"  # open_exchange | dot
     include_derived: bool = True
-    deterministic_ids: bool = True
 
 
 def _check_exportable(model: AlignmentModel) -> None:
@@ -81,15 +79,6 @@ def _visible(model: AlignmentModel, options: ExportOptions) -> tuple[list[Elemen
     return elements, relations
 
 
-def _xml_attr(value: str) -> str:
-    return (
-        value.replace("&", "&amp;")
-        .replace("<", "&lt;")
-        .replace(">", "&gt;")
-        .replace('"', "&quot;")
-    )
-
-
 def _xml_text(value: str) -> str:
     return value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
@@ -99,15 +88,6 @@ def to_open_exchange(model: AlignmentModel, options: ExportOptions | None = None
     options = options or ExportOptions()
     _check_exportable(model)
     elements, relations = _visible(model, options)
-
-    if options.deterministic_ids:
-        xml_id = {e.id: f"id-{e.id}" for e in elements}
-        rel_id = {r.id: f"id-{r.id}" for r in relations}
-        model_id = f"id-{slugify(model.system_name)}"
-    else:
-        xml_id = {e.id: f"id-{uuid.uuid4().hex}" for e in elements}
-        rel_id = {r.id: f"id-{uuid.uuid4().hex}" for r in relations}
-        model_id = f"id-{uuid.uuid4().hex}"
 
     def properties_of(e: Element) -> list[tuple[str, str]]:
         props: list[tuple[str, str]] = []
@@ -126,10 +106,12 @@ def to_open_exchange(model: AlignmentModel, options: ExportOptions | None = None
                 used_propdefs.append(key)
     used_propdefs.sort()
 
+    # Identifiers come from ids and slugs, which hold only [a-z0-9_], so
+    # they need no escaping.
     out: list[str] = ['<?xml version="1.0" encoding="UTF-8"?>']
     out.append(
         f'<model xmlns="{OPEN_EXCHANGE_NS}" xmlns:xsi="{XSI_NS}" '
-        f'identifier="{_xml_attr(model_id)}">'
+        f'identifier="id-{slugify(model.system_name)}">'
     )
     out.append(f'  <name xml:lang="en">{_xml_text(model.system_name)}</name>')
 
@@ -138,7 +120,7 @@ def to_open_exchange(model: AlignmentModel, options: ExportOptions | None = None
         for e in elements:
             props = properties_of(e)
             open_tag = (
-                f'    <element identifier="{_xml_attr(xml_id[e.id])}" '
+                f'    <element identifier="id-{e.id}" '
                 f'xsi:type="{XSI_TYPES[e.kind]}">'
             )
             out.append(open_tag)
@@ -163,9 +145,8 @@ def to_open_exchange(model: AlignmentModel, options: ExportOptions | None = None
         out.append("  <relationships>")
         for r in relations:
             out.append(
-                f'    <relationship identifier="{_xml_attr(rel_id[r.id])}" '
-                f'source="{_xml_attr(xml_id[r.source])}" '
-                f'target="{_xml_attr(xml_id[r.target])}" '
+                f'    <relationship identifier="id-{r.id}" '
+                f'source="id-{r.source}" target="id-{r.target}" '
                 f'xsi:type="{r.kind.value}"/>'
             )
         out.append("  </relationships>")

@@ -43,7 +43,6 @@ class RelationKind(str, Enum):
     ASSIGNMENT = "Assignment"
     ASSOCIATION = "Association"  # the only undirected kind
     INFLUENCE = "Influence"
-    AGGREGATION = "Aggregation"
     ACCESS = "Access"
 
 
@@ -73,13 +72,6 @@ RISK_LEAVES = (
 COST_LEAVES = ("human_resources", "information_resources", "it_resources")
 
 ALL_LEAVES = VALUE_LEAVES + RISK_LEAVES + COST_LEAVES
-
-# The leaves each ``yields_*`` entry may name, for the parser and for V7.
-YIELDS_LEAVES: dict[str, tuple[str, ...]] = {
-    "yields_user_value": USER_VALUE_LEAVES,
-    "yields_quality_value": QUALITY_VALUE_LEAVES,
-    "yields_business_value": BUSINESS_VALUE_LEAVES,
-}
 
 _LEAF_PATHS = {
     **{leaf: f"value/user/{leaf}" for leaf in USER_VALUE_LEAVES},
@@ -122,28 +114,6 @@ def leaf_branch(leaf: str) -> str:
 def is_leaf(name: str) -> bool:
     return name in _LEAF_PATHS
 
-
-# ---------------------------------------------------------------------------
-# Attribute allowlist per element kind; tuple order is the canonical
-# serialization order used by the formatter.
-
-ALLOWED_ATTRS: dict[ElementKind, tuple[str, ...]] = {
-    ElementKind.USER: (),
-    ElementKind.OPERATOR: (),
-    ElementKind.USER_ACTIVITY: ("yields_user_value", "yields_quality_value"),
-    ElementKind.OPERATOR_ACTIVITY: ("yields_business_value",),
-    ElementKind.DIALOGUE_SERVICE: (),
-    ElementKind.SYSTEM_COMPONENT: ("runs_on",),
-    ElementKind.COMPONENT_FUNCTION: (),
-    ElementKind.DATA_MODEL: (),
-    ElementKind.OBSERVED_EVENT: ("implies_cost", "hinders"),
-    ElementKind.USER_VALUE: ("category",),
-    ElementKind.QUALITY_VALUE: ("category",),
-    ElementKind.BUSINESS_VALUE: ("category",),
-    ElementKind.COST_ITEM: ("category",),
-    ElementKind.RISK_ITEM: ("category", "severity"),
-    ElementKind.PRINCIPLE: (),
-}
 
 _CATEGORY_BRANCH: dict[ElementKind, tuple[str, ...]] = {
     ElementKind.USER_VALUE: USER_VALUE_LEAVES,
@@ -198,7 +168,6 @@ PERMITTED_RELATIONS: dict[RelationKind, frozenset[tuple[ElementKind, ElementKind
             (K.USER_ACTIVITY, K.OPERATOR_ACTIVITY),
         }
     ),
-    RelationKind.AGGREGATION: frozenset(),
 }
 
 # Unordered pairs; any other Association validates with warning W105.
@@ -225,7 +194,93 @@ MOTIVATION_KINDS = frozenset(
     }
 )
 
-del K
+# ---------------------------------------------------------------------------
+# The ``.dsa`` statement table: each surface kind's statement keyword and its
+# entries in canonical order.  The lexer, the parser, the printer and V7 all
+# read it, so what one accepts the others print and check.
+
+
+@dataclass(frozen=True)
+class Entry:
+    """One keyed entry of a statement.
+
+    A relation entry names its ``relation`` and whether the statement's
+    element is its source; a ``nested`` entry declares an element of that
+    kind inside the statement.  An attr entry names its value ``form``:
+    ``word`` (one of ``leaves``), ``leaf`` (a leaf of ``leaves`` and a
+    description), ``cost`` (a cost word and a description) or ``hinders``
+    (a leaf, a severity and a description).
+    """
+
+    relation: RelationKind | None = None
+    owner_is_source: bool = True
+    single: bool = False
+    nested: ElementKind | None = None
+    form: str | None = None
+    leaves: tuple[str, ...] = ()
+
+
+@dataclass(frozen=True)
+class Statement:
+    keyword: str
+    entries: dict[str, Entry] = field(default_factory=dict)
+    role: str | None = None  # the word after ``actor`` that picks the kind
+
+
+R = RelationKind
+_BY = Entry(R.ASSIGNMENT, owner_is_source=False, single=True)
+
+STATEMENTS: dict[ElementKind, Statement] = {
+    K.USER: Statement("actor", role="user"),
+    K.OPERATOR: Statement("actor", role="operator"),
+    K.USER_ACTIVITY: Statement(
+        "user_activity",
+        {
+            "by": _BY,
+            "yields_user_value": Entry(form="leaf", leaves=USER_VALUE_LEAVES),
+            "yields_quality_value": Entry(form="leaf", leaves=QUALITY_VALUE_LEAVES),
+            "influences": Entry(R.INFLUENCE),
+        },
+    ),
+    K.OPERATOR_ACTIVITY: Statement(
+        "operator_activity",
+        {"by": _BY, "yields_business_value": Entry(form="leaf", leaves=BUSINESS_VALUE_LEAVES)},
+    ),
+    K.DIALOGUE_SERVICE: Statement(
+        "service",
+        {"serves": Entry(R.SERVING), "realized_by": Entry(R.REALIZATION, owner_is_source=False)},
+    ),
+    K.SYSTEM_COMPONENT: Statement(
+        "component",
+        {
+            "function": Entry(R.REALIZATION, nested=K.COMPONENT_FUNCTION),
+            "uses": Entry(R.ACCESS),
+            "runs_on": Entry(form="word", leaves=RUNTIME_TARGETS, single=True),
+        },
+    ),
+    K.DATA_MODEL: Statement("data"),
+    K.OBSERVED_EVENT: Statement(
+        "event",
+        {
+            "about": Entry(R.ASSOCIATION),
+            "implies_cost": Entry(form="cost", leaves=COST_LEAVES),
+            "hinders": Entry(form="hinders", leaves=RISK_LEAVES),
+        },
+    ),
+}
+
+# Attribute allowlist per element kind, in the printer's order: a leaf
+# category on derived items, the table's attr entries on surface kinds.
+ALLOWED_ATTRS: dict[ElementKind, tuple[str, ...]] = {
+    kind: ("category",) if kind in _CATEGORY_BRANCH else () for kind in ElementKind
+}
+ALLOWED_ATTRS[K.RISK_ITEM] += ("severity",)
+ALLOWED_ATTRS.update(
+    (kind, tuple(key for key, entry in statement.entries.items() if entry.form))
+    for kind, statement in STATEMENTS.items()
+)
+
+del K, R
 
 _ID_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 
@@ -483,6 +538,7 @@ class AlignmentModel:
         accessed: set[str] = set()
         served: set[str] = set()
         associated: dict[str, list[str]] = {}
+        unusual: list[Diagnostic] = []
         for rel in self._relations:
             skind = self._by_id[rel.source].kind
             tkind = self._by_id[rel.target].kind
@@ -495,11 +551,15 @@ class AlignmentModel:
             if rel.kind is RelationKind.ASSOCIATION:
                 associated.setdefault(rel.source, []).append(rel.target)
                 associated.setdefault(rel.target, []).append(rel.source)
+                if frozenset({skind, tkind}) not in ASSOCIATION_CORE:
+                    # V8: ``add_relation`` already refused unpermitted directed
+                    # relations (E004); an association only draws a warning.
+                    message = f"unusual association between {skind.value} and {tkind.value}"
+                    unusual.append(Diagnostic("W105", Severity.WARNING, message, subject=rel.id))
 
         for e in self._elements:
             out.extend(self._validate_element(e, realizes, accessed, served, associated))
-        for rel in self._relations:
-            out.extend(self._validate_relation(rel))
+        out.extend(unusual)
         self._diagnostics = out
         return list(out)
 
@@ -589,52 +649,24 @@ class AlignmentModel:
             if key not in allowed:
                 add("E002", f"attr {key!r} is not allowed on {e.kind.value}")
                 continue
-            if key == "runs_on":
-                if value not in RUNTIME_TARGETS:
-                    add("E123", f"{e.id!r}: unknown runtime target {value!r}")
-            elif key == "category":
+            if key == "category":
                 check_leaf(value, _CATEGORY_BRANCH[e.kind], "category")
-            elif key == "severity":
+                continue
+            if key == "severity":
                 if value not in SEVERITY_LEVELS:
                     add("E122", f"{e.id!r}: unknown severity level {value!r}")
-            elif key in YIELDS_LEAVES:
-                for entry in _entries(value, 2, e.id, key, out):
-                    check_leaf(entry[0], YIELDS_LEAVES[key], key)
-            elif key == "implies_cost":
-                for entry in _entries(value, 2, e.id, key, out):
-                    check_leaf(entry[0], COST_LEAVES, key)
-            elif key == "hinders":
-                for entry in _entries(value, 3, e.id, key, out):
-                    check_leaf(entry[0], RISK_LEAVES, key)
-                    if entry[1] not in SEVERITY_LEVELS:
-                        add("E122", f"{e.id!r}: unknown severity level {entry[1]!r}")
+                continue
+            spec = STATEMENTS[e.kind].entries[key]
+            if spec.form == "word":
+                if value not in spec.leaves:
+                    add("E123", f"{e.id!r}: unknown runtime target {value!r}")
+                continue
+            hinders = spec.form == "hinders"
+            for entry in _entries(value, 3 if hinders else 2, e.id, key, out):
+                check_leaf(entry[0], spec.leaves, key)
+                if hinders and entry[1] not in SEVERITY_LEVELS:
+                    add("E122", f"{e.id!r}: unknown severity level {entry[1]!r}")
         return out
-
-    def _validate_relation(self, rel: Relation) -> list[Diagnostic]:
-        """V8: relation typing, with W105 for unusual associations."""
-        skind = self._by_id[rel.source].kind
-        tkind = self._by_id[rel.target].kind
-        if rel.kind is RelationKind.ASSOCIATION:
-            if frozenset({skind, tkind}) not in ASSOCIATION_CORE:
-                return [
-                    Diagnostic(
-                        "W105",
-                        Severity.WARNING,
-                        f"unusual association between {skind.value} and {tkind.value}",
-                        subject=rel.id,
-                    )
-                ]
-            return []
-        if (skind, tkind) not in PERMITTED_RELATIONS[rel.kind]:
-            return [
-                Diagnostic(
-                    "E004",
-                    Severity.ERROR,
-                    f"{rel.kind.value} from {skind.value} to {tkind.value} is not permitted",
-                    subject=rel.id,
-                )
-            ]
-        return []
 
 
 def _entries(
@@ -642,8 +674,9 @@ def _entries(
 ) -> list[tuple]:
     """Return the well-shaped entries of a list-valued attr.
 
-    Reports E012 for a malformed entry and E013 for a forbidden character in
-    any string part of a well-shaped one.
+    Reports E012 for a malformed entry (its last part is a description, so
+    it must be a string) and E013 for a forbidden character in any string
+    part of a well-shaped one.
     """
     if not isinstance(value, (list, tuple)):
         out.append(
@@ -658,7 +691,8 @@ def _entries(
     good = []
     where = f"its {key!r} entry"
     for entry in value:
-        if not isinstance(entry, (list, tuple)) or len(entry) != arity:
+        shaped = isinstance(entry, (list, tuple)) and len(entry) == arity
+        if not shaped or not isinstance(entry[-1], str):
             out.append(
                 Diagnostic(
                     "E012",

@@ -8,8 +8,6 @@ RFC-4180-style CSV.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 from .model import ALL_LEAVES, ModelError, leaf_path
@@ -55,6 +53,9 @@ def _md_table(header: list[str], rows: list[list[str]]) -> list[str]:
 
 
 def _csv_table(header: list[str], rows: list[list[str]]) -> str:
+    import csv  # imported here: only the CSV reports need csv and io
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)

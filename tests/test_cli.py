@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 
-from conftest import FIXTURES, GOLDEN, FIXTURE_NAMES, run_cli
+from conftest import FIXTURES, GOLDEN, FIXTURE_NAMES, REPO, run_cli
 
 FAQ = str(FIXTURES / "faq_chatbot.dsa")
 
@@ -273,3 +275,16 @@ def test_control_character_in_a_name_never_reaches_open_exchange(tmp_path, monke
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "E108: character '\\x01' is not allowed in a string" in captured.err
+
+
+def test_cli_import_loads_no_module_that_only_some_commands_need():
+    # uuid (which loads platform) has no user; json serves only `derive
+    # --items` and csv only the CSV reports.  Each costs start-up time.
+    code = (
+        "import dsalign.cli, sys; "
+        "print(sorted({'uuid', 'platform', 'json', 'csv'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from dsalign.dsl import _lex, format_model, load_file, parse
-from dsalign.model import ALL_LEAVES, ElementKind, ModelError, Severity
+from dsalign.dsl import KEYWORDS, _lex, format_model, load_file, parse
+from dsalign.model import ALL_LEAVES, ElementKind, ModelError, RelationKind, Severity, new_model
 
 from conftest import FIXTURES, FIXTURE_NAMES
 
@@ -336,6 +336,76 @@ def test_entry_order_does_not_change_format():
         assert format_model(result.model) == canonical
 
 
+RESERVED_WORDS = {
+    "system", "actor", "user", "operator", "user_activity", "operator_activity",
+    "service", "component", "data", "event", "function", "by", "serves",
+    "realized_by", "uses", "runs_on", "about", "influences", "implies_cost",
+    "hinders", "severity", "yields_user_value", "yields_quality_value",
+    "yields_business_value",
+}  # fmt: skip
+
+
+def test_reserved_words_are_pinned():
+    assert KEYWORDS == RESERVED_WORDS
+    for word in sorted(RESERVED_WORDS):
+        assert "E104" in codes(parse(f'system "X" {{ data {word} "D" }}')), word
+    assert parse('system "X" { data user_value "D" }').diagnostics == []
+
+
+# Each block statement's entries, in canonical order.
+ENTRY_ORDER = {
+    "user_activity": ["by", "yields_user_value", "yields_quality_value", "influences"],
+    "operator_activity": ["by", "yields_business_value"],
+    "service": ["serves", "realized_by"],
+    "component": ["function", "uses", "runs_on"],
+    "event": ["about", "implies_cost", "hinders"],
+}
+
+EVERY_ENTRY_REVERSED = """system "Order" {
+  actor user u "U"
+  actor operator o "O"
+  user_activity ua "UA" {
+    influences: oa;
+    yields_quality_value: must_be "q";
+    yields_user_value: functional "f";
+    by: u;
+  }
+  operator_activity oa "OA" {
+    yields_business_value: new_revenue "n";
+    by: o;
+  }
+  service s "S" {
+    realized_by: f;
+    serves: ua;
+  }
+  component c "C" {
+    runs_on: server;
+    uses: d;
+    function f "F";
+  }
+  data d "D"
+  event e "E" {
+    hinders: privacy severity: high "h";
+    implies_cost: it "i";
+    about: c;
+  }
+}
+"""
+
+
+def test_entry_order_per_statement_is_pinned():
+    text = format_model(parse(EVERY_ENTRY_REVERSED).model)
+    found = {}
+    keyword = None
+    for line in text.splitlines():
+        if line.startswith("  ") and not line.startswith("   ") and line.endswith("{"):
+            keyword = line.split()[0]
+            found[keyword] = []
+        elif line.startswith("    "):
+            found[keyword].append(re.match(r"\s*(\w+)", line).group(1))
+    assert found == ENTRY_ORDER
+
+
 def test_format_requires_valid_model():
     # A component without a function fails V1, so formatting must refuse.
     from dsalign.model import new_model
@@ -381,6 +451,60 @@ def test_format_rejects_orphan_function():
     with pytest.raises(ModelError) as err:
         format_model(m)
     assert err.value.code == "E140"
+
+
+def _second_assignment():
+    m = new_model("X")
+    m.add_element(ElementKind.USER, "u", "U")
+    m.add_element(ElementKind.USER_ACTIVITY, "a", "A")
+    m.add_relation(RelationKind.ASSIGNMENT, "u", "a")
+    m.add_relation(RelationKind.ASSIGNMENT, "u", "a")
+    return m
+
+
+def _function_realized_twice(owners):
+    m = new_model("X")
+    for owner in dict.fromkeys(owners):
+        m.add_element(ElementKind.SYSTEM_COMPONENT, owner, "C")
+    m.add_element(ElementKind.COMPONENT_FUNCTION, "f", "F")
+    for owner in owners:
+        m.add_relation(RelationKind.REALIZATION, owner, "f")
+    return m
+
+
+def _data(system="X", id="d", name="D", description=None):
+    m = new_model(system)
+    m.add_element(ElementKind.DATA_MODEL, id, name, description)
+    return m
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        _second_assignment,  # would print 'by: u;' twice (E130)
+        lambda: _function_realized_twice(["c1", "c2"]),  # 'function f' twice (E001)
+        lambda: _function_realized_twice(["c", "c"]),
+        lambda: _data(system="two\nlines"),  # a string ends at its line (E102)
+        lambda: _data(name="two\nlines"),
+        lambda: _data(id="severity"),  # a reserved word as an id (E104)
+        lambda: _data(description="dropped"),  # the language has no descriptions
+    ],
+    ids=[
+        "second-assignment",
+        "function-of-two-components",
+        "function-realized-twice-by-one",
+        "line-feed-in-system-name",
+        "line-feed-in-element-name",
+        "reserved-word-id",
+        "description",
+    ],
+)
+def test_format_refuses_what_would_not_parse_back(build):
+    m = build()
+    assert not [d for d in m.validate() if d.severity is Severity.ERROR]
+    with pytest.raises(ModelError) as err:
+        format_model(m)
+    assert err.value.code == "E140" and "\n" not in str(err.value)
 
 
 # ---------------------------------------------------------------------------

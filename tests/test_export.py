@@ -203,19 +203,6 @@ def test_dot_escapes_quotes():
     assert '\\"hi\\"' in text and "\\\\ bye" in text
 
 
-def test_non_deterministic_ids_still_close(fixture_models):
-    _, attached = attached_fixture(fixture_models, "faq_chatbot")
-    options = ExportOptions(deterministic_ids=False)
-    first = to_open_exchange(attached, options)
-    second = to_open_exchange(attached, options)
-    assert first != second  # fresh ids every run
-    root = parse_xml(first)
-    ids = {e.get("identifier") for e in xml_elements(root)}
-    assert len(ids) == len(attached.elements)
-    for rel in xml_relationships(root):
-        assert rel.get("source") in ids and rel.get("target") in ids
-
-
 def test_export_model_dispatch(fixture_models):
     _, attached = attached_fixture(fixture_models, "faq_chatbot")
     assert export_model(attached, ExportOptions(format="dot")) == to_dot(attached)

@@ -6,6 +6,7 @@ import pytest
 
 from dsalign.model import (
     ALL_LEAVES,
+    ALLOWED_ATTRS,
     COST_LEAVES,
     ElementKind,
     ModelError,
@@ -256,9 +257,37 @@ def test_validate_wrong_branch_category():
     assert "E125" in codes(m.validate())
 
 
+def test_allowed_attrs_per_kind_are_pinned():
+    # The attr keys of each kind, in the printer's order.
+    assert ALLOWED_ATTRS == {
+        K.USER: (),
+        K.OPERATOR: (),
+        K.USER_ACTIVITY: ("yields_user_value", "yields_quality_value"),
+        K.OPERATOR_ACTIVITY: ("yields_business_value",),
+        K.DIALOGUE_SERVICE: (),
+        K.SYSTEM_COMPONENT: ("runs_on",),
+        K.COMPONENT_FUNCTION: (),
+        K.DATA_MODEL: (),
+        K.OBSERVED_EVENT: ("implies_cost", "hinders"),
+        K.USER_VALUE: ("category",),
+        K.QUALITY_VALUE: ("category",),
+        K.BUSINESS_VALUE: ("category",),
+        K.COST_ITEM: ("category",),
+        K.RISK_ITEM: ("category", "severity"),
+        K.PRINCIPLE: (),
+    }
+
+
 def test_validate_malformed_attr_value():
     m = new_model("x")
     m.add_element(K.OBSERVED_EVENT, "e", "Event", attrs={"hinders": "privacy"})
+    assert "E012" in codes(m.validate())
+
+
+def test_validate_non_string_description_e012():
+    # The printer and derivation use the last part of an entry as text.
+    m = new_model("x")
+    m.add_element(K.OBSERVED_EVENT, "e", "Event", attrs={"implies_cost": [("it_resources", 5)]})
     assert "E012" in codes(m.validate())
 
 

@@ -1,0 +1,158 @@
+"""Model-level properties of the printer and the exporters.
+
+Random models are built through ``new_model``: surface kinds only, names in
+arbitrary Unicode, attrs drawn from the statement table, directed relations
+from ``PERMITTED_RELATIONS`` and associations from ``ASSOCIATION_CORE``.
+Associations with an event at either end are drawn too, so the printer's
+choice of owner for an association is exercised.
+"""
+
+from __future__ import annotations
+
+import xml.etree.ElementTree as ET
+from collections import Counter
+
+import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+
+from dsalign import attach, derive_all, format_model, parse, to_dot, to_open_exchange
+from dsalign.dsl import KEYWORDS
+from dsalign.model import (
+    ASSOCIATION_CORE,
+    MOTIVATION_KINDS,
+    PERMITTED_RELATIONS,
+    SEVERITY_LEVELS,
+    STATEMENTS,
+    ElementKind,
+    ModelError,
+    RelationKind,
+    Severity,
+    new_model,
+)
+
+SURFACE_KINDS = [kind for kind in ElementKind if kind not in MOTIVATION_KINDS]
+
+# Arbitrary Unicode, with the characters the printer must escape or refuse
+# drawn about as often as all others together.
+TEXTS = st.text(st.sampled_from('"\\\n\t{}') | st.characters(), max_size=8)
+# Mostly False: integer draws favour 0, and list draws favour the first item.
+RARELY = st.sampled_from([False] * 9 + [True])
+IDS = st.tuples(
+    RARELY,
+    st.from_regex(r"[a-z][a-z0-9_]{0,5}", fullmatch=True),
+    st.sampled_from(sorted(KEYWORDS)),
+).map(lambda t: t[2] if t[0] else t[1])
+
+
+def _entry_values(entry):
+    if entry.form == "word":
+        return st.sampled_from(entry.leaves)
+    leaf = st.sampled_from(entry.leaves)
+    if entry.form == "hinders":
+        return st.lists(st.tuples(leaf, st.sampled_from(SEVERITY_LEVELS), TEXTS), max_size=2)
+    return st.lists(st.tuples(leaf, TEXTS), max_size=2)
+
+
+def _attrs(kind):
+    entries = STATEMENTS[kind].entries if kind in STATEMENTS else {}
+    optional = {key: _entry_values(entry) for key, entry in entries.items() if entry.form}
+    return st.fixed_dictionaries({}, optional=optional)
+
+
+@st.composite
+def models(draw):
+    m = new_model(draw(TEXTS.filter(bool)))
+    for id in draw(st.lists(IDS, unique=True, max_size=8)):
+        kind = draw(st.sampled_from(SURFACE_KINDS))
+        description = draw(TEXTS) if draw(RARELY) else None
+        try:
+            m.add_element(kind, id, draw(TEXTS), description, draw(_attrs(kind)))
+        except ModelError as err:
+            assert err.code == "E007"  # a second user or operator
+    elements = m.elements
+    candidates = [
+        (kind, s.id, t.id)
+        for kind, pairs in PERMITTED_RELATIONS.items()
+        for s in elements
+        for t in elements
+        if (s.kind, t.kind) in pairs
+    ] + [
+        (RelationKind.ASSOCIATION, s.id, t.id)
+        for s in elements
+        for t in elements
+        if frozenset({s.kind, t.kind}) in ASSOCIATION_CORE
+        or ElementKind.OBSERVED_EVENT in (s.kind, t.kind)
+    ]
+    if candidates:
+        for i in draw(st.lists(st.integers(0, len(candidates) - 1), max_size=12)):
+            m.add_relation(*candidates[i])
+    return m
+
+
+def _relations(model):
+    """Relations as a multiset; an association is an unordered pair."""
+    return Counter(
+        (r.kind, frozenset((r.source, r.target)))
+        if r.kind is RelationKind.ASSOCIATION
+        else (r.kind, r.source, r.target)
+        for r in model.relations
+    )
+
+
+def _braces_balance(dot: str) -> bool:
+    depth, in_string, escaped = 0, False, False
+    for ch in dot:
+        if in_string:
+            if escaped:
+                escaped = False
+            elif ch == "\\":
+                escaped = True
+            elif ch == '"':
+                in_string = False
+        elif ch == '"':
+            in_string = True
+        elif ch in "{}":
+            depth += 1 if ch == "{" else -1
+            if depth < 0:
+                return False
+    return depth == 0 and not in_string
+
+
+def _assert_one_line(diagnostics):
+    for d in diagnostics:
+        assert d.render().splitlines() == [d.render()]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@seed(20261018)
+@given(models())
+def test_format_round_trips_or_refuses_and_exports_are_well_formed(m):
+    found = m.validate()
+    _assert_one_line(found)
+    if any(d.severity is Severity.ERROR for d in found):
+        with pytest.raises(ModelError) as err:
+            format_model(m)
+        assert err.value.code == "E141"
+        return
+
+    try:
+        text = format_model(m)
+    except ModelError as err:
+        assert err.code == "E140" and "\n" not in str(err)
+    else:
+        result = parse(text)
+        _assert_one_line(result.diagnostics)
+        assert result.model is not None, [d.render() for d in result.diagnostics]
+        assert format_model(result.model) == text
+        assert _relations(result.model) == _relations(m)
+
+    itemset = derive_all(m)
+    _assert_one_line(itemset.warnings)
+    attached = attach(m, itemset)
+    root = ET.fromstring(to_open_exchange(attached))
+    ns = {"oe": "http://www.opengroup.org/xsd/archimate/3.0/"}
+    ids = {e.get("identifier") for e in root.findall("oe:elements/oe:element", ns)}
+    for rel in root.findall("oe:relationships/oe:relationship", ns):
+        assert rel.get("source") in ids and rel.get("target") in ids
+    assert _braces_balance(to_dot(attached))
