@@ -65,7 +65,7 @@ class _Reporter:
 
 def _load_validated(
     path: str, reporter: _Reporter, with_warnings: bool = True
-) -> tuple[AlignmentModel | None, dsl.ParseResult | None]:
+) -> AlignmentModel | None:
     """Parse and validate one file, reporting what was found.
 
     Derivation-based commands pass ``with_warnings=False`` because the
@@ -75,14 +75,26 @@ def _load_validated(
     result = dsl.load_file(path)
     reporter.emit(result.diagnostics, path)
     if result.model is None:
-        return None, None
+        return None
     diagnostics = result.model.validate()
     if not with_warnings:
         diagnostics = [d for d in diagnostics if d.severity is Severity.ERROR]
     reporter.emit(diagnostics, path, result.spans)
     if any(d.severity is Severity.ERROR for d in diagnostics):
-        return None, result
-    return result.model, result
+        return None
+    return result.model
+
+
+def _load_derived(
+    path: str, reporter: _Reporter
+) -> tuple[AlignmentModel, derive_mod.EvaluationItemSet] | None:
+    """Load a valid model and derive its items; None only after a reported error."""
+    model = _load_validated(path, reporter, with_warnings=False)
+    if model is None:
+        return None
+    itemset = derive_mod.derive_all(model)
+    reporter.emit(itemset.warnings, path)
+    return model, itemset
 
 
 def _write_artifact(text: str, out: str | None) -> int:
@@ -107,14 +119,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_derive(args: argparse.Namespace) -> int:
     reporter = _Reporter()
-    model, _ = _load_validated(args.input, reporter, with_warnings=False)
-    if model is None:
-        return reporter.exit_code(args.strict)
-    itemset = derive_mod.derive_all(model)
-    reporter.emit(itemset.warnings, args.input)
+    loaded = _load_derived(args.input, reporter)
     code = reporter.exit_code(args.strict)
     if code != EXIT_OK:
         return code
+    _, itemset = loaded
     if args.items:
         code = _write_artifact(derive_mod.serialize_itemset(itemset), args.items)
         if code != EXIT_OK:
@@ -126,14 +135,11 @@ def _cmd_derive(args: argparse.Namespace) -> int:
 
 def _cmd_export(args: argparse.Namespace) -> int:
     reporter = _Reporter()
-    model, _ = _load_validated(args.input, reporter, with_warnings=False)
-    if model is None:
-        return reporter.exit_code(args.strict)
-    itemset = derive_mod.derive_all(model)
-    reporter.emit(itemset.warnings, args.input)
+    loaded = _load_derived(args.input, reporter)
     code = reporter.exit_code(args.strict)
     if code != EXIT_OK:
         return code
+    model, itemset = loaded
     if args.no_derived:
         model.freeze()
         target = model
@@ -147,12 +153,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
     reporter = _Reporter()
     itemsets = []
     for path in args.inputs:
-        model, _ = _load_validated(path, reporter, with_warnings=False)
-        if model is None:
-            continue
-        itemset = derive_mod.derive_all(model)
-        reporter.emit(itemset.warnings, path)
-        itemsets.append(itemset)
+        loaded = _load_derived(path, reporter)
+        if loaded is not None:
+            itemsets.append(loaded[1])
     code = reporter.exit_code(args.strict)
     if code != EXIT_OK or len(itemsets) != len(args.inputs):
         return max(code, EXIT_DIAGNOSTICS)
@@ -177,7 +180,7 @@ def _cmd_fmt(args: argparse.Namespace) -> int:
     reporter = _Reporter()
     dirty: list[str] = []
     for path in args.inputs:
-        model, _ = _load_validated(path, reporter)
+        model = _load_validated(path, reporter)
         if model is None:
             continue
         canonical = dsl.format_model(model)

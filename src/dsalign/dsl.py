@@ -101,14 +101,6 @@ class ParseResult:
 # Lexer
 
 
-@dataclass
-class _Token:
-    kind: str  # word | keyword | string | punctuation kinds | eof
-    text: str
-    value: str
-    span: SourceSpan
-
-
 _PUNCT = {"{": "lbrace", "}": "rbrace", ":": "colon", ";": "semi", ",": "comma"}
 
 # One alternative per lexeme, tried in order ("Writing a Tokenizer" in the
@@ -166,8 +158,16 @@ def _string_value(
     return re.sub(_STRING_PIECE, piece, text[start:end])
 
 
+# A token is a plain tuple ``(kind, text, value, line, column, length)`` of
+# strings and ints: one allocation, and one the cycle collector stops
+# tracking at its first pass.  Kinds are word, keyword, string, the _PUNCT
+# names and eof.  The parser builds a SourceSpan only for what it keeps.
+_Token = tuple[str, str, str, int, int, int]
+
+
 def _lex(text: str, file: str) -> tuple[list[_Token], list[Diagnostic]]:
     toks: list[_Token] = []
+    append = toks.append
     diags: list[Diagnostic] = []
     line, line_start = 1, 0
     first = len(text) - len(text.lstrip(" \t\r"))  # matches start after blanks
@@ -175,34 +175,35 @@ def _lex(text: str, file: str) -> tuple[list[_Token], list[Diagnostic]]:
     for m in _TOKEN_RE.finditer(text, first):
         kind = m.lastgroup
         start = m.start()
-        col = start - line_start + 1
         if kind == "word":
-            word = m.group(kind)
+            word = m[kind]
             kw = "keyword" if word in KEYWORDS else "word"
-            toks.append(_Token(kw, word, word, SourceSpan(file, line, col, len(word))))
+            append((kw, word, word, line, start - line_start + 1, len(word)))
         elif kind == "newline":
             line += 1
             line_start = start + 1
         elif kind == "punct":
-            ch = m.group(kind)
-            toks.append(_Token(_PUNCT[ch], ch, ch, SourceSpan(file, line, col, 1)))
+            ch = m[kind]
+            append((_PUNCT[ch], ch, ch, line, start - line_start + 1, 1))
         elif kind == "string":
-            value = m.group("body")
-            span = SourceSpan(file, line, col, m.end(kind) - start)
+            value = m["body"]
+            col, length = start - line_start + 1, m.end(kind) - start
             if "\\" in value or not value.isprintable():  # no forbidden character is printable
+                span = SourceSpan(file, line, col, length)
                 value = _string_value(text, start + 1, m.end("body"), span, diags)
-            if not m.group("close"):
+            if not m["close"]:
+                span = SourceSpan(file, line, col, length)
                 diags.append(
                     Diagnostic("E102", Severity.ERROR, "unterminated string", location=span)
                 )
-            toks.append(_Token("string", f'"{value}"', value, span))
+            append(("string", f'"{value}"', value, line, col, length))
         elif kind == "bad":
-            message = f"invalid character {m.group(kind)!r}"
-            span = SourceSpan(file, line, col, 1)
+            message = f"invalid character {m[kind]!r}"
+            span = SourceSpan(file, line, start - line_start + 1, 1)
             diags.append(Diagnostic("E103", Severity.ERROR, message, location=span))
     # Comments do not advance the column, so a trailing one leaves EOF at its '#'.
     end = m.start() if m is not None and m.lastgroup == "comment" else len(text)
-    toks.append(_Token("eof", "", "", SourceSpan(file, line, end - line_start + 1, 0)))
+    append(("eof", "", "", line, end - line_start + 1, 0))
     return toks, diags
 
 
@@ -235,21 +236,15 @@ def suggest_leaf(word: str, max_distance: int = 2) -> str | None:
 # Parser
 
 
-@dataclass
-class _RelSpec:
-    kind: RelationKind
-    source: str
-    target: str
-    span: SourceSpan
-
-
 class _Parser:
-    def __init__(self, toks: list[_Token], diags: list[Diagnostic]):
+    def __init__(self, toks: list[_Token], diags: list[Diagnostic], file: str):
         self.toks = toks
         self.i = 0
         self.diags = diags
+        self.file = file
         self.model: AlignmentModel | None = None
-        self.rel_specs: list[_RelSpec] = []
+        # (kind, source, target, token of the reference), in source order.
+        self.rel_specs: list[tuple[RelationKind, str, str, _Token]] = []
         self.spans: dict[str, SourceSpan] = {}
 
     # -- token plumbing ----------------------------------------------------
@@ -259,24 +254,25 @@ class _Parser:
 
     def next(self) -> _Token:
         tok = self.toks[self.i]
-        if tok.kind != "eof":
+        if tok[0] != "eof":
             self.i += 1
         return tok
 
     def at(self, kind: str, text: str | None = None) -> bool:
-        tok = self.peek()
-        return tok.kind == kind and (text is None or tok.text == text)
+        tok = self.toks[self.i]
+        return tok[0] == kind and (text is None or tok[1] == text)
 
-    def error(self, code: str, message: str, span: SourceSpan | None = None) -> None:
-        self.diags.append(
-            Diagnostic(code, Severity.ERROR, message, location=span or self.peek().span)
-        )
+    def span(self, tok: _Token) -> SourceSpan:
+        return SourceSpan(self.file, tok[3], tok[4], tok[5])
+
+    def error(self, code: str, message: str, tok: _Token | None = None) -> None:
+        location = self.span(tok or self.peek())
+        self.diags.append(Diagnostic(code, Severity.ERROR, message, location=location))
 
     def expect(self, kind: str, what: str) -> _Token | None:
         if self.at(kind):
             return self.next()
-        tok = self.peek()
-        shown = tok.text or "end of file"
+        shown = self.peek()[1] or "end of file"
         self.error("E101", f"expected {what}, found {shown!r}")
         return None
 
@@ -286,19 +282,19 @@ class _Parser:
             if self.at("semi"):
                 self.next()
                 return
-            if self.at("rbrace") or self.peek().text in STATEMENT_KEYWORDS:
+            if self.at("rbrace") or self.peek()[1] in STATEMENT_KEYWORDS:
                 return
             self.next()
 
     def sync_statement(self) -> None:
         depth = 0
         while not self.at("eof"):
-            tok = self.peek()
-            if depth == 0 and (tok.text in STATEMENT_KEYWORDS or tok.kind == "rbrace"):
+            kind, text = self.peek()[:2]
+            if depth == 0 and (text in STATEMENT_KEYWORDS or kind == "rbrace"):
                 return
-            if tok.kind == "lbrace":
+            if kind == "lbrace":
                 depth += 1
-            elif tok.kind == "rbrace":
+            elif kind == "rbrace":
                 depth -= 1
             self.next()
 
@@ -309,7 +305,7 @@ class _Parser:
             self.error("E100", "expected system block")
             return
         if not self.at("keyword", "system"):
-            self.error("E100", f"expected system block, found {self.peek().text!r}")
+            self.error("E100", f"expected system block, found {self.peek()[1]!r}")
             # Look for a system block further in; everything before is noise.
             while not self.at("eof") and not self.at("keyword", "system"):
                 self.next()
@@ -317,9 +313,9 @@ class _Parser:
                 return
         self.next()  # 'system'
         name_tok = self.expect("string", "system name string")
-        name = name_tok.value if name_tok else ""
+        name = name_tok[2] if name_tok else ""
         if name_tok is not None and not name:
-            self.error("E000", "system name must not be empty", name_tok.span)
+            self.error("E000", "system name must not be empty", name_tok)
         # "?" keeps parsing alive on a missing name; finish() drops the model.
         self.model = AlignmentModel(name or "?")
         self.expect("lbrace", "'{'")
@@ -334,47 +330,49 @@ class _Parser:
             if self.at("keyword", "system"):
                 self.error("E101", "only one system block is allowed per file")
             else:
-                self.error("E101", f"expected end of file, found {self.peek().text!r}")
+                self.error("E101", f"expected end of file, found {self.peek()[1]!r}")
 
     def parse_statement(self) -> None:
-        tok = self.peek()
-        if tok.text not in _STATEMENT_KINDS:
-            shown = tok.text or "end of file"
+        keyword = self.peek()[1]
+        if keyword not in _STATEMENT_KINDS:
+            shown = keyword or "end of file"
             self.error("E101", f"expected a statement, found {shown!r}")
             self.next()
             self.sync_statement()
             return
         self.next()
-        kind = _STATEMENT_KINDS[tok.text]
+        kind = _STATEMENT_KINDS[keyword]
         if kind is None:
-            role = self.peek()
-            kind = _ROLE_KINDS.get(role.text)
+            role = self.peek()[1]
+            kind = _ROLE_KINDS.get(role)
             if kind is None:
                 roles = " or ".join(map(repr, _ROLE_KINDS))
-                self.error("E101", f"expected {roles}, found {role.text!r}")
+                self.error("E101", f"expected {roles}, found {role!r}")
                 self.sync_statement()
                 return
             self.next()
-        self.parse_element(kind, tok.text)
+        self.parse_element(kind, keyword)
 
-    def parse_id(self) -> tuple[str, SourceSpan] | None:
+    def parse_id(self) -> _Token | None:
+        """The token of a valid identifier; its text is the id."""
         tok = self.peek()
-        if tok.kind == "keyword":
-            self.error("E104", f"reserved word {tok.text!r} used as identifier", tok.span)
+        kind, text = tok[:2]
+        if kind == "keyword":
+            self.error("E104", f"reserved word {text!r} used as identifier", tok)
             self.next()
             return None
-        if tok.kind != "word":
-            shown = tok.text or "end of file"
+        if kind != "word":
+            shown = text or "end of file"
             self.error("E101", f"expected identifier, found {shown!r}")
             return None
         self.next()
-        if not is_valid_id(tok.text):
-            self.error("E005", f"invalid identifier {tok.text!r}", tok.span)
+        if not is_valid_id(text):
+            self.error("E005", f"invalid identifier {text!r}", tok)
             return None
-        return tok.text, tok.span
+        return tok
 
-    def parse_id_list(self) -> list[tuple[str, SourceSpan]]:
-        ids: list[tuple[str, SourceSpan]] = []
+    def parse_id_list(self) -> list[_Token]:
+        ids: list[_Token] = []
         first = self.parse_id()
         if first:
             ids.append(first)
@@ -386,37 +384,33 @@ class _Parser:
         return ids
 
     def add_element(
-        self,
-        kind: ElementKind,
-        ident: tuple[str, SourceSpan] | None,
-        name: str,
-        attrs: dict,
+        self, kind: ElementKind, ident: _Token | None, name: str, attrs: dict
     ) -> str | None:
         if ident is None or self.model is None:
             return None
-        id, span = ident
+        id = ident[1]
         try:
             self.model.add_element(kind, id, name, attrs=attrs)
         except ModelError as err:
-            self.error(err.code, err.message, span)
+            self.error(err.code, err.message, ident)
             return None
-        self.spans[id] = span
+        self.spans[id] = self.span(ident)
         return id
 
     def parse_element(self, kind: ElementKind, keyword: str) -> None:
         entries = STATEMENTS[kind].entries
         ident = self.parse_id()
         name_tok = self.expect("string", f"{keyword} name string")
-        name = name_tok.value if name_tok else ""
+        name = name_tok[2] if name_tok else ""
         attrs: dict[str, object] = {}
-        # Entry key -> (id, span, name) per reference; only a nested
+        # Entry key -> (id token, name) per reference; only a nested
         # declaration has a name.
-        refs: dict[str, list[tuple[str, SourceSpan, str]]] = {}
+        refs: dict[str, list[tuple[_Token, str]]] = {}
         seen_single: set[str] = set()
         if entries and self.at("lbrace"):
             self.next()
             while not self.at("eof") and not self.at("rbrace"):
-                if self.peek().text in STATEMENT_KEYWORDS:
+                if self.peek()[1] in STATEMENT_KEYWORDS:
                     self.error("E101", "expected an entry or '}'")
                     break
                 before = self.i
@@ -428,25 +422,26 @@ class _Parser:
         self.add_element(kind, ident, name, attrs)
         if ident is None:
             return
-        element_id = ident[0]
+        element_id = ident[1]
         # Relations are queued in entry order; nested elements follow their owner.
         for key, entry in entries.items():
-            for ref, span, ref_name in refs.get(key, ()):
-                if entry.nested and not self.add_element(entry.nested, (ref, span), ref_name, {}):
+            for ref_tok, ref_name in refs.get(key, ()):
+                if entry.nested and not self.add_element(entry.nested, ref_tok, ref_name, {}):
                     continue
+                ref = ref_tok[1]
                 source, target = (element_id, ref) if entry.owner_is_source else (ref, element_id)
-                self.rel_specs.append(_RelSpec(entry.relation, source, target, span))
+                self.rel_specs.append((entry.relation, source, target, ref_tok))
 
     def parse_entry(
         self,
         kind: ElementKind,
         attrs: dict[str, object],
-        refs: dict[str, list[tuple[str, SourceSpan, str]]],
+        refs: dict[str, list[tuple[_Token, str]]],
         seen_single: set[str],
     ) -> None:
         entries = STATEMENTS[kind].entries
         tok = self.peek()
-        key = tok.text
+        key = tok[1]
         if key in _NESTED_OWNER:
             if key not in entries:
                 owner = _NESTED_OWNER[key]
@@ -458,11 +453,11 @@ class _Parser:
             ident = self.parse_id()
             name_tok = self.expect("string", f"{key} name string")
             if ident:
-                refs.setdefault(key, []).append((*ident, name_tok.value if name_tok else ""))
+                refs.setdefault(key, []).append((ident, name_tok[2] if name_tok else ""))
             self.expect("semi", "';'")
             return
-        if tok.kind not in ("keyword", "word"):
-            shown = tok.text or "end of file"
+        if tok[0] not in ("keyword", "word"):
+            shown = key or "end of file"
             self.error("E101", f"expected an entry or '}}', found {shown!r}")
             self.sync_entry()
             return
@@ -470,12 +465,12 @@ class _Parser:
         self.expect("colon", "':'")
         entry = entries.get(key)
         if entry is None:
-            self.error("E002", f"attr {key!r} is not allowed on {kind.value}", tok.span)
+            self.error("E002", f"attr {key!r} is not allowed on {kind.value}", tok)
             self.sync_entry()
             return
         if entry.single:
             if key in seen_single:
-                self.error("E130", f"repeated entry {key!r}", tok.span)
+                self.error("E130", f"repeated entry {key!r}", tok)
             seen_single.add(key)
         self.parse_entry_value(key, entry, attrs, refs)
 
@@ -484,32 +479,32 @@ class _Parser:
         key: str,
         entry: Entry,
         attrs: dict[str, object],
-        refs: dict[str, list[tuple[str, SourceSpan, str]]],
+        refs: dict[str, list[tuple[_Token, str]]],
     ) -> None:
         if entry.relation is not None:
             ids = [self.parse_id()] if entry.single else self.parse_id_list()
-            refs.setdefault(key, []).extend((*i, "") for i in ids if i)
+            refs.setdefault(key, []).extend((i, "") for i in ids if i)
         elif entry.form == "word":
             word = self.next()
-            if word.text in entry.leaves:
-                attrs[key] = word.text
+            if word[1] in entry.leaves:
+                attrs[key] = word[1]
             else:
                 self.error(
                     "E123",
-                    f"unknown runtime target {word.text!r} "
+                    f"unknown runtime target {word[1]!r} "
                     f"(expected one of: {', '.join(entry.leaves)})",
-                    word.span,
+                    word,
                 )
         else:
             if entry.form == "cost":
                 word = self.next()
-                leaf = COST_WORDS.get(word.text)
+                leaf = COST_WORDS.get(word[1])
                 if leaf is None:
                     self.error(
                         "E124",
-                        f"unknown cost kind {word.text!r} "
+                        f"unknown cost kind {word[1]!r} "
                         f"(expected one of: {', '.join(COST_WORDS)})",
-                        word.span,
+                        word,
                     )
             else:
                 leaf = self.parse_leaf(entry.leaves, key)
@@ -520,28 +515,28 @@ class _Parser:
                     self.next()
                     self.expect("colon", "':'")
                     word = self.next()
-                    if word.text in SEVERITY_LEVELS:
-                        severity = (word.text,)
+                    if word[1] in SEVERITY_LEVELS:
+                        severity = (word[1],)
                     else:
                         self.error(
                             "E122",
-                            f"unknown severity level {word.text!r} "
+                            f"unknown severity level {word[1]!r} "
                             f"(expected one of: {', '.join(SEVERITY_LEVELS)})",
-                            word.span,
+                            word,
                         )
             desc = self.expect("string", "description string")
             if leaf:
-                attrs.setdefault(key, []).append((leaf, *severity, desc.value if desc else ""))
+                attrs.setdefault(key, []).append((leaf, *severity, desc[2] if desc else ""))
         self.expect("semi", "';'")
 
     def parse_leaf(self, expected: tuple[str, ...], what: str) -> str | None:
         tok = self.peek()
-        if tok.kind not in ("word", "keyword"):
-            shown = tok.text or "end of file"
+        kind, word = tok[:2]
+        if kind not in ("word", "keyword"):
+            shown = word or "end of file"
             self.error("E101", f"expected a taxonomy leaf, found {shown!r}")
             return None
         self.next()
-        word = tok.text
         if word in expected:
             return word
         if is_leaf(word):
@@ -549,23 +544,23 @@ class _Parser:
                 "E125",
                 f"leaf {word!r} is from the wrong branch for {what} "
                 f"(expected one of: {', '.join(expected)})",
-                tok.span,
+                tok,
             )
             return None
         suggestion = suggest_leaf(word)
         hint = f" (did you mean {suggestion!r}?)" if suggestion else ""
-        self.error("E120", f"unknown taxonomy leaf {word!r}{hint}", tok.span)
+        self.error("E120", f"unknown taxonomy leaf {word!r}{hint}", tok)
         return None
 
     # -- phase 2 -------------------------------------------------------------
 
     def finish(self) -> AlignmentModel | None:
         if self.model is not None:
-            for spec in self.rel_specs:
+            for kind, source, target, tok in self.rel_specs:
                 try:
-                    self.model.add_relation(spec.kind, spec.source, spec.target)
+                    self.model.add_relation(kind, source, target)
                 except ModelError as err:
-                    self.error(err.code, err.message, spec.span)
+                    self.error(err.code, err.message, tok)
         if any(d.severity is Severity.ERROR for d in self.diags):
             return None
         return self.model
@@ -574,7 +569,7 @@ class _Parser:
 def parse(text: str, file: str = "<input>") -> ParseResult:
     """Parse ``.dsa`` source text into an :class:`AlignmentModel`."""
     toks, diags = _lex(text, file)
-    parser = _Parser(toks, diags)
+    parser = _Parser(toks, diags, file)
     parser.parse_file()
     model = parser.finish()
     return ParseResult(model=model, diagnostics=parser.diags, spans=parser.spans)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import random
 import re
 
@@ -8,7 +9,15 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from dsalign.dsl import KEYWORDS, _lex, format_model, load_file, parse
-from dsalign.model import ALL_LEAVES, ElementKind, ModelError, RelationKind, Severity, new_model
+from dsalign.model import (
+    ALL_LEAVES,
+    ElementKind,
+    ModelError,
+    RelationKind,
+    Severity,
+    SourceSpan,
+    new_model,
+)
 
 from conftest import FIXTURES, FIXTURE_NAMES
 
@@ -179,6 +188,62 @@ def test_error_locality_spans():
     assert dup.location.length == 1
 
 
+def _block(statement, *entries, after=""):
+    """A system holding one statement with a block, one entry per line."""
+    body = "".join(f"\n    {entry}" for entry in entries)
+    return f'system "X" {{\n  {statement} {{{body}\n  }}{after}\n}}'
+
+
+@pytest.mark.parametrize(
+    "code,text,line,column,length",
+    [
+        ("E104", 'system "X" {\n  actor user user "U"\n}', 2, 14, 4),
+        ("E005", 'system "X" {\n  data Upper "D"\n}', 2, 8, 5),
+        ("E001", 'system "X" {\n  data d "D"\n  data d "D2"\n}', 3, 8, 1),
+        ("E002", _block('component c "C"', 'function f "F";', "color: red;"), 4, 5, 5),
+        ("E003", _block('event e "E"', "about: missing;", 'implies_cost: it "x";'), 3, 12, 7),
+        ("E004", _block('service s "S"', "serves: d;", after='\n  data d "D"'), 3, 13, 1),
+        ("E120", _block('user_activity a "A"', 'yields_user_value: funktional "x";'), 3, 24, 10),
+        ("E122", _block('event e "E"', 'hinders: privacy severity: extreme "x";'), 3, 32, 7),
+        ("E123", _block('component c "C"', 'function f "F";', "runs_on: cloud;"), 4, 14, 5),
+        ("E124", _block('event e "E"', 'implies_cost: gold "x";'), 3, 19, 4),
+        ("E125", _block('user_activity a "A"', 'yields_user_value: must_be "x";'), 3, 24, 7),
+        (
+            "E130",
+            _block('component c "C"', 'function f "F";', "runs_on: server;", "runs_on: device;"),
+            5,
+            5,
+            7,
+        ),
+    ],
+)
+def test_parse_error_spans_are_pinned(code, text, line, column, length):
+    result = parse(text, "m.dsa")
+    assert [(d.code, d.location) for d in result.diagnostics] == [
+        (code, SourceSpan("m.dsa", line, column, length))
+    ]
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_declaration_spans_point_at_the_id(name):
+    path = FIXTURES / f"{name}.dsa"
+    lines = path.read_text().split("\n")
+    result = load_file(path)
+    assert result.model is not None
+    assert set(result.spans) == {e.id for e in result.model.elements}
+    for ident, span in result.spans.items():
+        assert span.file == str(path)
+        assert span.length == len(ident)
+        start = span.column - 1
+        assert lines[span.line - 1][start : start + span.length] == ident
+
+
+def test_tokens_are_not_tracked_by_the_cycle_collector():
+    toks, _ = _lex((FIXTURES / "faq_chatbot.dsa").read_text(), "f")
+    gc.collect()
+    assert not any(gc.is_tracked(tok) for tok in toks)
+
+
 def test_every_parse_error_carries_span():
     bad = 'system "X" {\n  service s "S" { serves: ; }\n  data 9bad "D"\n  junk\n}'
     result = parse(bad)
@@ -201,7 +266,7 @@ def test_comments_ignored():
 def lexed(text):
     toks, diags = _lex(text, "f")
     return (
-        [(t.kind, t.text, t.span.line, t.span.column, t.span.length) for t in toks],
+        [(kind, shown, line, column, length) for kind, shown, _, line, column, length in toks],
         [(d.code, d.message, d.location.line, d.location.column, d.location.length) for d in diags],
     )
 
