@@ -12,8 +12,7 @@ import os
 import sys
 
 from . import derive as derive_mod
-from . import dsl, report as report_mod
-from .export import ExportOptions, export_model
+from . import dsl, export as export_mod, report as report_mod
 from .model import AlignmentModel, Diagnostic, ModelError, Severity, SourceSpan
 
 EXIT_OK = 0
@@ -144,9 +143,14 @@ def _cmd_export(args: argparse.Namespace) -> int:
         model.freeze()
         target = model
     else:
-        target = derive_mod.attach(model, itemset)
-    options = ExportOptions(format=args.format, include_derived=not args.no_derived)
-    return _write_artifact(export_model(target, options), args.out)
+        try:
+            target = derive_mod.attach(model, itemset)
+        except ModelError as err:  # a model element holds an id that attach derives
+            reporter.emit([Diagnostic(err.code, Severity.ERROR, err.message)], args.input)
+            return reporter.exit_code(args.strict)
+    exporter = {"open_exchange": export_mod.to_open_exchange, "dot": export_mod.to_dot}[args.format]
+    options = export_mod.ExportOptions(include_derived=not args.no_derived)
+    return _write_artifact(exporter(target, options), args.out)
 
 
 def _cmd_report(args: argparse.Namespace) -> int:

@@ -1,6 +1,9 @@
 """Rule-based derivation of evaluation items from a validated model.
 
-Five rules, run in order, each sourcing items at model elements:
+Five rules, run in order, each sourcing items at model elements.  One table,
+``RULE_TABLE``, gives each rule's source (an element kind and one of its
+attrs), the kind of its items, and the edge ``attach`` adds from source to
+item:
 
 * R1 (costs): every component needs development/testing and operation
   effort; server- and external-API-backed components carry usage fees;
@@ -22,7 +25,6 @@ from enum import Enum
 from .model import (
     AlignmentModel,
     Diagnostic,
-    Element,
     ElementKind,
     ModelError,
     PRINCIPLE_NAMES,
@@ -40,17 +42,21 @@ class Rule(str, Enum):
     R5_QUALITY = "R5_quality"
 
 
-_ITEM_KIND = {
-    Rule.R1_COST: ElementKind.COST_ITEM,
-    Rule.R2_RISK: ElementKind.RISK_ITEM,
-    Rule.R3_BUSINESS: ElementKind.BUSINESS_VALUE,
-    Rule.R4_USER: ElementKind.USER_VALUE,
-    Rule.R5_QUALITY: ElementKind.QUALITY_VALUE,
+K, R = ElementKind, RelationKind
+
+# One row per rule, in rule order: (item kind, relation from each source to
+# its item, source element kind, attr whose entries each yield one item).
+RULE_TABLE: dict[Rule, tuple[ElementKind, RelationKind, ElementKind, str]] = {
+    Rule.R1_COST: (K.COST_ITEM, R.INFLUENCE, K.OBSERVED_EVENT, "implies_cost"),
+    Rule.R2_RISK: (K.RISK_ITEM, R.INFLUENCE, K.OBSERVED_EVENT, "hinders"),
+    Rule.R3_BUSINESS: (K.BUSINESS_VALUE, R.ASSOCIATION, K.OPERATOR_ACTIVITY, "yields_business_value"),
+    Rule.R4_USER: (K.USER_VALUE, R.ASSOCIATION, K.USER_ACTIVITY, "yields_user_value"),
+    Rule.R5_QUALITY: (K.QUALITY_VALUE, R.ASSOCIATION, K.USER_ACTIVITY, "yields_quality_value"),
 }
 
-# Components on these runtimes accrue recurring usage fees.
-_FEE_RUNTIMES = ("server", "external_api")
+del K, R
 
+# R1's usage-fee item for components on these runtimes.
 _FEE_TEMPLATES = {
     "server": "server usage fees for {name}",
     "external_api": "external API service usage fees for {name}",
@@ -81,113 +87,34 @@ class EvaluationItemSet:
         return [item for item in self.items if item.rule is rule]
 
 
-def _item_id(rule: Rule, n: int) -> str:
-    return f"item_{rule.value.lower()}_{n}"
+def derive_rule(model: AlignmentModel, rule: Rule) -> list[EvaluationItem]:
+    """One rule's items, numbered ``item_<rule>_<n>`` in output order.
 
-
-def _noted(desc: str, element: Element) -> str:
-    return f"{desc} ({element.name})"
-
-
-def derive_costs(model: AlignmentModel) -> list[EvaluationItem]:
-    """R1: cost items from components and from events' implies_cost notes."""
-    items: list[EvaluationItem] = []
-
-    def emit(category: str, description: str, source: str) -> None:
-        items.append(
-            EvaluationItem(
-                id=_item_id(Rule.R1_COST, len(items) + 1),
-                category=category,
-                description=description,
-                sources=[source],
-                rule=Rule.R1_COST,
-            )
-        )
-
-    components = model.elements_of_kind(ElementKind.SYSTEM_COMPONENT)
-    for comp in components:
-        emit("human_resources", f"develop and test {comp.name}", comp.id)
-        emit("human_resources", f"operate and maintain {comp.name}", comp.id)
-    for comp in components:
-        runtime = comp.attrs.get("runs_on")
-        if runtime in _FEE_RUNTIMES:
-            emit("it_resources", _FEE_TEMPLATES[runtime].format(name=comp.name), comp.id)
-    for event in model.elements_of_kind(ElementKind.OBSERVED_EVENT):
-        for leaf, desc in event.attrs.get("implies_cost", []):
-            emit(leaf, _noted(desc, event), event.id)
-    return items
-
-
-def derive_risks(model: AlignmentModel) -> list[EvaluationItem]:
-    """R2: one risk item per (event, hinders entry), keeping the severity."""
-    items: list[EvaluationItem] = []
-    for event in model.elements_of_kind(ElementKind.OBSERVED_EVENT):
-        for principle, severity, desc in event.attrs.get("hinders", []):
-            items.append(
-                EvaluationItem(
-                    id=_item_id(Rule.R2_RISK, len(items) + 1),
-                    category=principle,
-                    description=_noted(desc, event),
-                    sources=[event.id],
-                    rule=Rule.R2_RISK,
-                    severity=severity,
-                )
-            )
-    return items
-
-
-def derive_business_values(model: AlignmentModel) -> list[EvaluationItem]:
-    """R3: one item per (operator activity, yields_business_value entry)."""
-    items: list[EvaluationItem] = []
-    for activity in model.elements_of_kind(ElementKind.OPERATOR_ACTIVITY):
-        for leaf, desc in activity.attrs.get("yields_business_value", []):
-            items.append(
-                EvaluationItem(
-                    id=_item_id(Rule.R3_BUSINESS, len(items) + 1),
-                    category=leaf,
-                    description=_noted(desc, activity),
-                    sources=[activity.id],
-                    rule=Rule.R3_BUSINESS,
-                )
-            )
-    return items
-
-
-def derive_user_values(model: AlignmentModel) -> list[EvaluationItem]:
-    """R4: one item per (user activity, yields_user_value entry).
-
-    Declared ``influences:`` targets become user-value to business-value
-    edges when the itemset is attached; they never create items.
+    Each entry of the row's attr, on the row's elements in model order,
+    yields one item.  R1 first gives each component its develop, operate
+    and usage-fee items.
     """
     items: list[EvaluationItem] = []
-    for activity in model.elements_of_kind(ElementKind.USER_ACTIVITY):
-        for leaf, desc in activity.attrs.get("yields_user_value", []):
-            items.append(
-                EvaluationItem(
-                    id=_item_id(Rule.R4_USER, len(items) + 1),
-                    category=leaf,
-                    description=_noted(desc, activity),
-                    sources=[activity.id],
-                    rule=Rule.R4_USER,
-                )
-            )
-    return items
+    prefix = f"item_{rule.value.lower()}_"
 
+    def emit(category: str, description: str, source: str, severity: str | None = None) -> None:
+        item_id = f"{prefix}{len(items) + 1}"
+        items.append(EvaluationItem(item_id, category, description, [source], rule, severity))
 
-def derive_quality_values(model: AlignmentModel) -> list[EvaluationItem]:
-    """R5: one item per (user activity, yields_quality_value entry)."""
-    items: list[EvaluationItem] = []
-    for activity in model.elements_of_kind(ElementKind.USER_ACTIVITY):
-        for leaf, desc in activity.attrs.get("yields_quality_value", []):
-            items.append(
-                EvaluationItem(
-                    id=_item_id(Rule.R5_QUALITY, len(items) + 1),
-                    category=leaf,
-                    description=_noted(desc, activity),
-                    sources=[activity.id],
-                    rule=Rule.R5_QUALITY,
-                )
-            )
+    if rule is Rule.R1_COST:
+        components = model.elements_of_kind(ElementKind.SYSTEM_COMPONENT)
+        for comp in components:
+            emit("human_resources", f"develop and test {comp.name}", comp.id)
+            emit("human_resources", f"operate and maintain {comp.name}", comp.id)
+        for comp in components:
+            runtime = comp.attrs.get("runs_on")
+            if runtime in _FEE_TEMPLATES:
+                emit("it_resources", _FEE_TEMPLATES[runtime].format(name=comp.name), comp.id)
+    _, _, kind, attr = RULE_TABLE[rule]
+    for element in model.elements_of_kind(kind):
+        for entry in element.attrs.get(attr, ()):
+            severity = entry[1] if len(entry) == 3 else None  # hinders: leaf, severity, text
+            emit(entry[0], f"{entry[-1]} ({element.name})", element.id, severity)
     return items
 
 
@@ -224,13 +151,7 @@ def derive_all(model: AlignmentModel) -> EvaluationItemSet:
     if any(d.severity is Severity.ERROR for d in diagnostics):
         codes = ", ".join(sorted({d.code for d in diagnostics if d.severity is Severity.ERROR}))
         raise ModelError("E200", f"model has validation errors ({codes})")
-    items = (
-        derive_costs(model)
-        + derive_risks(model)
-        + derive_business_values(model)
-        + derive_user_values(model)
-        + derive_quality_values(model)
-    )
+    items = [item for rule in Rule for item in derive_rule(model, rule)]
     warnings = [d for d in diagnostics if d.severity is Severity.WARNING]
     warnings.extend(_influence_warnings(model))
     return EvaluationItemSet(system_name=model.system_name, items=items, warnings=warnings)
@@ -259,37 +180,32 @@ def attach(model: AlignmentModel, itemset: EvaluationItemSet) -> AlignmentModel:
                 raise ModelError(
                     "E201", f"item {item.id!r} references unknown source {source!r}"
                 )
+    risk_items = itemset.by_rule(Rule.R2_RISK)
+    for item in risk_items:
+        pid = f"principle_{item.category}"
+        if pid in model and model.element(pid).kind is not ElementKind.PRINCIPLE:
+            kind = model.element(pid).kind.value
+            raise ModelError("E201", f"derived id {pid!r} is already used by a {kind} element")
 
     out = model.copy()
     for item in itemset.items:
         attrs: dict = {"category": item.category}
         if item.rule is Rule.R2_RISK:
             attrs["severity"] = item.severity
-        out.add_element(
-            _ITEM_KIND[item.rule], item.id, item.description, attrs=attrs
-        )
+        out.add_element(RULE_TABLE[item.rule][0], item.id, item.description, attrs=attrs)
 
-    risk_items = itemset.by_rule(Rule.R2_RISK)
-    principle_ids: dict[str, str] = {}
-    for item in risk_items:
-        if item.category not in principle_ids:
-            pid = f"principle_{item.category}"
-            if pid not in out:
-                out.add_element(
-                    ElementKind.PRINCIPLE, pid, PRINCIPLE_NAMES[item.category]
-                )
-            principle_ids[item.category] = pid
+    for category in dict.fromkeys(item.category for item in risk_items):
+        if f"principle_{category}" not in out:
+            out.add_element(ElementKind.PRINCIPLE, f"principle_{category}", PRINCIPLE_NAMES[category])
 
     for item in itemset.items:
+        edge = RULE_TABLE[item.rule][1]
         for source in item.sources:
-            if item.rule is Rule.R1_COST or item.rule is Rule.R2_RISK:
-                out.add_relation(RelationKind.INFLUENCE, source, item.id)
-            else:
-                out.add_relation(RelationKind.ASSOCIATION, source, item.id)
+            out.add_relation(edge, source, item.id)
 
     hindered: set[tuple[str, str]] = set()
     for item in risk_items:
-        principle = principle_ids[item.category]
+        principle = f"principle_{item.category}"
         for source in item.sources:
             if (source, principle) not in hindered:
                 out.add_relation(RelationKind.INFLUENCE, source, principle)

@@ -60,7 +60,6 @@ _CLUSTER_OF = {
 
 @dataclass
 class ExportOptions:
-    format: str = "open_exchange"  # open_exchange | dot
     include_derived: bool = True
 
 
@@ -216,11 +215,3 @@ def to_dot(model: AlignmentModel, options: ExportOptions | None = None) -> str:
     out.append("}")
     return "\n".join(out) + "\n"
 
-
-def export_model(model: AlignmentModel, options: ExportOptions) -> str:
-    """Dispatch on ``options.format``."""
-    if options.format == "open_exchange":
-        return to_open_exchange(model, options)
-    if options.format == "dot":
-        return to_dot(model, options)
-    raise ValueError(f"unknown export format {options.format!r}")

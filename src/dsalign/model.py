@@ -106,11 +106,6 @@ def leaf_path(leaf: str) -> str:
     return _LEAF_PATHS[leaf]
 
 
-def leaf_branch(leaf: str) -> str:
-    """Top-level branch (``value``, ``risk``, or ``cost``) of a leaf."""
-    return _LEAF_PATHS[leaf].split("/", 1)[0]
-
-
 def is_leaf(name: str) -> bool:
     return name in _LEAF_PATHS
 

@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from conftest import FIXTURES, GOLDEN, FIXTURE_NAMES, REPO, run_cli
 
 FAQ = str(FIXTURES / "faq_chatbot.dsa")
@@ -134,6 +136,40 @@ def test_export_no_derived_has_no_motivation_nodes():
 def test_export_requires_format():
     proc = run_cli("export", FAQ)
     assert proc.returncode == 2
+
+
+def test_export_unknown_format_is_usage_error():
+    proc = run_cli("export", FAQ, "--format", "svg")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "data_id, event",
+    [
+        ("item_r1_cost_1", ""),
+        (
+            "principle_privacy",
+            '  event e "E" {\n    about: principle_privacy;\n'
+            '    hinders: privacy severity: low "leaks";\n  }\n',
+        ),
+    ],
+    ids=["item_id", "principle_id"],
+)
+def test_export_reports_a_derived_id_collision(tmp_path, data_id, event):
+    # A valid model whose data element takes an id that attach would create.
+    src = tmp_path / "collide.dsa"
+    src.write_text(
+        'system "C" {\n  component c "C" {\n    function f "F";\n'
+        f'    uses: {data_id};\n  }}\n  data {data_id} "X"\n{event}}}\n'
+    )
+    check = run_cli("check", str(src))
+    assert (check.returncode, check.stderr) == (0, "")
+    proc = run_cli("export", str(src), "--format", "dot")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"{src}: error E201: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
 def test_report_matrix_over_corpus(tmp_path):

@@ -3,20 +3,18 @@ from __future__ import annotations
 import pytest
 
 from dsalign.derive import (
+    RULE_TABLE,
     EvaluationItem,
     EvaluationItemSet,
     Rule,
     attach,
     derive_all,
-    derive_business_values,
-    derive_costs,
-    derive_quality_values,
-    derive_risks,
-    derive_user_values,
+    derive_rule,
     serialize_itemset,
     summary_line,
 )
 from dsalign.model import (
+    STATEMENTS,
     AlignmentModel,
     ElementKind,
     ModelError,
@@ -46,12 +44,25 @@ def expected_cost_count(model) -> int:
     return per_component + fees + notes
 
 
+def test_rule_table_has_a_row_per_rule_and_per_item_yielding_entry():
+    # A statement entry of form leaf, cost or hinders without a row would
+    # silently yield no items.
+    yielding = {
+        (kind, key)
+        for kind, statement in STATEMENTS.items()
+        for key, entry in statement.entries.items()
+        if entry.form in ("leaf", "cost", "hinders")
+    }
+    assert list(RULE_TABLE) == list(Rule)
+    assert {(kind, attr) for _, _, kind, attr in RULE_TABLE.values()} == yielding
+
+
 # ---------------------------------------------------------------------------
 # R1 costs
 
 
 def test_faq_cost_breakdown(faq_model):
-    items = derive_costs(faq_model)
+    items = derive_rule(faq_model, Rule.R1_COST)
     assert len(items) == 9 == expected_cost_count(faq_model)
     human = [i for i in items if i.category == "human_resources"]
     it = [i for i in items if i.category == "it_resources"]
@@ -61,7 +72,7 @@ def test_faq_cost_breakdown(faq_model):
 
 
 def test_faq_information_costs_cover_faq_set_and_scenario(faq_model):
-    info = [i for i in derive_costs(faq_model) if i.category == "information_resources"]
+    info = [i for i in derive_rule(faq_model, Rule.R1_COST) if i.category == "information_resources"]
     blobs = " | ".join(i.description for i in info)
     assert "FAQ set" in blobs and "dialogue management scenarios" in blobs
     assert {i.sources[0] for i in info} == {"needs_faq_set", "needs_scenario"}
@@ -70,17 +81,17 @@ def test_faq_information_costs_cover_faq_set_and_scenario(faq_model):
 def test_costs_empty_without_components_and_events():
     m = new_model("x")
     m.add_element(K.USER, "u", "User")
-    assert derive_costs(m) == []
+    assert derive_rule(m, Rule.R1_COST) == []
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_cost_counts_match_recount(name, fixture_models):
     model = fixture_models[name]
-    assert len(derive_costs(model)) == expected_cost_count(model)
+    assert len(derive_rule(model, Rule.R1_COST)) == expected_cost_count(model)
 
 
 def test_development_and_operation_items_per_component(faq_model):
-    human = [i for i in derive_costs(faq_model) if i.category == "human_resources"]
+    human = [i for i in derive_rule(faq_model, Rule.R1_COST) if i.category == "human_resources"]
     for comp in faq_model.elements_of_kind(K.SYSTEM_COMPONENT):
         descs = [i.description for i in human if i.sources == [comp.id]]
         assert descs == [
@@ -94,7 +105,7 @@ def test_development_and_operation_items_per_component(faq_model):
 
 
 def test_faq_privacy_risk(faq_model):
-    risks = derive_risks(faq_model)
+    risks = derive_rule(faq_model, Rule.R2_RISK)
     privacy = [i for i in risks if i.category == "privacy"]
     assert len(privacy) == 1
     assert privacy[0].sources == ["pii_in_utterances"]
@@ -102,7 +113,7 @@ def test_faq_privacy_risk(faq_model):
 
 
 def test_faq_responsibility_risk_low(faq_model):
-    risks = derive_risks(faq_model)
+    risks = derive_rule(faq_model, Rule.R2_RISK)
     resp = [i for i in risks if i.category == "responsibility"]
     assert len(resp) == 1 and resp[0].severity == "low"
 
@@ -120,7 +131,7 @@ def test_two_hinders_entries_two_items():
             ]
         },
     )
-    items = derive_risks(m)
+    items = derive_rule(m, Rule.R2_RISK)
     assert [(i.category, i.severity) for i in items] == [
         ("privacy", "high"),
         ("transparency", "low"),
@@ -132,7 +143,7 @@ def test_two_hinders_entries_two_items():
 
 
 def test_faq_business_values(faq_model):
-    items = derive_business_values(faq_model)
+    items = derive_rule(faq_model, Rule.R3_BUSINESS)
     assert [i.category for i in items] == ["cost_reduction", "new_revenue"]
     assert items[0].sources == ["provide_info"]
 
@@ -140,11 +151,11 @@ def test_faq_business_values(faq_model):
 def test_business_values_empty_without_activities():
     m = new_model("x")
     m.add_element(K.USER, "u", "User")
-    assert derive_business_values(m) == []
+    assert derive_rule(m, Rule.R3_BUSINESS) == []
 
 
 def test_faq_user_value_functional(faq_model):
-    items = derive_user_values(faq_model)
+    items = derive_rule(faq_model, Rule.R4_USER)
     assert [i.category for i in items] == ["functional"]
 
 
@@ -156,8 +167,8 @@ def test_activity_without_user_value_yields_nothing():
         "A",
         attrs={"yields_quality_value": [("must_be", "works")]},
     )
-    assert derive_user_values(m) == []
-    assert [i.category for i in derive_quality_values(m)] == ["must_be"]
+    assert derive_rule(m, Rule.R4_USER) == []
+    assert [i.category for i in derive_rule(m, Rule.R5_QUALITY)] == ["must_be"]
 
 
 def test_emotional_value_for_chat_character_system():
@@ -168,25 +179,25 @@ def test_emotional_value_for_chat_character_system():
         "Enjoy chatting with the character",
         attrs={"yields_user_value": [("emotional", "casual conversations are fun")]},
     )
-    items = derive_user_values(m)
+    items = derive_rule(m, Rule.R4_USER)
     assert [i.category for i in items] == ["emotional"]
 
 
 def test_faq_quality_value_must_be(faq_model):
-    items = derive_quality_values(faq_model)
+    items = derive_rule(faq_model, Rule.R5_QUALITY)
     assert [i.category for i in items] == ["must_be"]
     assert "service interruption" in items[0].description
 
 
 def test_attractive_quality_value(fixture_models):
-    items = derive_quality_values(fixture_models["job_interview"])
+    items = derive_rule(fixture_models["job_interview"], Rule.R5_QUALITY)
     assert [i.category for i in items] == ["attractive"]
 
 
 def test_no_quality_entries_no_items():
     m = new_model("x")
     m.add_element(K.USER_ACTIVITY, "a", "A")
-    assert derive_quality_values(m) == []
+    assert derive_rule(m, Rule.R5_QUALITY) == []
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 from dsalign.derive import attach, derive_all
 from dsalign.dsl import format_model
-from dsalign.export import ExportOptions, export_model, to_dot, to_open_exchange
+from dsalign.export import ExportOptions, to_dot, to_open_exchange
 from dsalign.model import ElementKind, ModelError, new_model
 
 from conftest import FIXTURE_NAMES
@@ -202,12 +202,3 @@ def test_dot_escapes_quotes():
     text = to_dot(m)
     assert '\\"hi\\"' in text and "\\\\ bye" in text
 
-
-def test_export_model_dispatch(fixture_models):
-    _, attached = attached_fixture(fixture_models, "faq_chatbot")
-    assert export_model(attached, ExportOptions(format="dot")) == to_dot(attached)
-    assert export_model(attached, ExportOptions(format="open_exchange")) == to_open_exchange(
-        attached
-    )
-    with pytest.raises(ValueError):
-        export_model(attached, ExportOptions(format="svg"))

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from dsalign import attach, derive_all, format_model, parse, to_dot, to_open_exchange
+from dsalign import Rule, attach, derive_all, format_model, parse, to_dot, to_open_exchange
 from dsalign.dsl import KEYWORDS
 from dsalign.model import (
     ASSOCIATION_CORE,
@@ -32,6 +32,22 @@ from dsalign.model import (
 )
 
 SURFACE_KINDS = [kind for kind in ElementKind if kind not in MOTIVATION_KINDS]
+
+# Per rule: the kind of its items and the relation from a source to its item.
+ITEM_SHAPES = {
+    Rule.R1_COST: (ElementKind.COST_ITEM, RelationKind.INFLUENCE),
+    Rule.R2_RISK: (ElementKind.RISK_ITEM, RelationKind.INFLUENCE),
+    Rule.R3_BUSINESS: (ElementKind.BUSINESS_VALUE, RelationKind.ASSOCIATION),
+    Rule.R4_USER: (ElementKind.USER_VALUE, RelationKind.ASSOCIATION),
+    Rule.R5_QUALITY: (ElementKind.QUALITY_VALUE, RelationKind.ASSOCIATION),
+}
+# R2-R5: the (element kind, attr) whose entries each yield one item.
+ENTRY_SOURCES = {
+    Rule.R2_RISK: (ElementKind.OBSERVED_EVENT, "hinders"),
+    Rule.R3_BUSINESS: (ElementKind.OPERATOR_ACTIVITY, "yields_business_value"),
+    Rule.R4_USER: (ElementKind.USER_ACTIVITY, "yields_user_value"),
+    Rule.R5_QUALITY: (ElementKind.USER_ACTIVITY, "yields_quality_value"),
+}
 
 # Arbitrary Unicode, with the characters the printer must escape or refuse
 # drawn about as often as all others together.
@@ -119,6 +135,29 @@ def _braces_balance(dot: str) -> bool:
     return depth == 0 and not in_string
 
 
+def _assert_items_follow_the_rules(m, itemset, attached):
+    """R2-R5 give one item per attr entry; every item attaches as its rule says."""
+    for rule, (kind, attr) in ENTRY_SOURCES.items():
+        entries = [(e, entry) for e in m.elements_of_kind(kind) for entry in e.attrs.get(attr, ())]
+        expected = [
+            (
+                f"item_{rule.value.lower()}_{n}",
+                entry[0],
+                f"{entry[-1]} ({e.name})",
+                [e.id],
+                entry[1] if rule is Rule.R2_RISK else None,
+            )
+            for n, (e, entry) in enumerate(entries, start=1)
+        ]
+        got = [(i.id, i.category, i.description, i.sources, i.severity) for i in itemset.by_rule(rule)]
+        assert got == expected
+    edges = Counter((r.source, r.target, r.kind) for r in attached.relations)
+    for item in itemset.items:
+        item_kind, edge = ITEM_SHAPES[item.rule]
+        assert attached.element(item.id).kind is item_kind
+        assert edges[(item.sources[0], item.id, edge)] == 1
+
+
 def _assert_one_line(diagnostics):
     for d in diagnostics:
         assert d.render().splitlines() == [d.render()]
@@ -150,6 +189,7 @@ def test_format_round_trips_or_refuses_and_exports_are_well_formed(m):
     itemset = derive_all(m)
     _assert_one_line(itemset.warnings)
     attached = attach(m, itemset)
+    _assert_items_follow_the_rules(m, itemset, attached)
     root = ET.fromstring(to_open_exchange(attached))
     ns = {"oe": "http://www.opengroup.org/xsd/archimate/3.0/"}
     ids = {e.get("identifier") for e in root.findall("oe:elements/oe:element", ns)}
