@@ -26,7 +26,7 @@ from .derive import (
     derive_all,
     serialize_itemset,
 )
-from .export import ExportOptions, to_dot, to_open_exchange
+from .export import to_dot, to_open_exchange
 from .report import Matrix, build_matrix, item_table, matrix
 
 __version__ = "0.1.0"
@@ -38,7 +38,6 @@ __all__ = [
     "ElementKind",
     "EvaluationItem",
     "EvaluationItemSet",
-    "ExportOptions",
     "Matrix",
     "ModelError",
     "ParseResult",

@@ -149,8 +149,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
             reporter.emit([Diagnostic(err.code, Severity.ERROR, err.message)], args.input)
             return reporter.exit_code(args.strict)
     exporter = {"open_exchange": export_mod.to_open_exchange, "dot": export_mod.to_dot}[args.format]
-    options = export_mod.ExportOptions(include_derived=not args.no_derived)
-    return _write_artifact(exporter(target, options), args.out)
+    return _write_artifact(exporter(target), args.out)
 
 
 def _cmd_report(args: argparse.Namespace) -> int:

@@ -221,10 +221,10 @@ def _edit_distance(a: str, b: str) -> int:
     return prev[-1]
 
 
-def suggest_leaf(word: str, max_distance: int = 2) -> str | None:
-    """Closest taxonomy leaf within ``max_distance`` edits, ties by tree order."""
+def suggest_leaf(word: str) -> str | None:
+    """Closest taxonomy leaf within two edits, ties by tree order."""
     best: str | None = None
-    best_d = max_distance + 1
+    best_d = 3  # one more than the farthest suggestion
     for leaf in ALL_LEAVES:
         d = _edit_distance(word, leaf)
         if d < best_d:

@@ -1,21 +1,20 @@
 """Serialization of alignment models to ArchiMate Open Exchange XML and DOT.
 
-Both exporters are pure functions of the model and options and produce
+Both exporters are pure functions of the model and produce
 byte-identical output for identical inputs: elements come out in model order,
 attributes in fixed order, ids derived 1:1 from element slugs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cache
 
 from .model import (
+    BRANCHES,
     AlignmentModel,
     Element,
     ElementKind,
-    MOTIVATION_KINDS,
     ModelError,
-    Relation,
     RelationKind,
     Severity,
     leaf_path,
@@ -46,21 +45,12 @@ XSI_TYPES: dict[ElementKind, str] = {
     ElementKind.PRINCIPLE: "Principle",
 }
 
-_ROLE_PROPERTY = {ElementKind.RISK_ITEM: "risk", ElementKind.COST_ITEM: "cost"}
 
-# DOT cluster per taxonomy branch; principles stay outside the clusters.
-_CLUSTER_OF = {
-    ElementKind.USER_VALUE: "value",
-    ElementKind.QUALITY_VALUE: "value",
-    ElementKind.BUSINESS_VALUE: "value",
-    ElementKind.RISK_ITEM: "risk",
-    ElementKind.COST_ITEM: "cost",
-}
-
-
-@dataclass
-class ExportOptions:
-    include_derived: bool = True
+@cache
+def _cluster(kind: ElementKind) -> str | None:
+    """DOT cluster of a derived item kind: the first segment of its branch path."""
+    branch = BRANCHES.get(kind)
+    return branch[0].partition("/")[0] if branch else None
 
 
 def _check_exportable(model: AlignmentModel) -> None:
@@ -68,42 +58,29 @@ def _check_exportable(model: AlignmentModel) -> None:
         raise ModelError("E300", "cannot export a model with validation errors")
 
 
-def _visible(model: AlignmentModel, options: ExportOptions) -> tuple[list[Element], list[Relation]]:
-    elements = model.elements
-    relations = model.relations
-    if not options.include_derived:
-        kept = {e.id for e in elements if e.kind not in MOTIVATION_KINDS}
-        elements = [e for e in elements if e.id in kept]
-        relations = [r for r in relations if r.source in kept and r.target in kept]
-    return elements, relations
-
-
 def _xml_text(value: str) -> str:
     return value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def to_open_exchange(model: AlignmentModel, options: ExportOptions | None = None) -> str:
+def to_open_exchange(model: AlignmentModel) -> str:
     """Render the model in the Open Exchange 3.x layout (UTF-8 text, LF)."""
-    options = options or ExportOptions()
     _check_exportable(model)
-    elements, relations = _visible(model, options)
+    relations = model.relations
 
     def properties_of(e: Element) -> list[tuple[str, str]]:
+        # ``ALLOWED_ATTRS`` keeps category to derived items, severity to risks.
         props: list[tuple[str, str]] = []
-        if e.kind in MOTIVATION_KINDS and "category" in e.attrs:
+        if "category" in e.attrs:
             props.append(("category", leaf_path(e.attrs["category"])))
-        if e.kind in _ROLE_PROPERTY:
-            props.append(("role", _ROLE_PROPERTY[e.kind]))
-        if e.kind is ElementKind.RISK_ITEM and "severity" in e.attrs:
+        role = _cluster(e.kind)
+        if role not in (None, "value"):
+            props.append(("role", role))
+        if "severity" in e.attrs:
             props.append(("severity", e.attrs["severity"]))
         return props
 
-    used_propdefs: list[str] = []
-    for e in elements:
-        for key, _ in properties_of(e):
-            if key not in used_propdefs:
-                used_propdefs.append(key)
-    used_propdefs.sort()
+    elements = model.elements
+    used_propdefs: set[str] = set()
 
     # Identifiers come from ids and slugs, which hold only [a-z0-9_], so
     # they need no escaping.
@@ -131,6 +108,7 @@ def to_open_exchange(model: AlignmentModel, options: ExportOptions | None = None
             if props:
                 out.append("      <properties>")
                 for key, value in props:
+                    used_propdefs.add(key)
                     out.append(
                         f'        <property propertyDefinitionRef="propid-{key}">'
                     )
@@ -152,7 +130,7 @@ def to_open_exchange(model: AlignmentModel, options: ExportOptions | None = None
 
     if used_propdefs:
         out.append("  <propertyDefinitions>")
-        for key in used_propdefs:
+        for key in sorted(used_propdefs):
             out.append(
                 f'    <propertyDefinition identifier="propid-{key}" type="string">'
             )
@@ -168,24 +146,22 @@ def _dot_escape(value: str) -> str:
     return value.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def to_dot(model: AlignmentModel, options: ExportOptions | None = None) -> str:
+def to_dot(model: AlignmentModel) -> str:
     """Render the model as a DOT digraph.
 
     Nodes carry ``kind\\nname`` labels; motivation elements are grouped into
     value/risk/cost cluster subgraphs; Association edges render undirected.
     """
-    options = options or ExportOptions()
     _check_exportable(model)
-    elements, relations = _visible(model, options)
 
     def node_line(e: Element, indent: str) -> str:
         label = f"{_dot_escape(e.kind.value)}\\n{_dot_escape(e.name)}"
         return f'{indent}"{e.id}" [label="{label}"];'
 
-    clusters: dict[str, list[Element]] = {"value": [], "risk": [], "cost": []}
+    clusters: dict[str, list[Element]] = {_cluster(kind): [] for kind in BRANCHES}
     plain: list[Element] = []
-    for e in elements:
-        branch = _CLUSTER_OF.get(e.kind)
+    for e in model.elements:
+        branch = _cluster(e.kind)
         if branch is None:
             plain.append(e)
         else:
@@ -197,8 +173,7 @@ def to_dot(model: AlignmentModel, options: ExportOptions | None = None) -> str:
     for e in plain:
         if e.kind is not ElementKind.PRINCIPLE:
             out.append(node_line(e, "  "))
-    for branch in ("value", "risk", "cost"):
-        members = clusters[branch]
+    for branch, members in clusters.items():
         if not members:
             continue
         out.append(f"  subgraph cluster_{branch} {{")
@@ -209,7 +184,7 @@ def to_dot(model: AlignmentModel, options: ExportOptions | None = None) -> str:
     for e in plain:
         if e.kind is ElementKind.PRINCIPLE:
             out.append(node_line(e, "  "))
-    for r in relations:
+    for r in model.relations:
         style = ", dir=none" if r.kind is RelationKind.ASSOCIATION else ""
         out.append(f'  "{r.source}" -> "{r.target}" [label="{r.kind.value}"{style}];')
     out.append("}")

@@ -52,35 +52,16 @@ class Severity(str, Enum):
 
 
 # ---------------------------------------------------------------------------
-# Evaluation-item taxonomy: a fixed three-branch tree.
+# Evaluation-item taxonomy: a fixed three-branch tree.  ``BRANCHES`` gives each
+# derived item kind its branch path and leaves, in tree order; a leaf's path
+# is its branch path and the leaf, e.g. ``value/user/functional``.
 
 USER_VALUE_LEAVES = ("functional", "emotional", "self_expressive", "social")
 QUALITY_VALUE_LEAVES = ("must_be", "attractive")
 BUSINESS_VALUE_LEAVES = ("revenue_increase", "cost_reduction", "new_revenue")
 VALUE_LEAVES = USER_VALUE_LEAVES + QUALITY_VALUE_LEAVES + BUSINESS_VALUE_LEAVES
 
-RISK_LEAVES = (
-    "transparency",
-    "justice_fairness",
-    "non_maleficence",
-    "responsibility",
-    "privacy",
-    "beneficence",
-    "freedom_autonomy",
-)
-
-COST_LEAVES = ("human_resources", "information_resources", "it_resources")
-
-ALL_LEAVES = VALUE_LEAVES + RISK_LEAVES + COST_LEAVES
-
-_LEAF_PATHS = {
-    **{leaf: f"value/user/{leaf}" for leaf in USER_VALUE_LEAVES},
-    **{leaf: f"value/quality/{leaf}" for leaf in QUALITY_VALUE_LEAVES},
-    **{leaf: f"value/business/{leaf}" for leaf in BUSINESS_VALUE_LEAVES},
-    **{leaf: f"risk/{leaf}" for leaf in RISK_LEAVES},
-    **{leaf: f"cost/{leaf}" for leaf in COST_LEAVES},
-}
-
+# A risk hinders one principle; the risk leaves are the principles' ids.
 PRINCIPLE_NAMES = {
     "transparency": "Transparency",
     "justice_fairness": "Justice and fairness",
@@ -90,6 +71,21 @@ PRINCIPLE_NAMES = {
     "beneficence": "Beneficence",
     "freedom_autonomy": "Freedom and autonomy",
 }
+RISK_LEAVES = tuple(PRINCIPLE_NAMES)
+
+COST_LEAVES = ("human_resources", "information_resources", "it_resources")
+
+ALL_LEAVES = VALUE_LEAVES + RISK_LEAVES + COST_LEAVES
+
+BRANCHES: dict[ElementKind, tuple[str, tuple[str, ...]]] = {
+    ElementKind.USER_VALUE: ("value/user", USER_VALUE_LEAVES),
+    ElementKind.QUALITY_VALUE: ("value/quality", QUALITY_VALUE_LEAVES),
+    ElementKind.BUSINESS_VALUE: ("value/business", BUSINESS_VALUE_LEAVES),
+    ElementKind.RISK_ITEM: ("risk", RISK_LEAVES),
+    ElementKind.COST_ITEM: ("cost", COST_LEAVES),
+}
+
+_LEAF_PATHS = {leaf: f"{path}/{leaf}" for path, leaves in BRANCHES.values() for leaf in leaves}
 
 SEVERITY_LEVELS = ("low", "medium", "high")
 DEFAULT_RISK_SEVERITY = "medium"
@@ -108,15 +104,6 @@ def leaf_path(leaf: str) -> str:
 
 def is_leaf(name: str) -> bool:
     return name in _LEAF_PATHS
-
-
-_CATEGORY_BRANCH: dict[ElementKind, tuple[str, ...]] = {
-    ElementKind.USER_VALUE: USER_VALUE_LEAVES,
-    ElementKind.QUALITY_VALUE: QUALITY_VALUE_LEAVES,
-    ElementKind.BUSINESS_VALUE: BUSINESS_VALUE_LEAVES,
-    ElementKind.COST_ITEM: COST_LEAVES,
-    ElementKind.RISK_ITEM: RISK_LEAVES,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -178,16 +165,7 @@ ASSOCIATION_CORE: frozenset[frozenset[ElementKind]] = frozenset(
     }
 )
 
-MOTIVATION_KINDS = frozenset(
-    {
-        K.USER_VALUE,
-        K.QUALITY_VALUE,
-        K.BUSINESS_VALUE,
-        K.COST_ITEM,
-        K.RISK_ITEM,
-        K.PRINCIPLE,
-    }
-)
+MOTIVATION_KINDS = frozenset(BRANCHES) | {K.PRINCIPLE}
 
 # ---------------------------------------------------------------------------
 # The ``.dsa`` statement table: each surface kind's statement keyword and its
@@ -267,7 +245,7 @@ STATEMENTS: dict[ElementKind, Statement] = {
 # Attribute allowlist per element kind, in the printer's order: a leaf
 # category on derived items, the table's attr entries on surface kinds.
 ALLOWED_ATTRS: dict[ElementKind, tuple[str, ...]] = {
-    kind: ("category",) if kind in _CATEGORY_BRANCH else () for kind in ElementKind
+    kind: ("category",) if kind in BRANCHES else () for kind in ElementKind
 }
 ALLOWED_ATTRS[K.RISK_ITEM] += ("severity",)
 ALLOWED_ATTRS.update(
@@ -624,9 +602,8 @@ class AlignmentModel:
         return out
 
     def _validate_attrs(self, e: Element) -> list[Diagnostic]:
-        """V7: attr keys on the per-kind allowlist, values well-formed."""
+        """V7: attr values well-formed (``add_element`` keeps keys on the allowlist)."""
         out: list[Diagnostic] = []
-        allowed = ALLOWED_ATTRS[e.kind]
 
         def add(code: str, message: str) -> None:
             out.append(Diagnostic(code, Severity.ERROR, message, subject=e.id))
@@ -641,11 +618,8 @@ class AlignmentModel:
                 )
 
         for key, value in e.attrs.items():
-            if key not in allowed:
-                add("E002", f"attr {key!r} is not allowed on {e.kind.value}")
-                continue
             if key == "category":
-                check_leaf(value, _CATEGORY_BRANCH[e.kind], "category")
+                check_leaf(value, BRANCHES[e.kind][1], "category")
                 continue
             if key == "severity":
                 if value not in SEVERITY_LEVELS:

@@ -14,6 +14,8 @@ from dsalign.derive import (
     summary_line,
 )
 from dsalign.model import (
+    BRANCHES,
+    RUNTIME_TARGETS,
     STATEMENTS,
     AlignmentModel,
     ElementKind,
@@ -55,6 +57,15 @@ def test_rule_table_has_a_row_per_rule_and_per_item_yielding_entry():
     }
     assert list(RULE_TABLE) == list(Rule)
     assert {(kind, attr) for _, _, kind, attr in RULE_TABLE.values()} == yielding
+    # Each row's entries take exactly its item kind's leaves, so no derived
+    # item fails V7 on the attached model (which would make export stop, E300).
+    for item_kind, _, kind, attr in RULE_TABLE.values():
+        assert STATEMENTS[kind].entries[attr].leaves == BRANCHES[item_kind][1]
+    m = new_model("x")
+    for runtime in RUNTIME_TARGETS:
+        m.add_element(K.SYSTEM_COMPONENT, f"c_{runtime}", runtime, attrs={"runs_on": runtime})
+    fixed = {item.category for item in derive_rule(m, Rule.R1_COST)}
+    assert fixed and fixed <= set(BRANCHES[RULE_TABLE[Rule.R1_COST][0]][1])
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,7 @@ def test_model_absent_iff_errors():
         ),
         ('system "X" { } system "Y" { }', "E101"),  # one system per file
         ('system "X" { user_activity a "A" { function f "F"; } }', "E101"),
+        ('system "X" { user_activity a "A" { yields_user_value: "x"; } }', "E101"),  # no leaf
     ],
 )
 def test_parse_error_codes(snippet, code):
@@ -198,6 +199,7 @@ def _block(statement, *entries, after=""):
     "code,text,line,column,length",
     [
         ("E104", 'system "X" {\n  actor user user "U"\n}', 2, 14, 4),
+        ("E101", 'system "X" {\n  actor admin a "A"\n}', 2, 9, 5),
         ("E005", 'system "X" {\n  data Upper "D"\n}', 2, 8, 5),
         ("E001", 'system "X" {\n  data d "D"\n  data d "D2"\n}', 3, 8, 1),
         ("E002", _block('component c "C"', 'function f "F";', "color: red;"), 4, 5, 5),

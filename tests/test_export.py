@@ -6,7 +6,7 @@ import pytest
 
 from dsalign.derive import attach, derive_all
 from dsalign.dsl import format_model
-from dsalign.export import ExportOptions, to_dot, to_open_exchange
+from dsalign.export import to_dot, to_open_exchange
 from dsalign.model import ElementKind, ModelError, new_model
 
 from conftest import FIXTURE_NAMES
@@ -101,14 +101,6 @@ def test_export_is_deterministic(fixture_models):
     _, attached = attached_fixture(fixture_models, "speech_assistant")
     assert to_open_exchange(attached) == to_open_exchange(attached)
     assert to_dot(attached) == to_dot(attached)
-
-
-def test_export_without_derived(fixture_models):
-    model, attached = attached_fixture(fixture_models, "faq_chatbot")
-    options = ExportOptions(include_derived=False)
-    root = parse_xml(to_open_exchange(attached, options))
-    assert len(xml_elements(root)) == len(model.elements)
-    assert len(xml_relationships(root)) == len(model.relations)
 
 
 def test_export_rejects_invalid_model():

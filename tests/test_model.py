@@ -7,6 +7,7 @@ import pytest
 from dsalign.model import (
     ALL_LEAVES,
     ALLOWED_ATTRS,
+    BRANCHES,
     COST_LEAVES,
     ElementKind,
     ModelError,
@@ -300,6 +301,11 @@ def test_validate_bad_severity_level():
         attrs={"hinders": [("privacy", "extreme", "x")]},
     )
     assert "E122" in codes(m.validate())
+    # The same word checks on a derived item's severity and on runs_on.
+    m.add_element(K.RISK_ITEM, "r", "Risk", attrs={"category": "privacy", "severity": "extreme"})
+    m.add_element(K.SYSTEM_COMPONENT, "c", "C", attrs={"runs_on": "cloud"})
+    found = [(d.code, d.subject) for d in m.validate() if d.code in ("E122", "E123")]
+    assert found == [("E122", "e"), ("E122", "r"), ("E123", "c")]
 
 
 @pytest.mark.parametrize(
@@ -371,6 +377,7 @@ def test_taxonomy_arity():
     assert len(RISK_LEAVES) == 7
     assert len(COST_LEAVES) == 3
     assert len(set(ALL_LEAVES)) == 19
+    assert tuple(leaf for _, leaves in BRANCHES.values() for leaf in leaves) == ALL_LEAVES
 
 
 def test_elements_of_kind_order(faq_model):

@@ -1,14 +1,18 @@
 """Model-level properties of the printer and the exporters.
 
-Random models are built through ``new_model``: surface kinds only, names in
+Random models are built through ``new_model``: surface kinds only, texts in
 arbitrary Unicode, attrs drawn from the statement table, directed relations
 from ``PERMITTED_RELATIONS`` and associations from ``ASSOCIATION_CORE``.
 Associations with an event at either end are drawn too, so the printer's
-choice of owner for an association is exercised.
+choice of owner for an association is exercised.  Only the system name and
+the descriptions may hold characters XML 1.0 cannot carry, and most
+components and events are anchored, so that most models are valid and every
+rule yields items in some of them.
 """
 
 from __future__ import annotations
 
+import re
 import xml.etree.ElementTree as ET
 from collections import Counter
 
@@ -24,6 +28,7 @@ from dsalign.model import (
     PERMITTED_RELATIONS,
     SEVERITY_LEVELS,
     STATEMENTS,
+    XML_FORBIDDEN,
     ElementKind,
     ModelError,
     RelationKind,
@@ -41,6 +46,12 @@ ITEM_SHAPES = {
     Rule.R4_USER: (ElementKind.USER_VALUE, RelationKind.ASSOCIATION),
     Rule.R5_QUALITY: (ElementKind.QUALITY_VALUE, RelationKind.ASSOCIATION),
 }
+# What an event may be about (V2).
+EVENT_ANCHORS = (
+    ElementKind.SYSTEM_COMPONENT,
+    ElementKind.COMPONENT_FUNCTION,
+    ElementKind.DATA_MODEL,
+)
 # R2-R5: the (element kind, attr) whose entries each yield one item.
 ENTRY_SOURCES = {
     Rule.R2_RISK: (ElementKind.OBSERVED_EVENT, "hinders"),
@@ -51,7 +62,16 @@ ENTRY_SOURCES = {
 
 # Arbitrary Unicode, with the characters the printer must escape or refuse
 # drawn about as often as all others together.
-TEXTS = st.text(st.sampled_from('"\\\n\t{}') | st.characters(), max_size=8)
+ESCAPED = st.sampled_from('"\\\n\t{}')
+TEXTS = st.text(ESCAPED | st.characters(), max_size=8)
+# The same without the characters XML 1.0 cannot carry, for element names and
+# attr entries.  A model with any E013 is refused before derivation, so most
+# models would yield no items if these drew from TEXTS; the system name and the
+# descriptions still do.
+LEGAL_TEXTS = st.text(
+    ESCAPED | st.characters().filter(lambda c: not re.match(f"[{XML_FORBIDDEN}]", c)),
+    max_size=8,
+)
 # Mostly False: integer draws favour 0, and list draws favour the first item.
 RARELY = st.sampled_from([False] * 9 + [True])
 IDS = st.tuples(
@@ -64,10 +84,11 @@ IDS = st.tuples(
 def _entry_values(entry):
     if entry.form == "word":
         return st.sampled_from(entry.leaves)
-    leaf = st.sampled_from(entry.leaves)
+    parts = [st.sampled_from(entry.leaves), LEGAL_TEXTS]
     if entry.form == "hinders":
-        return st.lists(st.tuples(leaf, st.sampled_from(SEVERITY_LEVELS), TEXTS), max_size=2)
-    return st.lists(st.tuples(leaf, TEXTS), max_size=2)
+        parts.insert(1, st.sampled_from(SEVERITY_LEVELS))
+    # A parsed model never holds an empty entry list.
+    return st.lists(st.tuples(*parts), min_size=1, max_size=2)
 
 
 def _attrs(kind):
@@ -79,14 +100,26 @@ def _attrs(kind):
 @st.composite
 def models(draw):
     m = new_model(draw(TEXTS.filter(bool)))
+    # Draws favour the first of a list, so each model orders the kinds anew.
+    kinds = st.sampled_from(draw(st.permutations(SURFACE_KINDS)))
     for id in draw(st.lists(IDS, unique=True, max_size=8)):
-        kind = draw(st.sampled_from(SURFACE_KINDS))
+        kind = draw(kinds)
         description = draw(TEXTS) if draw(RARELY) else None
         try:
-            m.add_element(kind, id, draw(TEXTS), description, draw(_attrs(kind)))
+            m.add_element(kind, id, draw(LEGAL_TEXTS), description, draw(_attrs(kind)))
         except ModelError as err:
             assert err.code == "E007"  # a second user or operator
+        if kind is ElementKind.SYSTEM_COMPONENT and not draw(RARELY):
+            # Most components declare a function (V1 refuses the rest).  Drawn
+            # ids are keywords or at most six characters, so none clashes.
+            m.add_element(ElementKind.COMPONENT_FUNCTION, f"{id}_function", draw(LEGAL_TEXTS))
+            m.add_relation(RelationKind.REALIZATION, id, f"{id}_function")
     elements = m.elements
+    # Most events are about a part of the system (V2 refuses the rest).
+    anchors = [e.id for e in elements if e.kind in EVENT_ANCHORS]
+    for event in m.elements_of_kind(ElementKind.OBSERVED_EVENT):
+        if anchors and not draw(RARELY):
+            m.add_relation(RelationKind.ASSOCIATION, event.id, draw(st.sampled_from(anchors)))
     candidates = [
         (kind, s.id, t.id)
         for kind, pairs in PERMITTED_RELATIONS.items()

@@ -100,6 +100,8 @@ def test_single_system_common_equals_populated(corpus_itemsets):
     m = build_matrix([faq])
     populated = {item.category for item in faq.items}
     assert set(m.common_row_ids) == populated
+    empty = matrix([EvaluationItemSet("Empty", [])], "markdown")
+    assert "## Common to all systems\n\n(none)\n\n## Items by category" in empty
 
 
 def test_duplicate_system_names_rejected(corpus_itemsets):
