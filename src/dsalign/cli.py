@@ -62,38 +62,34 @@ class _Reporter:
         return EXIT_OK
 
 
-def _load_validated(
-    path: str, reporter: _Reporter, with_warnings: bool = True
-) -> AlignmentModel | None:
-    """Parse and validate one file, reporting what was found.
+def _load_validated(path: str, reporter: _Reporter) -> dsl.ParseResult | None:
+    """Parse and validate one file, reporting each finding at its source span.
 
-    Derivation-based commands pass ``with_warnings=False`` because the
-    itemset re-emits the validation warnings; printing both would duplicate
-    them on stderr.
+    Returns None after an error-level finding.
     """
     result = dsl.load_file(path)
     reporter.emit(result.diagnostics, path)
     if result.model is None:
         return None
     diagnostics = result.model.validate()
-    if not with_warnings:
-        diagnostics = [d for d in diagnostics if d.severity is Severity.ERROR]
     reporter.emit(diagnostics, path, result.spans)
     if any(d.severity is Severity.ERROR for d in diagnostics):
         return None
-    return result.model
+    return result
 
 
 def _load_derived(
     path: str, reporter: _Reporter
 ) -> tuple[AlignmentModel, derive_mod.EvaluationItemSet] | None:
     """Load a valid model and derive its items; None only after a reported error."""
-    model = _load_validated(path, reporter, with_warnings=False)
-    if model is None:
+    loaded = _load_validated(path, reporter)
+    if loaded is None:
         return None
-    itemset = derive_mod.derive_all(model)
-    reporter.emit(itemset.warnings, path)
-    return model, itemset
+    itemset = derive_mod.derive_all(loaded.model)
+    # The itemset's warnings open with the validation warnings reported above.
+    reported = sum(d.severity is Severity.WARNING for d in loaded.model.validate())
+    reporter.emit(itemset.warnings[reported:], path, loaded.spans)
+    return loaded.model, itemset
 
 
 def _write_artifact(text: str, out: str | None) -> int:
@@ -134,15 +130,16 @@ def _cmd_derive(args: argparse.Namespace) -> int:
 
 def _cmd_export(args: argparse.Namespace) -> int:
     reporter = _Reporter()
-    loaded = _load_derived(args.input, reporter)
+    # ``--no-derived`` exports the model as parsed, so it derives nothing.
+    loaded = (_load_validated if args.no_derived else _load_derived)(args.input, reporter)
     code = reporter.exit_code(args.strict)
     if code != EXIT_OK:
         return code
-    model, itemset = loaded
     if args.no_derived:
-        model.freeze()
-        target = model
+        target = loaded.model
+        target.freeze()
     else:
+        model, itemset = loaded
         try:
             target = derive_mod.attach(model, itemset)
         except ModelError as err:  # a model element holds an id that attach derives
@@ -183,10 +180,10 @@ def _cmd_fmt(args: argparse.Namespace) -> int:
     reporter = _Reporter()
     dirty: list[str] = []
     for path in args.inputs:
-        model = _load_validated(path, reporter)
-        if model is None:
+        loaded = _load_validated(path, reporter)
+        if loaded is None:
             continue
-        canonical = dsl.format_model(model)
+        canonical = dsl.format_model(loaded.model)
         if args.check:
             try:
                 with open(path, "r", encoding="utf-8", newline="") as handle:

@@ -19,7 +19,6 @@ motivation-layer elements with provenance edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 
 from .model import (
@@ -30,6 +29,7 @@ from .model import (
     PRINCIPLE_NAMES,
     RelationKind,
     Severity,
+    _Record,
     leaf_path,
 )
 
@@ -63,25 +63,35 @@ _FEE_TEMPLATES = {
 }
 
 
-@dataclass
-class EvaluationItem:
-    id: str
-    category: str  # taxonomy leaf
-    description: str
-    sources: list[str]
-    rule: Rule
-    severity: str | None = None  # risk items only
+class EvaluationItem(_Record):
+    # ``category`` is a taxonomy leaf; only risk items have a ``severity``.
+    __slots__ = ("id", "category", "description", "sources", "rule", "severity")
+
+    def __init__(
+        self, id: str, category: str, description: str, sources: list[str], rule: Rule,
+        severity: str | None = None,
+    ) -> None:
+        self.id = id
+        self.category = category
+        self.description = description
+        self.sources = sources
+        self.rule = rule
+        self.severity = severity
 
     @property
     def category_path(self) -> str:
         return leaf_path(self.category)
 
 
-@dataclass
-class EvaluationItemSet:
-    system_name: str
-    items: list[EvaluationItem]
-    warnings: list[Diagnostic] = field(default_factory=list)
+class EvaluationItemSet(_Record):
+    __slots__ = ("system_name", "items", "warnings")
+
+    def __init__(
+        self, system_name: str, items: list[EvaluationItem], warnings: list[Diagnostic] | None = None
+    ) -> None:
+        self.system_name = system_name
+        self.items = items
+        self.warnings = [] if warnings is None else warnings
 
     def by_rule(self, rule: Rule) -> list[EvaluationItem]:
         return [item for item in self.items if item.rule is rule]

@@ -17,7 +17,6 @@ newline.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .model import (
     ALL_LEAVES,
@@ -33,6 +32,7 @@ from .model import (
     Severity,
     SourceSpan,
     XML_FORBIDDEN,
+    _Record,
     is_leaf,
     is_valid_id,
 )
@@ -80,17 +80,22 @@ COST_WORDS = {
 _COST_LEAF_TO_WORD = {leaf: word for word, leaf in COST_WORDS.items()}
 
 
-@dataclass
-class ParseResult:
+class ParseResult(_Record):
     """Outcome of a parse: the model is present iff there are no errors.
 
     ``spans`` maps element ids to their declaration sites so callers can
     anchor model-level diagnostics back into the source file.
     """
 
-    model: AlignmentModel | None
-    diagnostics: list[Diagnostic]
-    spans: dict[str, SourceSpan] = field(default_factory=dict)
+    __slots__ = ("model", "diagnostics", "spans")
+
+    def __init__(
+        self, model: AlignmentModel | None, diagnostics: list[Diagnostic],
+        spans: dict[str, SourceSpan] | None = None,
+    ) -> None:
+        self.model = model
+        self.diagnostics = diagnostics
+        self.spans = {} if spans is None else spans
 
     @property
     def ok(self) -> bool:

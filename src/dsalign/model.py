@@ -10,8 +10,8 @@ instead of raising.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from enum import Enum
 import re
 from types import MappingProxyType
@@ -173,8 +173,13 @@ MOTIVATION_KINDS = frozenset(BRANCHES) | {K.PRINCIPLE}
 # read it, so what one accepts the others print and check.
 
 
-@dataclass(frozen=True)
-class Entry:
+class Entry(
+    namedtuple(
+        "Entry",
+        "relation owner_is_source single nested form leaves",
+        defaults=(None, True, False, None, None, ()),
+    )
+):
     """One keyed entry of a statement.
 
     A relation entry names its ``relation`` and whether the statement's
@@ -185,19 +190,14 @@ class Entry:
     (a leaf, a severity and a description).
     """
 
-    relation: RelationKind | None = None
-    owner_is_source: bool = True
-    single: bool = False
-    nested: ElementKind | None = None
-    form: str | None = None
-    leaves: tuple[str, ...] = ()
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Statement:
-    keyword: str
-    entries: dict[str, Entry] = field(default_factory=dict)
-    role: str | None = None  # the word after ``actor`` that picks the kind
+class Statement(namedtuple("Statement", "keyword entries role")):
+    __slots__ = ()  # ``role`` is the word after ``actor`` that picks the kind
+
+    def __new__(cls, keyword: str, entries: dict[str, Entry] | None = None, role: str | None = None):
+        return super().__new__(cls, keyword, {} if entries is None else entries, role)
 
 
 R = RelationKind
@@ -279,25 +279,45 @@ def relation_permitted(
 
 
 # ---------------------------------------------------------------------------
+# Records: named tuples if immutable, else ``_Record`` subclasses.  Importing
+# the standard library's class generator would cost more than all of dsalign.
 
 
-@dataclass
-class SourceSpan:
+class _Record:
+    """Field-wise ``==`` and a ``Name(field=value, ...)`` repr over ``__slots__``.
+
+    Subclasses declare their ``__slots__`` and ``__init__``; they are unhashable.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other: object):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        names = self.__slots__
+        return [getattr(self, n) for n in names] == [getattr(other, n) for n in names]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class SourceSpan(_Record):
     """Location of a token in a ``.dsa`` file (1-based line and column)."""
 
-    file: str
-    line: int
-    column: int
-    length: int = 1
+    __slots__ = ("file", "line", "column", "length")
+
+    def __init__(self, file: str, line: int, column: int, length: int = 1) -> None:
+        self.file = file
+        self.line = line
+        self.column = column
+        self.length = length
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    code: str
-    severity: Severity
-    message: str
-    location: SourceSpan | None = None
-    subject: str | None = None
+class Diagnostic(
+    namedtuple("Diagnostic", "code severity message location subject", defaults=(None, None))
+):
+    __slots__ = ()
 
     def render(self, file: str | None = None) -> str:
         """Stable single-line rendering: ``file:line:col: severity CODE: message``."""
@@ -319,8 +339,7 @@ class ModelError(Exception):
         self.message = message
 
 
-@dataclass
-class Element:
+class Element(_Record):
     """One element record.
 
     Records belong to the model that made them and to its copies.  Their
@@ -329,19 +348,20 @@ class Element:
     read-only view.
     """
 
-    id: str
-    kind: ElementKind
-    name: str
-    description: str | None = None
-    attrs: Mapping = field(default_factory=dict)
+    __slots__ = ("id", "kind", "name", "description", "attrs")
+
+    def __init__(
+        self, id: str, kind: ElementKind, name: str, description: str | None = None,
+        attrs: Mapping | None = None,
+    ) -> None:
+        self.id = id
+        self.kind = kind
+        self.name = name
+        self.description = description
+        self.attrs = {} if attrs is None else attrs
 
 
-@dataclass(frozen=True)
-class Relation:
-    id: str
-    kind: RelationKind
-    source: str
-    target: str
+Relation = namedtuple("Relation", "id kind source target")
 
 
 class AlignmentModel:

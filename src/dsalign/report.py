@@ -8,20 +8,28 @@ RFC-4180-style CSV.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .model import ALL_LEAVES, ModelError, leaf_path
+from .model import ALL_LEAVES, ModelError, _Record, leaf_path
 from .derive import EvaluationItemSet
 
 FORMATS = ("markdown", "csv")
 
 
-@dataclass
-class Matrix:
-    rows: list[str]  # taxonomy leaves, fixed order
-    columns: list[str]  # system names, input order
-    cells: list[list[list[str]]]  # per row, per column: item descriptions
-    common_row_ids: list[str]  # leaves populated in every column
+class Matrix(_Record):
+    """Taxonomy leaves (``rows``, fixed order) against system names
+    (``columns``, input order).  ``cells[row][column]`` lists item
+    descriptions; ``common_row_ids`` are the leaves populated in every column.
+    """
+
+    __slots__ = ("rows", "columns", "cells", "common_row_ids")
+
+    def __init__(
+        self, rows: list[str], columns: list[str], cells: list[list[list[str]]],
+        common_row_ids: list[str],
+    ) -> None:
+        self.rows = rows
+        self.columns = columns
+        self.cells = cells
+        self.common_row_ids = common_row_ids
 
 
 def build_matrix(itemsets: list[EvaluationItemSet]) -> Matrix:

@@ -284,6 +284,42 @@ def test_derive_prints_each_warning_once(tmp_path):
     assert proc.stdout.startswith("2 items")
 
 
+# An influence whose target declares no business value: W102, W103 and W110.
+UNVALUED_INFLUENCE = (
+    'system "W" {\n  user_activity a "A" {\n    influences: b;\n  }\n'
+    '  operator_activity b "B"\n}\n'
+)
+
+
+def test_derive_reports_warnings_at_their_source(tmp_path):
+    path = tmp_path / "m.dsa"
+    path.write_text(UNVALUED_INFLUENCE)
+    check = run_cli("check", str(path))
+    for command in (["derive"], ["export", "--format", "dot"], ["report"]):
+        proc = run_cli(*command, str(path))
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert [line.split(" warning ")[1][:4] for line in lines] == ["W103", "W102", "W110"]
+        for line in lines:
+            assert line.startswith(f"{path}:"), line
+            assert line.split(":")[1].isdigit() and line.split(":")[2].isdigit(), line
+        assert "\n".join(lines[:2]) + "\n" == check.stderr
+    assert lines[2] == f"{path}:5:21: warning W110: influence target 'b' of 'a' yields no business value"
+
+
+def test_export_no_derived_reports_what_check_reports(tmp_path):
+    from dsalign import load_file, to_dot
+
+    path = tmp_path / "m.dsa"
+    path.write_text(UNVALUED_INFLUENCE)
+    check = run_cli("check", str(path))
+    proc = run_cli("export", str(path), "--format", "dot", "--no-derived")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == check.stderr
+    assert "W110" not in proc.stderr
+    assert proc.stdout == to_dot(load_file(path).model)
+
+
 def test_derive_items_to_stdout_is_pure_artifact():
     proc = run_cli("derive", FAQ, "--items", "-")
     assert proc.returncode == 0
@@ -315,12 +351,15 @@ def test_control_character_in_a_name_never_reaches_open_exchange(tmp_path, monke
 
 def test_cli_import_loads_no_module_that_only_some_commands_need():
     # uuid (which loads platform) has no user; json serves only `derive
-    # --items` and csv only the CSV reports.  Each costs start-up time.
-    code = (
-        "import dsalign.cli, sys; "
-        "print(sorted({'uuid', 'platform', 'json', 'csv'} & set(sys.modules)))"
-    )
+    # --items` and csv only the CSV reports.  dataclasses brings in inspect,
+    # ast and dis, which cost more to import than all of dsalign.  Each costs
+    # start-up time.
+    unwanted = {"uuid", "platform", "json", "csv", "dataclasses", "inspect", "ast", "dis"}
     env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    for module in ("dsalign.cli", "dsalign"):
+        code = f"import {module}, sys; print(sorted({unwanted!r} & set(sys.modules)))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n", module

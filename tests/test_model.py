@@ -439,3 +439,171 @@ def test_queries_are_deterministic(faq_model):
     n1 = [e.id for e in faq_model.neighbors("faq_service")]
     n2 = [e.id for e in faq_model.neighbors("faq_service")]
     assert n1 == n2
+
+
+# ---------------------------------------------------------------------------
+# record types
+
+
+def _records():
+    """Each record type with its fields in declaration order.
+
+    A field is (name, default, a, b): ``default`` is ``REQUIRED`` for a field
+    without one, and ``a`` and ``b`` are two values that differ from each
+    other and from the default.
+    """
+    from dsalign.derive import EvaluationItem, EvaluationItemSet, Rule
+    from dsalign.dsl import ParseResult
+    from dsalign.model import Diagnostic, Element, Entry, Relation, SourceSpan, Statement
+    from dsalign.report import Matrix
+
+    span = SourceSpan("m.dsa", 3, 5)
+    warn = Diagnostic("W104", Severity.WARNING, "unused")
+    return {
+        Entry: [
+            ("relation", None, R.ACCESS, R.SERVING),
+            ("owner_is_source", True, False, None),
+            ("single", False, True, None),
+            ("nested", None, K.COMPONENT_FUNCTION, K.DATA_MODEL),
+            ("form", None, "leaf", "word"),
+            ("leaves", (), ("functional",), ("social",)),
+        ],
+        Statement: [
+            ("keyword", REQUIRED, "data", "event"),
+            ("entries", {}, {"uses": Entry(R.ACCESS)}, {"about": Entry(R.ASSOCIATION)}),
+            ("role", None, "user", "operator"),
+        ],
+        SourceSpan: [
+            ("file", REQUIRED, "m.dsa", "n.dsa"),
+            ("line", REQUIRED, 3, 4),
+            ("column", REQUIRED, 5, 6),
+            ("length", 1, 7, 8),
+        ],
+        Diagnostic: [
+            ("code", REQUIRED, "W104", "W101"),
+            ("severity", REQUIRED, Severity.WARNING, Severity.ERROR),
+            ("message", REQUIRED, "unused", "dangling"),
+            ("location", None, span, SourceSpan("m.dsa", 1, 1)),
+            ("subject", None, "d", "e"),
+        ],
+        Element: [
+            ("id", REQUIRED, "d", "e"),
+            ("kind", REQUIRED, K.DATA_MODEL, K.OBSERVED_EVENT),
+            ("name", REQUIRED, "D", "E"),
+            ("description", None, "about D", "about E"),
+            ("attrs", {}, {"runs_on": "server"}, {"runs_on": "device"}),
+        ],
+        Relation: [
+            ("id", REQUIRED, "r001", "r002"),
+            ("kind", REQUIRED, R.ACCESS, R.SERVING),
+            ("source", REQUIRED, "c", "s"),
+            ("target", REQUIRED, "d", "u"),
+        ],
+        ParseResult: [
+            ("model", REQUIRED, new_model("x"), new_model("y")),
+            ("diagnostics", REQUIRED, [warn], []),
+            ("spans", {}, {"d": span}, {"e": span}),
+        ],
+        EvaluationItem: [
+            ("id", REQUIRED, "item_r2_risk_1", "item_r2_risk_2"),
+            ("category", REQUIRED, "privacy", "beneficence"),
+            ("description", REQUIRED, "leak (E)", "harm (E)"),
+            ("sources", REQUIRED, ["e"], ["f"]),
+            ("rule", REQUIRED, Rule.R2_RISK, Rule.R1_COST),
+            ("severity", None, "high", "low"),
+        ],
+        EvaluationItemSet: [
+            ("system_name", REQUIRED, "X", "Y"),
+            ("items", REQUIRED, [], [None]),
+            ("warnings", [], [warn], [warn, warn]),
+        ],
+        Matrix: [
+            ("rows", REQUIRED, ["privacy"], ["social"]),
+            ("columns", REQUIRED, ["X"], ["Y"]),
+            ("cells", REQUIRED, [[["leak"]]], [[[]]]),
+            ("common_row_ids", REQUIRED, ["privacy"], []),
+        ],
+    }
+
+
+REQUIRED = object()
+RECORDS = list(_records().items())
+RECORD_IDS = [cls.__name__ for cls, _ in RECORDS]
+
+
+@pytest.mark.parametrize("cls, fields", RECORDS, ids=RECORD_IDS)
+def test_record_construction_and_defaults(cls, fields):
+    values = {name: a for name, _, a, _ in fields}
+    for record in (cls(*values.values()), cls(**values)):
+        assert {name: getattr(record, name) for name in values} == values
+    required = {name: a for name, default, a, _ in fields if default is REQUIRED}
+    for record in (cls(*required.values()), cls(**required)):
+        for name, default, _, _ in fields:
+            expected = required[name] if default is REQUIRED else default
+            assert getattr(record, name) == expected, name
+    for name, default, _, _ in fields:
+        if isinstance(default, (dict, list)):  # a fresh mutable default per record
+            assert getattr(cls(**required), name) is not getattr(cls(**required), name)
+    with pytest.raises(TypeError):
+        cls(*values.values(), None)
+
+
+@pytest.mark.parametrize("cls, fields", RECORDS, ids=RECORD_IDS)
+def test_record_equality_is_field_wise(cls, fields):
+    values = {name: a for name, _, a, _ in fields}
+    record = cls(**values)
+    assert record == cls(**values) and not record != cls(**values)
+    for name, _, _, b in fields:
+        changed = cls(**{**values, name: b})
+        assert record != changed and not record == changed, name
+    for other_cls, other_fields in RECORDS:
+        if other_cls is not cls:
+            other = other_cls(**{name: a for name, _, a, _ in other_fields})
+            assert record != other and not record == other, other_cls.__name__
+
+
+@pytest.mark.parametrize("cls, fields", RECORDS, ids=RECORD_IDS)
+def test_record_repr_names_the_class_and_each_field(cls, fields):
+    values = {name: a for name, _, a, _ in fields}
+    text = repr(cls(**values))
+    assert text.startswith(f"{cls.__name__}(") and text.endswith(")")
+    for name, a in values.items():
+        assert f"{name}={a!r}" in text
+
+
+def test_record_repr_is_pinned():
+    from dsalign.model import Diagnostic, SourceSpan
+
+    span = SourceSpan("m.dsa", 3, 5)
+    assert repr(span) == "SourceSpan(file='m.dsa', line=3, column=5, length=1)"
+    assert repr(Diagnostic("W104", Severity.WARNING, "unused", span, "d")) == (
+        "Diagnostic(code='W104', severity=<Severity.WARNING: 'warning'>, message='unused', "
+        "location=SourceSpan(file='m.dsa', line=3, column=5, length=1), subject='d')"
+    )
+
+
+@pytest.mark.parametrize("cls, fields", RECORDS, ids=RECORD_IDS)
+def test_record_assignment_only_to_mutable_records(cls, fields):
+    record = cls(**{name: a for name, _, a, _ in fields})
+    frozen = cls.__name__ in ("Diagnostic", "Relation", "Entry", "Statement")
+    for name, _, _, b in fields:
+        if frozen:
+            with pytest.raises(AttributeError):
+                setattr(record, name, b)
+        else:
+            setattr(record, name, b)
+            assert getattr(record, name) == b
+
+
+def test_record_hashability():
+    from dsalign.model import Diagnostic, Element, Entry, Relation
+
+    assert hash(Relation("r001", R.ACCESS, "c", "d")) == hash(Relation("r001", R.ACCESS, "c", "d"))
+    assert hash(Entry(R.ACCESS)) == hash(Entry(R.ACCESS))
+    hash(Diagnostic("W104", Severity.WARNING, "unused", subject="d"))
+    with pytest.raises(TypeError):
+        hash(Element("d", K.DATA_MODEL, "D"))
+    for cls, fields in RECORDS:
+        if cls.__name__ not in ("Entry", "Diagnostic", "Relation"):
+            with pytest.raises(TypeError):  # mutable, or holding a dict
+                hash(cls(**{name: a for name, _, a, _ in fields}))
