@@ -36,7 +36,7 @@ class _Reporter:
     def emit(
         self,
         diagnostics: list[Diagnostic],
-        file: str,
+        file: str | None,
         spans: dict[str, SourceSpan] | None = None,
     ) -> None:
         for d in diagnostics:
@@ -162,8 +162,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if args.matrix:
         try:
             text = report_mod.matrix(itemsets, args.format)
-        except ModelError as err:
-            print(err, file=sys.stderr)
+        except ModelError as err:  # E400: two inputs share a system name
+            reporter.emit([Diagnostic(err.code, Severity.ERROR, err.message)], None)
             return EXIT_USAGE
     else:
         parts = []

@@ -16,6 +16,7 @@ newline.
 
 from __future__ import annotations
 
+from collections.abc import Collection
 import re
 
 from .model import (
@@ -96,10 +97,6 @@ class ParseResult(_Record):
         self.model = model
         self.diagnostics = diagnostics
         self.spans = {} if spans is None else spans
-
-    @property
-    def ok(self) -> bool:
-        return self.model is not None
 
 
 # ---------------------------------------------------------------------------
@@ -376,17 +373,14 @@ class _Parser:
             return None
         return tok
 
-    def parse_id_list(self) -> list[_Token]:
-        ids: list[_Token] = []
-        first = self.parse_id()
-        if first:
-            ids.append(first)
-        while self.at("comma"):
-            self.next()
-            nxt = self.parse_id()
-            if nxt:
-                ids.append(nxt)
-        return ids
+    def choice(self, choices: Collection[str], code: str, what: str) -> str | None:
+        """Read one word of ``choices``, or report ``code`` at it and return None."""
+        tok = self.next()
+        if tok[1] in choices:
+            return tok[1]
+        expected = ", ".join(choices)
+        self.error(code, f"unknown {what} {tok[1]!r} (expected one of: {expected})", tok)
+        return None
 
     def add_element(
         self, kind: ElementKind, ident: _Token | None, name: str, attrs: dict
@@ -487,30 +481,18 @@ class _Parser:
         refs: dict[str, list[tuple[_Token, str]]],
     ) -> None:
         if entry.relation is not None:
-            ids = [self.parse_id()] if entry.single else self.parse_id_list()
+            ids = [self.parse_id()]
+            while not entry.single and self.at("comma"):
+                self.next()
+                ids.append(self.parse_id())
             refs.setdefault(key, []).extend((i, "") for i in ids if i)
         elif entry.form == "word":
-            word = self.next()
-            if word[1] in entry.leaves:
-                attrs[key] = word[1]
-            else:
-                self.error(
-                    "E123",
-                    f"unknown runtime target {word[1]!r} "
-                    f"(expected one of: {', '.join(entry.leaves)})",
-                    word,
-                )
+            word = self.choice(entry.leaves, "E123", "runtime target")
+            if word:
+                attrs[key] = word
         else:
             if entry.form == "cost":
-                word = self.next()
-                leaf = COST_WORDS.get(word[1])
-                if leaf is None:
-                    self.error(
-                        "E124",
-                        f"unknown cost kind {word[1]!r} "
-                        f"(expected one of: {', '.join(COST_WORDS)})",
-                        word,
-                    )
+                leaf = COST_WORDS.get(self.choice(COST_WORDS, "E124", "cost kind"))
             else:
                 leaf = self.parse_leaf(entry.leaves, key)
             severity: tuple[str, ...] = ()
@@ -519,16 +501,8 @@ class _Parser:
                 if self.at("keyword", "severity"):
                     self.next()
                     self.expect("colon", "':'")
-                    word = self.next()
-                    if word[1] in SEVERITY_LEVELS:
-                        severity = (word[1],)
-                    else:
-                        self.error(
-                            "E122",
-                            f"unknown severity level {word[1]!r} "
-                            f"(expected one of: {', '.join(SEVERITY_LEVELS)})",
-                            word,
-                        )
+                    word = self.choice(SEVERITY_LEVELS, "E122", "severity level")
+                    severity = (word or DEFAULT_RISK_SEVERITY,)
             desc = self.expect("string", "description string")
             if leaf:
                 attrs.setdefault(key, []).append((leaf, *severity, desc[2] if desc else ""))

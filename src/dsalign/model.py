@@ -253,6 +253,46 @@ ALLOWED_ATTRS.update(
     for kind, statement in STATEMENTS.items()
 )
 
+# ---------------------------------------------------------------------------
+# Structural rules V1-V6: what each element of a kind must have, in the order
+# ``validate`` reports them.  A row is (code, severity, message, attrs, link):
+# one of ``attrs`` must be set (V3, V4), or the element needs a relation of
+# kind ``link[0]`` to an element of a kind in ``link[1:]`` (V1, V2, V5, V6);
+# the permitted relations fix which end it is on.
+_ELEMENT_RULES: dict[ElementKind, tuple[tuple, ...]] = {
+    K.SYSTEM_COMPONENT: (
+        ("E010", Severity.ERROR, "component {!r} realizes no function",
+         (), (R.REALIZATION, K.COMPONENT_FUNCTION)),
+    ),
+    K.OBSERVED_EVENT: (
+        ("E011", Severity.ERROR,
+         "event {!r} has no association to a component, function, or data model",
+         (), (R.ASSOCIATION, K.SYSTEM_COMPONENT, K.COMPONENT_FUNCTION, K.DATA_MODEL)),
+        ("W101", Severity.WARNING, "dangling event {!r}: no implies_cost or hinders entry",
+         ("implies_cost", "hinders"), None),
+    ),
+    K.OPERATOR_ACTIVITY: (
+        ("W102", Severity.WARNING, "operator activity {!r} declares no business value",
+         ("yields_business_value",), None),
+    ),
+    K.USER_ACTIVITY: (
+        ("W103", Severity.WARNING, "user activity {!r} is not served by any dialogue service",
+         (), (R.SERVING, K.DIALOGUE_SERVICE)),
+    ),
+    K.DATA_MODEL: (
+        ("W104", Severity.WARNING, "data model {!r} is not accessed by any component",
+         (), (R.ACCESS, K.SYSTEM_COMPONENT, K.COMPONENT_FUNCTION)),
+    ),
+}
+
+# Kind -> the (relation kind, kind at the other end) pairs that give it its link.
+_LINKS = {
+    kind: frozenset((link[0], other) for other in link[1:])
+    for kind, rows in _ELEMENT_RULES.items()
+    for *_, link in rows
+    if link
+}
+
 del K, R
 
 _ID_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
@@ -527,23 +567,16 @@ class AlignmentModel:
             return list(self._diagnostics)
         out: list[Diagnostic] = []
         _check_text(self._system_name, "the system name", None, out)
-        realizes: dict[str, list[str]] = {}
-        accessed: set[str] = set()
-        served: set[str] = set()
-        associated: dict[str, list[str]] = {}
+        linked: set[str] = set()  # ids of elements that have their V1-V6 link
         unusual: list[Diagnostic] = []
         for rel in self._relations:
             skind = self._by_id[rel.source].kind
             tkind = self._by_id[rel.target].kind
-            if rel.kind is RelationKind.REALIZATION and skind is ElementKind.SYSTEM_COMPONENT:
-                realizes.setdefault(rel.source, []).append(rel.target)
-            if rel.kind is RelationKind.ACCESS:
-                accessed.add(rel.target)
-            if rel.kind is RelationKind.SERVING and tkind is ElementKind.USER_ACTIVITY:
-                served.add(rel.target)
+            if (rel.kind, tkind) in _LINKS.get(skind, ()):
+                linked.add(rel.source)
+            if (rel.kind, skind) in _LINKS.get(tkind, ()):
+                linked.add(rel.target)
             if rel.kind is RelationKind.ASSOCIATION:
-                associated.setdefault(rel.source, []).append(rel.target)
-                associated.setdefault(rel.target, []).append(rel.source)
                 if frozenset({skind, tkind}) not in ASSOCIATION_CORE:
                     # V8: ``add_relation`` already refused unpermitted directed
                     # relations (E004); an association only draws a warning.
@@ -551,75 +584,15 @@ class AlignmentModel:
                     unusual.append(Diagnostic("W105", Severity.WARNING, message, subject=rel.id))
 
         for e in self._elements:
-            out.extend(self._validate_element(e, realizes, accessed, served, associated))
+            _check_text(e.name, "its name", e.id, out)
+            _check_text(e.description, "its description", e.id, out)
+            for code, severity, message, attrs, link in _ELEMENT_RULES.get(e.kind, ()):
+                if not (e.id in linked if link else any(map(e.attrs.get, attrs))):
+                    out.append(Diagnostic(code, severity, message.format(e.id), subject=e.id))
+            out.extend(self._validate_attrs(e))
         out.extend(unusual)
         self._diagnostics = out
         return list(out)
-
-    def _validate_element(
-        self,
-        e: Element,
-        realizes: dict[str, list[str]],
-        accessed: set[str],
-        served: set[str],
-        associated: dict[str, list[str]],
-    ) -> list[Diagnostic]:
-        out: list[Diagnostic] = []
-
-        def add(code: str, severity: Severity, message: str) -> None:
-            out.append(Diagnostic(code, severity, message, subject=e.id))
-
-        _check_text(e.name, "its name", e.id, out)
-        _check_text(e.description, "its description", e.id, out)
-        kind = e.kind
-        if kind is ElementKind.SYSTEM_COMPONENT and not realizes.get(e.id):
-            # V1: a component must expose at least one function.
-            add("E010", Severity.ERROR, f"component {e.id!r} realizes no function")
-        if kind is ElementKind.OBSERVED_EVENT:
-            anchors = [
-                other
-                for other in associated.get(e.id, [])
-                if self._by_id[other].kind
-                in (
-                    ElementKind.SYSTEM_COMPONENT,
-                    ElementKind.COMPONENT_FUNCTION,
-                    ElementKind.DATA_MODEL,
-                )
-            ]
-            if not anchors:
-                # V2: events must be anchored to the system they observe.
-                add(
-                    "E011",
-                    Severity.ERROR,
-                    f"event {e.id!r} has no association to a component, function, or data model",
-                )
-            if not e.attrs.get("implies_cost") and not e.attrs.get("hinders"):
-                # V3: an event that grounds neither a cost nor a risk is dangling.
-                add(
-                    "W101",
-                    Severity.WARNING,
-                    f"dangling event {e.id!r}: no implies_cost or hinders entry",
-                )
-        if kind is ElementKind.OPERATOR_ACTIVITY and not e.attrs.get("yields_business_value"):
-            add(
-                "W102",
-                Severity.WARNING,
-                f"operator activity {e.id!r} declares no business value",
-            )
-        if kind is ElementKind.USER_ACTIVITY and e.id not in served:
-            add(
-                "W103",
-                Severity.WARNING,
-                f"user activity {e.id!r} is not served by any dialogue service",
-            )
-        if kind is ElementKind.DATA_MODEL and e.id not in accessed:
-            add(
-                "W104",
-                Severity.WARNING,
-                f"data model {e.id!r} is not accessed by any component",
-            )
-        out.extend(self._validate_attrs(e))
-        return out
 
     def _validate_attrs(self, e: Element) -> list[Diagnostic]:
         """V7: attr values well-formed (``add_element`` keeps keys on the allowlist)."""

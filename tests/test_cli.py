@@ -196,7 +196,7 @@ def test_report_csv_matrix():
 def test_report_duplicate_inputs_usage_error():
     proc = run_cli("report", FAQ, FAQ, "--matrix")
     assert proc.returncode == 2
-    assert "E400" in proc.stderr
+    assert proc.stderr == "error E400: duplicate system names: FAQ Chatbot\n"
 
 
 def test_fmt_prints_canonical_form():

@@ -507,13 +507,13 @@ def test_attach_scans_relations_a_constant_number_of_times(monkeypatch):
 
 def test_pipeline_runs_the_rules_once_per_model_state(monkeypatch):
     checked = []
-    plain = AlignmentModel._validate_element
+    plain = AlignmentModel._validate_attrs
 
     def counting(self, *args):
         checked.append(self)
         return plain(self, *args)
 
-    monkeypatch.setattr(AlignmentModel, "_validate_element", counting)
+    monkeypatch.setattr(AlignmentModel, "_validate_attrs", counting)
     model = parse((FIXTURES / "faq_chatbot.dsa").read_text(), "faq_chatbot").model
     attached = attach(model, derive_all(model))
     to_open_exchange(attached)

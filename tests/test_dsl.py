@@ -202,6 +202,9 @@ def _block(statement, *entries, after=""):
         ("E101", 'system "X" {\n  actor admin a "A"\n}', 2, 9, 5),
         ("E005", 'system "X" {\n  data Upper "D"\n}', 2, 8, 5),
         ("E001", 'system "X" {\n  data d "D"\n  data d "D2"\n}', 3, 8, 1),
+        # A failed nested declaration queues no relation, so no E004 for a
+        # Realization to the data model follows.
+        ("E001", 'system "X" {\n  data d "D"\n  component c "C" { function d "F"; }\n}', 3, 30, 1),
         ("E002", _block('component c "C"', 'function f "F";', "color: red;"), 4, 5, 5),
         ("E003", _block('event e "E"', "about: missing;", 'implies_cost: it "x";'), 3, 12, 7),
         ("E004", _block('service s "S"', "serves: d;", after='\n  data d "D"'), 3, 13, 1),

@@ -330,6 +330,67 @@ def test_validate_tab_and_line_feed_are_not_e013():
     assert "E013" not in codes(m.validate())
 
 
+def test_validate_reports_every_rule_in_a_pinned_order():
+    # V9 on the system name first; then per element in insertion order: V9 on
+    # its name and description, its V1-V6 rows, V7 (and V9 on entry parts);
+    # V8's W105 last.
+    m = new_model("Sys\x01")
+    m.add_element(K.SYSTEM_COMPONENT, "c", "Comp\x02", attrs={"runs_on": "cloud"})
+    m.add_element(K.OBSERVED_EVENT, "e", "Event", "about\x03")
+    m.add_element(K.DATA_MODEL, "d", "Data")
+    m.add_element(K.DATA_MODEL, "d2", "Other data")
+    m.add_element(
+        K.OBSERVED_EVENT,
+        "f",
+        "Fault",
+        attrs={
+            "implies_cost": [("it_resources", "cost \x04"), ("it_resources",)],
+            "hinders": [
+                ("privasy", "medium", "typo"),
+                ("must_be", "high", "branch"),
+                ("privacy", "extreme", "x"),
+            ],
+        },
+    )
+    m.add_element(K.OBSERVED_EVENT, "g", "Gap", attrs={"hinders": "privacy"})
+    m.add_element(K.OPERATOR_ACTIVITY, "o", "Operate")
+    m.add_element(K.USER_ACTIVITY, "u", "Use")
+    m.add_element(K.RISK_ITEM, "r", "Risk", attrs={"category": "it_resources", "severity": "extreme"})
+    m.add_element(K.COST_ITEM, "k", "Cost", attrs={"category": "gold"})
+    m.add_relation(R.ASSOCIATION, "f", "d")
+    m.add_relation(R.ASSOCIATION, "g", "c")
+    m.add_relation(R.ASSOCIATION, "d", "d2")
+    error, warning = Severity.ERROR, Severity.WARNING
+    assert [(d.code, d.severity, d.message, d.subject) for d in m.validate()] == [
+        ("E013", error, "character '\\x01' is not allowed in the system name", None),
+        ("E013", error, "'c': character '\\x02' is not allowed in its name", "c"),
+        ("E010", error, "component 'c' realizes no function", "c"),
+        ("E123", error, "'c': unknown runtime target 'cloud'", "c"),
+        ("E013", error, "'e': character '\\x03' is not allowed in its description", "e"),
+        (
+            "E011",
+            error,
+            "event 'e' has no association to a component, function, or data model",
+            "e",
+        ),
+        ("W101", warning, "dangling event 'e': no implies_cost or hinders entry", "e"),
+        ("W104", warning, "data model 'd' is not accessed by any component", "d"),
+        ("W104", warning, "data model 'd2' is not accessed by any component", "d2"),
+        ("E013", error, "'f': character '\\x04' is not allowed in its 'implies_cost' entry", "f"),
+        ("E012", error, "'f': malformed 'implies_cost' entry ('it_resources',)", "f"),
+        ("E120", error, "'f': unknown taxonomy leaf 'privasy' in hinders", "f"),
+        ("E125", error, "'f': leaf 'must_be' is from the wrong branch for hinders", "f"),
+        ("E122", error, "'f': unknown severity level 'extreme'", "f"),
+        ("E012", error, "'g': attr 'hinders' must be a list of entries", "g"),
+        ("W102", warning, "operator activity 'o' declares no business value", "o"),
+        ("W103", warning, "user activity 'u' is not served by any dialogue service", "u"),
+        ("E125", error, "'r': leaf 'it_resources' is from the wrong branch for category", "r"),
+        ("E122", error, "'r': unknown severity level 'extreme'", "r"),
+        ("E120", error, "'k': unknown taxonomy leaf 'gold' in category", "k"),
+        ("W105", warning, "unusual association between DataModel and DataModel", "r003"),
+    ]
+
+
 def test_validate_reruns_rules_after_add_element():
     m = new_model("x")
     assert m.validate() == []
