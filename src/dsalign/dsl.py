@@ -6,7 +6,7 @@ statement either set attrs (``yields_user_value:``, ``runs_on:``, ...) or
 declare relations (``by:``, ``serves:``, ``realized_by:``, ``uses:``,
 ``about:``, ``influences:``).  ``function`` entries nest a component function
 and create its realization edge.  ``model.STATEMENTS`` lists every statement
-and entry; the lexer, the parser and the printer read it.
+and entry; the parser and the printer read it.
 
 Parsing is total: arbitrary input yields diagnostics, never an exception.
 ``format_model`` prints the canonical form: two-space indents, elements in
@@ -16,7 +16,11 @@ newline.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from codecs import BOM_UTF8
 from collections.abc import Collection
+from itertools import accumulate, compress, count
+from operator import add
 import re
 
 from .model import (
@@ -102,43 +106,38 @@ class ParseResult(_Record):
 # ---------------------------------------------------------------------------
 # Lexer
 
+# First characters of the tokens that are not words; "" is in it, as at EOF.
+_NON_WORD = '{}:;,"'
 
-_PUNCT = {"{": "lbrace", "}": "rbrace", ":": "colon", ";": "semi", ",": "comma"}
-
-# One alternative per lexeme, tried in order ("Writing a Tokenizer" in the
-# ``re`` docs), each match taking the blanks after its lexeme with it.  ``\w``
-# matches exactly the characters for which ``isalnum() or == "_"`` holds.  A
-# string runs to its closing quote or to the end of the line; a backslash
-# escapes only a quote or a backslash, and a lone backslash is left for
+# A string body runs to the closing quote or to the end of the line.  A
+# backslash escapes only a quote or a backslash; a lone one is left for
 # ``_string_value`` to report.
+_STRING_BODY = r'[^"\\\n]*(?:\\["\\]?[^"\\\n]*)*'
+
+# One match per token: a plain lexeme (group 1) or an odd one (group 2), then
+# the blanks, line feeds and comments after it (group 3).  ``\w`` matches
+# exactly the characters for which ``isalnum() or == "_"`` holds.  A plain
+# string is closed and holds only tabs and printable ASCII other than a
+# backslash.  Odd lexemes are every other string and single characters that
+# start no token.
 _TOKEN_RE = re.compile(
-    "(?:"
-    + "|".join(
-        f"(?P<{name}>{pattern})"
-        for name, pattern in (
-            ("word", r"\w+"),
-            ("newline", r"\n"),
-            ("punct", r"[{}:;,]"),
-            ("string", r'"(?P<body>[^"\\\n]*(?:\\["\\]?[^"\\\n]*)*)(?P<close>"?)'),
-            ("comment", r"#[^\n]*"),
-            ("bad", r"."),
-        )
-    )
-    + r")[ \t\r]*",
-    re.DOTALL,
+    r'(?:(\w+|[{}:;,]|"[\t !#-\[\]-~]*")|("' + _STRING_BODY + r'"?|.))'
+    r"([ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*)"
 )
 
-# Compiled on first use and cached by ``re``: compiling the forbidden class
-# costs about 1 ms, which every CLI run would otherwise pay at import.
+# Compiled on first use and cached by ``re``, as only odd strings need them:
+# compiling the forbidden class costs about 1 ms, which every CLI run would
+# otherwise pay at import.
+_STRING_PARTS = f'"({_STRING_BODY})("?)'
 _STRING_PIECE = f'\\\\(["\\\\])?|[{XML_FORBIDDEN}]'
 
+# A lexer finding: (start offset, length, code, message).
+_Finding = tuple[int, int, str, str]
 
-def _string_value(
-    text: str, start: int, end: int, quote: SourceSpan, diags: list[Diagnostic]
-) -> str:
+
+def _string_value(text: str, start: int, end: int, found: list[_Finding]) -> str:
     """Unescape the string body ``text[start:end]``, reporting E107 and E108.
 
-    ``quote`` is the span of the string's opening quote, at ``start - 1``.
     A lone backslash is dropped and reported with the character after it; a
     forbidden character is kept and reported.
     """
@@ -153,60 +152,50 @@ def _string_value(
             code, message, length, ch = "E107", f"invalid escape sequence {shown}", 2, ""
         else:
             code, message, length = "E108", f"character {ch!r} is not allowed in a string", 1
-        span = SourceSpan(quote.file, quote.line, quote.column + 1 + m.start(), length)
-        diags.append(Diagnostic(code, Severity.ERROR, message, location=span))
+        found.append((start + m.start(), length, code, message))
         return ch
 
     return re.sub(_STRING_PIECE, piece, text[start:end])
 
 
-# A token is a plain tuple ``(kind, text, value, line, column, length)`` of
-# strings and ints: one allocation, and one the cycle collector stops
-# tracking at its first pass.  Kinds are word, keyword, string, the _PUNCT
-# names and eof.  The parser builds a SourceSpan only for what it keeps.
-_Token = tuple[str, str, str, int, int, int]
+def _lex(text: str) -> tuple[list[str], list[int], list[_Finding]]:
+    """Tokens, their start offsets, and the lexer's findings in source order.
 
-
-def _lex(text: str, file: str) -> tuple[list[_Token], list[Diagnostic]]:
-    toks: list[_Token] = []
-    append = toks.append
-    diags: list[Diagnostic] = []
-    line, line_start = 1, 0
-    first = len(text) - len(text.lstrip(" \t\r"))  # matches start after blanks
-    m = None
-    for m in _TOKEN_RE.finditer(text, first):
-        kind = m.lastgroup
-        start = m.start()
-        if kind == "word":
-            word = m[kind]
-            kw = "keyword" if word in KEYWORDS else "word"
-            append((kw, word, word, line, start - line_start + 1, len(word)))
-        elif kind == "newline":
-            line += 1
-            line_start = start + 1
-        elif kind == "punct":
-            ch = m[kind]
-            append((_PUNCT[ch], ch, ch, line, start - line_start + 1, 1))
-        elif kind == "string":
-            value = m["body"]
-            col, length = start - line_start + 1, m.end(kind) - start
-            if "\\" in value or not value.isprintable():  # no forbidden character is printable
-                span = SourceSpan(file, line, col, length)
-                value = _string_value(text, start + 1, m.end("body"), span, diags)
-            if not m["close"]:
-                span = SourceSpan(file, line, col, length)
-                diags.append(
-                    Diagnostic("E102", Severity.ERROR, "unterminated string", location=span)
-                )
-            append(("string", f'"{value}"', value, line, col, length))
-        elif kind == "bad":
-            message = f"invalid character {m[kind]!r}"
-            span = SourceSpan(file, line, start - line_start + 1, 1)
-            diags.append(Diagnostic("E103", Severity.ERROR, message, location=span))
-    # Comments do not advance the column, so a trailing one leaves EOF at its '#'.
-    end = m.start() if m is not None and m.lastgroup == "comment" else len(text)
-    append(("eof", "", "", line, end - line_start + 1, 0))
-    return toks, diags
+    A token is its source text, except that a string token is its value in
+    quotes.  The last token is "" at the end of the file or, when the file
+    ends in a comment, at that comment's '#'.
+    """
+    # The leading ';' is a token whose trail takes the text's leading blanks.
+    parts = _TOKEN_RE.split(";" + text)  # "", plain, odd, trail per token, then ""
+    toks, odd, trails = parts[1::4], parts[2::4], parts[3::4]
+    if any(odd):
+        toks = [o or p for p, o in zip(toks, odd)]
+    starts = list(accumulate(map(add, map(len, toks), map(len, trails)), initial=-1))
+    del toks[0], starts[0], odd[0]
+    toks.append("")
+    tail = trails[-1]
+    comment = tail.find("#", tail.rfind("\n") + 1)
+    if comment >= 0:
+        starts[-1] -= len(tail) - comment
+    found: list[_Finding] = []
+    dropped = False
+    for k in compress(range(len(toks)), odd):
+        lexeme, start = toks[k], starts[k]
+        if lexeme[0] != '"':
+            found.append((start, 1, "E103", f"invalid character {lexeme!r}"))
+            toks[k] = None
+            dropped = True
+            continue
+        body, close = re.match(_STRING_PARTS, lexeme).groups()
+        if "\\" in body or not body.isprintable():  # no forbidden character is printable
+            body = _string_value(text, start + 1, start + 1 + len(body), found)
+        if not close:
+            found.append((start, len(lexeme), "E102", "unterminated string"))
+        toks[k] = f'"{body}"'
+    if dropped:
+        starts = [start for start, tok in zip(starts, toks) if tok is not None]
+        toks = [tok for tok in toks if tok is not None]
+    return toks, starts, found
 
 
 # ---------------------------------------------------------------------------
@@ -239,237 +228,282 @@ def suggest_leaf(word: str) -> str | None:
 
 
 class _Parser:
-    def __init__(self, toks: list[_Token], diags: list[Diagnostic], file: str):
-        self.toks = toks
-        self.i = 0
-        self.diags = diags
+    """Recursive descent over ``_lex``'s tokens; ``i`` is the current token.
+
+    ``i`` never moves past the EOF token.  Tokens are strings, so each kind
+    test reads the token's text: "" is EOF, a string starts with a quote,
+    and a word starts with none of ``_NON_WORD``.
+    """
+
+    def __init__(self, text: str, file: str):
+        self.text = text
         self.file = file
+        self.toks, self.starts, found = _lex(text)
+        self.i = 0
+        self.line_starts: list[int] | None = None
+        self.diags = [
+            Diagnostic(code, Severity.ERROR, message, location=self.span_at(start, length))
+            for start, length, code, message in found
+        ]
         self.model: AlignmentModel | None = None
-        # (kind, source, target, token of the reference), in source order.
-        self.rel_specs: list[tuple[RelationKind, str, str, _Token]] = []
+        # Per relation, in source order: kind, source, target and the index of
+        # the reference token.  A flat list holds no tuple for the cycle
+        # collector to track.
+        self.rel_specs: list[RelationKind | str | int] = []
         self.spans: dict[str, SourceSpan] = {}
 
-    # -- token plumbing ----------------------------------------------------
+    # -- locations and errors ----------------------------------------------
 
-    def peek(self) -> _Token:
-        return self.toks[self.i]
+    def span_at(self, start: int, length: int) -> SourceSpan:
+        lines = self.line_starts
+        if lines is None:
+            # Line n + 1 starts after the first n lines and their n line feeds.
+            lengths = map(len, self.text.split("\n"))
+            lines = self.line_starts = list(map(add, accumulate(lengths, initial=0), count()))
+        line = bisect_right(lines, start)
+        return SourceSpan(self.file, line, start - lines[line - 1] + 1, length)
 
-    def next(self) -> _Token:
-        tok = self.toks[self.i]
-        if tok[0] != "eof":
-            self.i += 1
-        return tok
+    def span(self, i: int) -> SourceSpan:
+        tok, start = self.toks[i], self.starts[i]
+        length = len(tok)
+        if tok[:1] == '"':  # an escaped or unterminated string is longer in the source
+            m = _TOKEN_RE.match(self.text, start)
+            length = len(m[1] or m[2])
+        return self.span_at(start, length)
 
-    def at(self, kind: str, text: str | None = None) -> bool:
-        tok = self.toks[self.i]
-        return tok[0] == kind and (text is None or tok[1] == text)
+    def error(self, code: str, message: str, i: int) -> None:
+        self.diags.append(Diagnostic(code, Severity.ERROR, message, location=self.span(i)))
 
-    def span(self, tok: _Token) -> SourceSpan:
-        return SourceSpan(self.file, tok[3], tok[4], tok[5])
+    def expected(self, what: str, i: int) -> None:
+        """Report E101: token ``i`` is not ``what``."""
+        shown = self.toks[i] or "end of file"
+        self.error("E101", f"expected {what}, found {shown!r}", i)
 
-    def error(self, code: str, message: str, tok: _Token | None = None) -> None:
-        location = self.span(tok or self.peek())
-        self.diags.append(Diagnostic(code, Severity.ERROR, message, location=location))
+    def expect(self, punct: str) -> bool:
+        i = self.i
+        tok = self.toks[i]
+        if tok == punct:
+            self.i = i + 1
+            return True
+        self.expected(repr(punct), i)
+        return False
 
-    def expect(self, kind: str, what: str) -> _Token | None:
-        if self.at(kind):
-            return self.next()
-        shown = self.peek()[1] or "end of file"
-        self.error("E101", f"expected {what}, found {shown!r}")
+    def expect_string(self, what: str) -> str | None:
+        """The value of the current token if it is a string, else report E101."""
+        i = self.i
+        tok = self.toks[i]
+        if tok[:1] == '"':
+            self.i = i + 1
+            return tok[1:-1]
+        self.expected(what, i)
         return None
 
     def sync_entry(self) -> None:
         """Skip to the end of the current entry (past ';', before '}')."""
-        while not self.at("eof"):
-            if self.at("semi"):
-                self.next()
-                return
-            if self.at("rbrace") or self.peek()[1] in STATEMENT_KEYWORDS:
-                return
-            self.next()
+        toks = self.toks
+        i = self.i
+        while (tok := toks[i]) and tok != "}" and tok not in STATEMENT_KEYWORDS:
+            i += 1
+            if tok == ";":
+                break
+        self.i = i
 
     def sync_statement(self) -> None:
+        toks = self.toks
+        i = self.i
         depth = 0
-        while not self.at("eof"):
-            kind, text = self.peek()[:2]
-            if depth == 0 and (text in STATEMENT_KEYWORDS or kind == "rbrace"):
-                return
-            if kind == "lbrace":
+        while tok := toks[i]:
+            if depth == 0 and (tok in STATEMENT_KEYWORDS or tok == "}"):
+                break
+            if tok == "{":
                 depth += 1
-            elif kind == "rbrace":
+            elif tok == "}":
                 depth -= 1
-            self.next()
+            i += 1
+        self.i = i
 
     # -- grammar -----------------------------------------------------------
 
     def parse_file(self) -> None:
-        if self.at("eof"):
-            self.error("E100", "expected system block")
+        toks = self.toks
+        if not toks[0]:
+            self.error("E100", "expected system block", 0)
             return
-        if not self.at("keyword", "system"):
-            self.error("E100", f"expected system block, found {self.peek()[1]!r}")
+        if toks[0] != "system":
+            self.error("E100", f"expected system block, found {toks[0]!r}", 0)
             # Look for a system block further in; everything before is noise.
-            while not self.at("eof") and not self.at("keyword", "system"):
-                self.next()
-            if self.at("eof"):
+            if "system" not in toks:
                 return
-        self.next()  # 'system'
-        name_tok = self.expect("string", "system name string")
-        name = name_tok[2] if name_tok else ""
-        if name_tok is not None and not name:
-            self.error("E000", "system name must not be empty", name_tok)
+        self.i = toks.index("system") + 1
+        name = self.expect_string("system name string")
+        if name == "":
+            self.error("E000", "system name must not be empty", self.i - 1)
         # "?" keeps parsing alive on a missing name; finish() drops the model.
         self.model = AlignmentModel(name or "?")
-        self.expect("lbrace", "'{'")
-        while not self.at("eof") and not self.at("rbrace"):
+        self.expect("{")
+        while (tok := toks[self.i]) and tok != "}":
             before = self.i
             self.parse_statement()
             if self.i == before:
                 # Defensive: never loop without progress.
-                self.next()
-        self.expect("rbrace", "'}'")
-        if not self.at("eof"):
-            if self.at("keyword", "system"):
-                self.error("E101", "only one system block is allowed per file")
+                self.i += 1
+        self.expect("}")
+        if tok := toks[self.i]:
+            if tok == "system":
+                self.error("E101", "only one system block is allowed per file", self.i)
             else:
-                self.error("E101", f"expected end of file, found {self.peek()[1]!r}")
+                self.expected("end of file", self.i)
 
     def parse_statement(self) -> None:
-        keyword = self.peek()[1]
+        toks = self.toks
+        i = self.i
+        keyword = toks[i]
         if keyword not in _STATEMENT_KINDS:
-            shown = keyword or "end of file"
-            self.error("E101", f"expected a statement, found {shown!r}")
-            self.next()
+            self.expected("a statement", i)
+            self.i = i + 1 if keyword else i
             self.sync_statement()
             return
-        self.next()
+        i += 1
         kind = _STATEMENT_KINDS[keyword]
         if kind is None:
-            role = self.peek()[1]
+            role = toks[i]
             kind = _ROLE_KINDS.get(role)
             if kind is None:
                 roles = " or ".join(map(repr, _ROLE_KINDS))
-                self.error("E101", f"expected {roles}, found {role!r}")
+                self.error("E101", f"expected {roles}, found {role!r}", i)
+                self.i = i
                 self.sync_statement()
                 return
-            self.next()
+            i += 1
+        self.i = i
         self.parse_element(kind, keyword)
 
-    def parse_id(self) -> _Token | None:
-        """The token of a valid identifier; its text is the id."""
-        tok = self.peek()
-        kind, text = tok[:2]
-        if kind == "keyword":
-            self.error("E104", f"reserved word {text!r} used as identifier", tok)
-            self.next()
+    def parse_id(self) -> int | None:
+        """The index of a valid identifier token; the current token moves past it."""
+        i = self.i
+        tok = self.toks[i]
+        if tok in KEYWORDS:
+            self.error("E104", f"reserved word {tok!r} used as identifier", i)
+            self.i = i + 1
             return None
-        if kind != "word":
-            shown = text or "end of file"
-            self.error("E101", f"expected identifier, found {shown!r}")
+        if tok[:1] in _NON_WORD:
+            self.expected("identifier", i)
             return None
-        self.next()
-        if not is_valid_id(text):
-            self.error("E005", f"invalid identifier {text!r}", tok)
+        self.i = i + 1
+        if not is_valid_id(tok):
+            self.error("E005", f"invalid identifier {tok!r}", i)
             return None
-        return tok
+        return i
 
     def choice(self, choices: Collection[str], code: str, what: str) -> str | None:
         """Read one word of ``choices``, or report ``code`` at it and return None."""
-        tok = self.next()
-        if tok[1] in choices:
-            return tok[1]
+        i = self.i
+        tok = self.toks[i]
+        if tok:
+            self.i = i + 1
+        if tok in choices:
+            return tok
         expected = ", ".join(choices)
-        self.error(code, f"unknown {what} {tok[1]!r} (expected one of: {expected})", tok)
+        self.error(code, f"unknown {what} {tok!r} (expected one of: {expected})", i)
         return None
 
-    def add_element(
-        self, kind: ElementKind, ident: _Token | None, name: str, attrs: dict
-    ) -> str | None:
-        if ident is None or self.model is None:
-            return None
-        id = ident[1]
+    def add_element(self, kind: ElementKind, i: int, name: str, attrs: dict) -> bool:
+        """Declare the element whose id is token ``i``; the parser checked its id and attrs."""
+        id = self.toks[i]
         try:
-            self.model.add_element(kind, id, name, attrs=attrs)
+            self.model._add_element(kind, id, name, None, attrs)
         except ModelError as err:
-            self.error(err.code, err.message, ident)
-            return None
-        self.spans[id] = self.span(ident)
-        return id
+            self.error(err.code, err.message, i)
+            return False
+        self.spans[id] = self.span_at(self.starts[i], len(id))
+        return True
 
     def parse_element(self, kind: ElementKind, keyword: str) -> None:
+        toks = self.toks
         entries = STATEMENTS[kind].entries
         ident = self.parse_id()
-        name_tok = self.expect("string", f"{keyword} name string")
-        name = name_tok[2] if name_tok else ""
+        i = self.i
+        tok = toks[i]
+        if tok[:1] == '"':
+            name = tok[1:-1]
+            i += 1
+        else:
+            self.expected(f"{keyword} name string", i)
+            name = ""
         attrs: dict[str, object] = {}
-        # Entry key -> (id token, name) per reference; only a nested
+        # Entry key -> (id token index, name) per reference; only a nested
         # declaration has a name.
-        refs: dict[str, list[tuple[_Token, str]]] = {}
+        refs: dict[str, list[tuple[int, str]]] = {}
         seen_single: set[str] = set()
-        if entries and self.at("lbrace"):
-            self.next()
-            while not self.at("eof") and not self.at("rbrace"):
-                if self.peek()[1] in STATEMENT_KEYWORDS:
-                    self.error("E101", "expected an entry or '}'")
+        if entries and toks[i] == "{":
+            i += 1
+            while (tok := toks[i]) and tok != "}":
+                if tok in STATEMENT_KEYWORDS:
+                    self.error("E101", "expected an entry or '}'", i)
                     break
-                before = self.i
-                self.parse_entry(kind, attrs, refs, seen_single)
-                if self.i == before:
-                    self.next()
-            if self.at("rbrace"):
-                self.next()
-        self.add_element(kind, ident, name, attrs)
+                self.i = i
+                self.parse_entry(kind, entries, attrs, refs, seen_single)
+                # Defensive: never loop without progress.
+                i = self.i if self.i != i else i + 1
+            if tok == "}":
+                i += 1
+        self.i = i
         if ident is None:
             return
-        element_id = ident[1]
+        self.add_element(kind, ident, name, attrs)
+        element_id = toks[ident]
         # Relations are queued in entry order; nested elements follow their owner.
         for key, entry in entries.items():
-            for ref_tok, ref_name in refs.get(key, ()):
-                if entry.nested and not self.add_element(entry.nested, ref_tok, ref_name, {}):
+            for ref, ref_name in refs.get(key, ()):
+                if entry.nested and not self.add_element(entry.nested, ref, ref_name, {}):
                     continue
-                ref = ref_tok[1]
-                source, target = (element_id, ref) if entry.owner_is_source else (ref, element_id)
-                self.rel_specs.append((entry.relation, source, target, ref_tok))
+                if entry.owner_is_source:
+                    self.rel_specs += (entry.relation, element_id, toks[ref], ref)
+                else:
+                    self.rel_specs += (entry.relation, toks[ref], element_id, ref)
 
     def parse_entry(
         self,
         kind: ElementKind,
+        entries: dict[str, Entry],
         attrs: dict[str, object],
-        refs: dict[str, list[tuple[_Token, str]]],
+        refs: dict[str, list[tuple[int, str]]],
         seen_single: set[str],
     ) -> None:
-        entries = STATEMENTS[kind].entries
-        tok = self.peek()
-        key = tok[1]
+        toks = self.toks
+        i = self.i
+        key = toks[i]
         if key in _NESTED_OWNER:
             if key not in entries:
                 owner = _NESTED_OWNER[key]
-                self.error("E101", f"{key} declarations are only allowed inside {owner} blocks")
-                self.next()
+                self.error("E101", f"{key} declarations are only allowed inside {owner} blocks", i)
+                self.i = i + 1
                 self.sync_entry()
                 return
-            self.next()
+            self.i = i + 1
             ident = self.parse_id()
-            name_tok = self.expect("string", f"{key} name string")
-            if ident:
-                refs.setdefault(key, []).append((ident, name_tok[2] if name_tok else ""))
-            self.expect("semi", "';'")
+            name = self.expect_string(f"{key} name string")
+            if ident is not None:
+                refs.setdefault(key, []).append((ident, name or ""))
+            self.expect(";")
             return
-        if tok[0] not in ("keyword", "word"):
-            shown = key or "end of file"
-            self.error("E101", f"expected an entry or '}}', found {shown!r}")
+        if key[:1] in _NON_WORD:
+            self.expected("an entry or '}'", i)
             self.sync_entry()
             return
-        self.next()
-        self.expect("colon", "':'")
+        if toks[i + 1] == ":":
+            self.i = i + 2
+        else:
+            self.i = i + 1
+            self.expected("':'", i + 1)
         entry = entries.get(key)
         if entry is None:
-            self.error("E002", f"attr {key!r} is not allowed on {kind.value}", tok)
+            self.error("E002", f"attr {key!r} is not allowed on {kind.value}", i)
             self.sync_entry()
             return
         if entry.single:
             if key in seen_single:
-                self.error("E130", f"repeated entry {key!r}", tok)
+                self.error("E130", f"repeated entry {key!r}", i)
             seen_single.add(key)
         self.parse_entry_value(key, entry, attrs, refs)
 
@@ -478,14 +512,18 @@ class _Parser:
         key: str,
         entry: Entry,
         attrs: dict[str, object],
-        refs: dict[str, list[tuple[_Token, str]]],
+        refs: dict[str, list[tuple[int, str]]],
     ) -> None:
+        toks = self.toks
         if entry.relation is not None:
-            ids = [self.parse_id()]
-            while not entry.single and self.at("comma"):
-                self.next()
-                ids.append(self.parse_id())
-            refs.setdefault(key, []).extend((i, "") for i in ids if i)
+            ids = refs.setdefault(key, [])
+            while True:
+                ident = self.parse_id()
+                if ident is not None:
+                    ids.append((ident, ""))
+                if entry.single or toks[self.i] != ",":
+                    break
+                self.i += 1
         elif entry.form == "word":
             word = self.choice(entry.leaves, "E123", "runtime target")
             if word:
@@ -498,24 +536,27 @@ class _Parser:
             severity: tuple[str, ...] = ()
             if entry.form == "hinders":
                 severity = (DEFAULT_RISK_SEVERITY,)
-                if self.at("keyword", "severity"):
-                    self.next()
-                    self.expect("colon", "':'")
+                if toks[self.i] == "severity":
+                    self.i += 1
+                    self.expect(":")
                     word = self.choice(SEVERITY_LEVELS, "E122", "severity level")
                     severity = (word or DEFAULT_RISK_SEVERITY,)
-            desc = self.expect("string", "description string")
+            desc = self.expect_string("description string")
             if leaf:
-                attrs.setdefault(key, []).append((leaf, *severity, desc[2] if desc else ""))
-        self.expect("semi", "';'")
+                attrs.setdefault(key, []).append((leaf, *severity, desc or ""))
+        i = self.i
+        if toks[i] == ";":
+            self.i = i + 1
+        else:
+            self.expected("';'", i)
 
     def parse_leaf(self, expected: tuple[str, ...], what: str) -> str | None:
-        tok = self.peek()
-        kind, word = tok[:2]
-        if kind not in ("word", "keyword"):
-            shown = word or "end of file"
-            self.error("E101", f"expected a taxonomy leaf, found {shown!r}")
+        i = self.i
+        word = self.toks[i]
+        if word[:1] in _NON_WORD:
+            self.expected("a taxonomy leaf", i)
             return None
-        self.next()
+        self.i = i + 1
         if word in expected:
             return word
         if is_leaf(word):
@@ -523,23 +564,25 @@ class _Parser:
                 "E125",
                 f"leaf {word!r} is from the wrong branch for {what} "
                 f"(expected one of: {', '.join(expected)})",
-                tok,
+                i,
             )
             return None
         suggestion = suggest_leaf(word)
         hint = f" (did you mean {suggestion!r}?)" if suggestion else ""
-        self.error("E120", f"unknown taxonomy leaf {word!r}{hint}", tok)
+        self.error("E120", f"unknown taxonomy leaf {word!r}{hint}", i)
         return None
 
     # -- phase 2 -------------------------------------------------------------
 
     def finish(self) -> AlignmentModel | None:
         if self.model is not None:
-            for kind, source, target, tok in self.rel_specs:
+            add = self.model._add_relation
+            specs = iter(self.rel_specs)
+            for kind, source, target, i in zip(specs, specs, specs, specs):
                 try:
-                    self.model.add_relation(kind, source, target)
+                    add(kind, source, target)
                 except ModelError as err:
-                    self.error(err.code, err.message, tok)
+                    self.error(err.code, err.message, i)
         if any(d.severity is Severity.ERROR for d in self.diags):
             return None
         return self.model
@@ -547,15 +590,17 @@ class _Parser:
 
 def parse(text: str, file: str = "<input>") -> ParseResult:
     """Parse ``.dsa`` source text into an :class:`AlignmentModel`."""
-    toks, diags = _lex(text, file)
-    parser = _Parser(toks, diags, file)
+    parser = _Parser(text, file)
     parser.parse_file()
     model = parser.finish()
     return ParseResult(model=model, diagnostics=parser.diags, spans=parser.spans)
 
 
 def load_file(path) -> ParseResult:
-    """Parse a ``.dsa`` file. I/O failures become E190/E191 diagnostics."""
+    """Parse a ``.dsa`` file. I/O failures become E190/E191 diagnostics.
+
+    A leading byte-order mark is dropped and CRLF line ends become LF.
+    """
     try:
         with open(path, "rb") as handle:
             data = handle.read()
@@ -567,7 +612,8 @@ def load_file(path) -> ParseResult:
             ],
         )
     try:
-        text = data.decode("utf-8")
+        # As the "utf-8-sig" codec would, whose first use imports a module.
+        text = data.removeprefix(BOM_UTF8).decode("utf-8")
     except UnicodeDecodeError as err:
         return ParseResult(
             model=None,

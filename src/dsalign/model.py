@@ -293,6 +293,9 @@ _LINKS = {
     if link
 }
 
+# Kinds a model holds at most one element of (E007).
+_ONE_PER_MODEL = (K.USER, K.OPERATOR)
+
 del K, R
 
 _ID_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
@@ -441,19 +444,25 @@ class AlignmentModel:
         self._check_mutable()
         if not is_valid_id(id):
             raise ModelError("E005", f"invalid identifier {id!r}")
-        if id in self._by_id:
-            raise ModelError("E001", f"duplicate element id {id!r}")
-        if kind in (ElementKind.USER, ElementKind.OPERATOR):
-            if any(e.kind is kind for e in self._elements):
-                raise ModelError(
-                    "E007", f"model already has an element of kind {kind.value}"
-                )
         attrs = dict(attrs or {})
         allowed = ALLOWED_ATTRS[kind]
         for key in attrs:
             if key not in allowed:
                 raise ModelError(
                     "E002", f"attr {key!r} is not allowed on {kind.value}"
+                )
+        return self._add_element(kind, id, name, description, attrs)
+
+    def _add_element(
+        self, kind: ElementKind, id: str, name: str, description: str | None, attrs: dict
+    ) -> str:
+        """``add_element`` after its argument checks; ``attrs`` becomes the model's."""
+        if id in self._by_id:
+            raise ModelError("E001", f"duplicate element id {id!r}")
+        if kind in _ONE_PER_MODEL:
+            if any(e.kind is kind for e in self._elements):
+                raise ModelError(
+                    "E007", f"model already has an element of kind {kind.value}"
                 )
         element = Element(id, kind, name, description, MappingProxyType(attrs))
         self._elements.append(element)
@@ -463,23 +472,26 @@ class AlignmentModel:
 
     def add_relation(self, kind: RelationKind, source: str, target: str) -> str:
         self._check_mutable()
+        return self._add_relation(kind, source, target)
+
+    def _add_relation(self, kind: RelationKind, source: str, target: str) -> str:
+        """``add_relation`` on a model known to be mutable."""
+        by_id = self._by_id
         for endpoint in (source, target):
-            if endpoint not in self._by_id:
+            if endpoint not in by_id:
                 raise ModelError("E003", f"unknown element id {endpoint!r}")
-        source_kind = self._by_id[source].kind
-        target_kind = self._by_id[target].kind
+        source_kind = by_id[source].kind
+        target_kind = by_id[target].kind
         if not relation_permitted(source_kind, kind, target_kind):
             raise ModelError(
                 "E004",
                 f"{kind.value} from {source_kind.value} to {target_kind.value} "
                 "is not permitted",
             )
-        rel = Relation(
-            id=f"r{len(self._relations) + 1:03d}", kind=kind, source=source, target=target
-        )
-        self._relations.append(rel)
+        id = f"r{len(self._relations) + 1:03d}"
+        self._relations.append(Relation(id, kind, source, target))
         self._diagnostics = None
-        return rel.id
+        return id
 
     def freeze(self) -> None:
         self._frozen = True

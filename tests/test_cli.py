@@ -67,6 +67,18 @@ def test_check_invalid_utf8_is_io_error(tmp_path):
     assert "E191" in proc.stderr
 
 
+def test_byte_order_mark_is_dropped_on_load(tmp_path):
+    bom = tmp_path / "bom.dsa"
+    bom.write_bytes(b"\xef\xbb\xbf" + (FIXTURES / "faq_chatbot.dsa").read_bytes())
+    proc = run_cli("check", str(bom))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    # The canonical form has no byte-order mark.
+    proc = run_cli("fmt", "--check", str(bom))
+    assert proc.returncode == 1
+    assert proc.stderr == f"{bom}: not in canonical form\n"
+
+
 def test_diagnostics_render_with_location(tmp_path):
     bad = tmp_path / "loc.dsa"
     bad.write_text('system "X" {\n  data d "D"\n  data d "Again"\n}\n')

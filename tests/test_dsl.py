@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from dsalign.dsl import KEYWORDS, _lex, format_model, load_file, parse
+from dsalign.dsl import KEYWORDS, _lex, _Parser, format_model, load_file, parse
 from dsalign.model import (
     ALL_LEAVES,
     ElementKind,
@@ -220,6 +220,13 @@ def _block(statement, *entries, after=""):
             5,
             7,
         ),
+        # A column counts code points: a tab, a lone carriage return and an
+        # astral character are one column each.
+        ("E103", 'system "X" {\n\tdata\td "D" @\n}', 2, 13, 1),
+        ("E005", 'system "X" {\r  data Bad "D"\n}', 1, 21, 3),
+        ("E103", 'system "X" {\n  data d "\U0001f600" @\n}', 2, 14, 1),
+        ("E001", 'system "X" {\n  data d "D"\n  # note\n  data d "D2"\n}', 4, 8, 1),
+        ("E007", 'system "X" {\n  actor user a "A"\n  actor user b "B"\n}', 3, 14, 1),
     ],
 )
 def test_parse_error_spans_are_pinned(code, text, line, column, length):
@@ -227,6 +234,39 @@ def test_parse_error_spans_are_pinned(code, text, line, column, length):
     assert [(d.code, d.location) for d in result.diagnostics] == [
         (code, SourceSpan("m.dsa", line, column, length))
     ]
+
+
+@pytest.mark.parametrize(
+    "text,expected",
+    [
+        # Blank lines and a comment before the block, an unterminated string
+        # and a trailing comment with no final line feed: EOF sits at the '#'.
+        (
+            '\n\n# head\nsystem "X" {\n  data d "D\n# tail',
+            [("E102", 5, 10, 2), ("E101", 6, 1, 0)],
+        ),
+        ('system "X" {\n  data d "D"\n# tail', [("E101", 3, 1, 0)]),
+        ('system "X" {\n  data d "D"\n# tail\n', [("E101", 4, 1, 0)]),
+        ('system "X" {\n  data d "D" # tail', [("E101", 2, 14, 0)]),
+    ],
+)
+def test_parse_diagnostics_at_end_of_file_are_pinned(text, expected):
+    result = parse(text, "m.dsa")
+    assert [
+        (d.code, d.location.line, d.location.column, d.location.length)
+        for d in result.diagnostics
+    ] == expected
+
+
+def test_declaration_spans_count_code_points():
+    text = 'system "X" {\r\tdata a "\U0001f600"\tdata b "B"\n  # c\n\tdata c "\\"C"\n}'
+    result = parse(text, "m.dsa")
+    assert result.diagnostics == []
+    assert result.spans == {
+        "a": SourceSpan("m.dsa", 1, 20, 1),
+        "b": SourceSpan("m.dsa", 1, 31, 1),
+        "c": SourceSpan("m.dsa", 3, 7, 1),
+    }
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -244,7 +284,7 @@ def test_declaration_spans_point_at_the_id(name):
 
 
 def test_tokens_are_not_tracked_by_the_cycle_collector():
-    toks, _ = _lex((FIXTURES / "faq_chatbot.dsa").read_text(), "f")
+    toks, _, _ = _lex((FIXTURES / "faq_chatbot.dsa").read_text())
     gc.collect()
     assert not any(gc.is_tracked(tok) for tok in toks)
 
@@ -269,23 +309,26 @@ def test_comments_ignored():
 
 
 def lexed(text):
-    toks, diags = _lex(text, "f")
+    """Tokens as (text, line, column, length); findings as (code, message, line, col, length)."""
+    parser = _Parser(text, "f")
+    spans = [parser.span(i) for i in range(len(parser.toks))]
+    diags = [(d.code, d.message, d.location) for d in parser.diags]
     return (
-        [(kind, shown, line, column, length) for kind, shown, _, line, column, length in toks],
-        [(d.code, d.message, d.location.line, d.location.column, d.location.length) for d in diags],
+        [(tok, s.line, s.column, s.length) for tok, s in zip(parser.toks, spans)],
+        [(code, message, s.line, s.column, s.length) for code, message, s in diags],
     )
 
 
 def test_lex_eof_after_trailing_comment_points_at_the_hash():
-    # Comments never advance the column, so EOF sits at the '#'.
+    # With no line feed after a trailing comment, EOF sits at its '#'.
     toks, _ = lexed("data d\n  d # note")
-    assert toks[-1] == ("eof", "", 2, 5, 0)
-    assert lexed("data d # note\n")[0][-1] == ("eof", "", 2, 1, 0)
+    assert toks[-1] == ("", 2, 5, 0)
+    assert lexed("data d # note\n")[0][-1] == ("", 2, 1, 0)
 
 
 def test_lex_unicode_word_characters():
     toks, diags = lexed("café² x_1")
-    assert toks == [("word", "café²", 1, 1, 5), ("word", "x_1", 1, 7, 3), ("eof", "", 1, 10, 0)]
+    assert toks == [("café²", 1, 1, 5), ("x_1", 1, 7, 3), ("", 1, 10, 0)]
     assert diags == []
 
 
@@ -304,13 +347,13 @@ def test_lex_escape_before_line_break_renders_with_repr():
 
 def test_lex_lone_carriage_return_is_blank_outside_strings():
     toks, diags = lexed("a\rb")
-    assert toks == [("word", "a", 1, 1, 1), ("word", "b", 1, 3, 1), ("eof", "", 1, 4, 0)]
+    assert toks == [("a", 1, 1, 1), ("b", 1, 3, 1), ("", 1, 4, 0)]
     assert diags == []
 
 
 def test_lex_forbidden_string_characters():
     toks, diags = lexed('"a\x01\tb\ufffe\r"')
-    assert toks[0][:2] == ("string", '"a\x01\tb\ufffe\r"')
+    assert toks[0] == ('"a\x01\tb\ufffe\r"', 1, 1, 8)
     assert diags == [
         ("E108", "character '\\x01' is not allowed in a string", 1, 3, 1),
         ("E108", "character '\\ufffe' is not allowed in a string", 1, 6, 1),
