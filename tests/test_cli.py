@@ -364,14 +364,38 @@ def test_control_character_in_a_name_never_reaches_open_exchange(tmp_path, monke
 def test_cli_import_loads_no_module_that_only_some_commands_need():
     # uuid (which loads platform) has no user; json serves only `derive
     # --items` and csv only the CSV reports.  dataclasses brings in inspect,
-    # ast and dis, which cost more to import than all of dsalign.  Each costs
-    # start-up time.
+    # ast and dis, which cost more to import than all of dsalign.  argparse,
+    # with the gettext and locale it loads, serves only help and usage
+    # errors.  Each costs start-up time.
+    parser = {"argparse", "gettext", "locale"}
     unwanted = {"uuid", "platform", "json", "csv", "dataclasses", "inspect", "ast", "dis"}
-    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src"), "COLUMNS": "80"}
     for module in ("dsalign.cli", "dsalign"):
-        code = f"import {module}, sys; print(sorted({unwanted!r} & set(sys.modules)))"
+        code = f"import {module}, sys; print(sorted({unwanted | parser!r} & set(sys.modules)))"
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env=env
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n", module
+    # A well-formed run of each command the benchmark times.
+    run = (
+        "import sys\nfrom dsalign.cli import main\ncode = main(sys.argv[1:])\n"
+        f"print(sorted({parser!r} & set(sys.modules)), file=sys.stderr)\nsys.exit(code)"
+    )
+    corpus = [str(FIXTURES / f"{n}.dsa") for n in FIXTURE_NAMES]
+    for argv in (
+        ["check", FAQ],
+        ["derive", FAQ, "--items", "-"],
+        ["export", FAQ, "--format", "open_exchange"],
+        ["export", FAQ, "--format", "dot"],
+        ["report", *corpus, "--matrix"],
+        ["fmt", "--check", FAQ],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-c", run, *argv], capture_output=True, text=True, env=env
+        )
+        assert (proc.returncode, proc.stderr) == (0, "[]\n"), argv
+    # Help still comes from argparse.
+    proc = run_cli("--help", env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: dsalign [-h] {check,derive,export,report,fmt} ...\n")
