@@ -27,9 +27,11 @@ from .model import (
     ElementKind,
     ModelError,
     PRINCIPLE_NAMES,
+    RISK_LEAVES,
     RelationKind,
     Severity,
     _Record,
+    is_valid_id,
     leaf_path,
 )
 
@@ -130,14 +132,12 @@ def derive_rule(model: AlignmentModel, rule: Rule) -> list[EvaluationItem]:
 
 def _influence_pairs(model: AlignmentModel) -> list[tuple[str, str]]:
     """Declared (user activity, operator activity) influence pairs, in order."""
-    pairs = []
-    for rel in model.relations:
-        if (
-            rel.kind is RelationKind.INFLUENCE
-            and model.element(rel.source).kind is ElementKind.USER_ACTIVITY
-        ):
-            pairs.append((rel.source, rel.target))
-    return pairs
+    influence, user_activity = RelationKind.INFLUENCE, ElementKind.USER_ACTIVITY
+    return [
+        (rel.source, rel.target)
+        for rel in model.relations
+        if rel.kind is influence and model.element(rel.source).kind is user_activity
+    ]
 
 
 def _influence_warnings(model: AlignmentModel) -> list[Diagnostic]:
@@ -174,7 +174,8 @@ def attach(model: AlignmentModel, itemset: EvaluationItemSet) -> AlignmentModel:
     leaf referenced, then provenance edges: influence from each source to its
     cost/risk item, association between each activity and its value item,
     influence from events to the principles they hinder, and the declared
-    user-value to business-value influences.
+    user-value to business-value influences.  The new model's findings are
+    seeded from ``model``'s, so only the added records are checked.
     """
     if itemset.system_name != model.system_name:
         raise ModelError(
@@ -190,37 +191,49 @@ def attach(model: AlignmentModel, itemset: EvaluationItemSet) -> AlignmentModel:
                 raise ModelError(
                     "E201", f"item {item.id!r} references unknown source {source!r}"
                 )
-    risk_items = itemset.by_rule(Rule.R2_RISK)
+    risk = Rule.R2_RISK
+    risk_items = itemset.by_rule(risk)
     for item in risk_items:
+        if item.category not in RISK_LEAVES:
+            raise ModelError(
+                "E201", f"risk item {item.id!r} has category {item.category!r}, not a risk leaf"
+            )
         pid = f"principle_{item.category}"
         if pid in model and model.element(pid).kind is not ElementKind.PRINCIPLE:
             kind = model.element(pid).kind.value
             raise ModelError("E201", f"derived id {pid!r} is already used by a {kind} element")
 
+    # ``out`` is a new unfrozen copy and ``category`` and ``severity`` are on
+    # every item kind's allowlist: of ``add_element``'s checks, only E005 remains.
     out = model.copy()
+    add_element, add_relation = out._add_element, out._add_relation
     for item in itemset.items:
+        if not is_valid_id(item.id):
+            raise ModelError("E005", f"invalid identifier {item.id!r}")
         attrs: dict = {"category": item.category}
-        if item.rule is Rule.R2_RISK:
+        if item.rule is risk:
             attrs["severity"] = item.severity
-        out.add_element(RULE_TABLE[item.rule][0], item.id, item.description, attrs=attrs)
+        add_element(RULE_TABLE[item.rule][0], item.id, item.description, None, attrs)
 
     for category in dict.fromkeys(item.category for item in risk_items):
-        if f"principle_{category}" not in out:
-            out.add_element(ElementKind.PRINCIPLE, f"principle_{category}", PRINCIPLE_NAMES[category])
+        pid = f"principle_{category}"
+        if pid not in out:
+            add_element(ElementKind.PRINCIPLE, pid, PRINCIPLE_NAMES[category], None, {})
 
     for item in itemset.items:
         edge = RULE_TABLE[item.rule][1]
         for source in item.sources:
-            out.add_relation(edge, source, item.id)
+            add_relation(edge, source, item.id)
 
+    influence = RelationKind.INFLUENCE
     hindered: set[tuple[str, str]] = set()
     for item in risk_items:
         principle = f"principle_{item.category}"
         for source in item.sources:
             if (source, principle) not in hindered:
-                out.add_relation(RelationKind.INFLUENCE, source, principle)
+                add_relation(influence, source, principle)
                 hindered.add((source, principle))
-        out.add_relation(RelationKind.ASSOCIATION, item.id, principle)
+        add_relation(RelationKind.ASSOCIATION, item.id, principle)
 
     business_by_activity: dict[str, list[str]] = {}
     for item in itemset.by_rule(Rule.R3_BUSINESS):
@@ -237,8 +250,9 @@ def attach(model: AlignmentModel, itemset: EvaluationItemSet) -> AlignmentModel:
         )
         for _, target in pairs:
             for business_id in business_by_activity.get(target, []):
-                out.add_relation(RelationKind.INFLUENCE, item.id, business_id)
+                add_relation(influence, item.id, business_id)
 
+    out._seed_findings(model)
     out.freeze()
     return out
 
@@ -254,30 +268,38 @@ def summary_line(itemset: EvaluationItemSet) -> str:
 
 
 def serialize_itemset(itemset: EvaluationItemSet) -> str:
-    """Deterministic JSON rendering used for golden files (LF, fixed keys)."""
-    import json  # imported here: of the CLI commands, only ``derive --items`` needs it
+    """Deterministic JSON rendering used for golden files (LF, fixed keys).
 
-    doc = {
-        "system": itemset.system_name,
-        "items": [
-            {
-                "id": item.id,
-                "rule": item.rule.value,
-                "category": item.category_path,
-                "description": item.description,
-                "sources": item.sources,
-                "severity": item.severity,
-            }
-            for item in itemset.items
-        ],
-        "warnings": [
-            {
-                "code": d.code,
-                "severity": d.severity.value,
-                "message": d.message,
-                "subject": d.subject,
-            }
-            for d in itemset.warnings
-        ],
-    }
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    The text is ``json.dumps(doc, indent=2, ensure_ascii=False)`` of the
+    document, written from the C string encoder that call uses: an indent
+    makes ``json.dumps`` fall back to its pure-Python encoder.
+    """
+    # Imported here: of the CLI commands, only ``derive --items`` needs it.
+    from json.encoder import encode_basestring as enc
+
+    items = [
+        f'{{\n      "id": {enc(item.id)},\n      "rule": {enc(item.rule.value)},'
+        f'\n      "category": {enc(item.category_path)},'
+        f'\n      "description": {enc(item.description)},'
+        f'\n      "sources": {_json_list(list(map(enc, item.sources)), "      ")},'
+        f'\n      "severity": {"null" if item.severity is None else enc(item.severity)}\n    }}'
+        for item in itemset.items
+    ]
+    warnings = [
+        f'{{\n      "code": {enc(d.code)},\n      "severity": {enc(d.severity.value)},'
+        f'\n      "message": {enc(d.message)},'
+        f'\n      "subject": {"null" if d.subject is None else enc(d.subject)}\n    }}'
+        for d in itemset.warnings
+    ]
+    return (
+        f'{{\n  "system": {enc(itemset.system_name)},\n  "items": {_json_list(items, "  ")},'
+        f'\n  "warnings": {_json_list(warnings, "  ")}\n}}\n'
+    )
+
+
+def _json_list(values: list[str], indent: str) -> str:
+    """A JSON array of encoded values, laid out as ``json.dumps`` indents it."""
+    if not values:
+        return "[]"
+    inner = f"\n{indent}  "
+    return f"[{inner}{f',{inner}'.join(values)}\n{indent}]"

@@ -167,11 +167,12 @@ def to_dot(model: AlignmentModel) -> str:
         else:
             clusters[branch].append(e)
 
+    principle = ElementKind.PRINCIPLE
     out = [f"digraph {slugify(model.system_name)} {{"]
     out.append("  rankdir=LR;")
     out.append("  node [shape=box];")
     for e in plain:
-        if e.kind is not ElementKind.PRINCIPLE:
+        if e.kind is not principle:
             out.append(node_line(e, "  "))
     for branch, members in clusters.items():
         if not members:
@@ -182,10 +183,11 @@ def to_dot(model: AlignmentModel) -> str:
             out.append(node_line(e, "    "))
         out.append("  }")
     for e in plain:
-        if e.kind is ElementKind.PRINCIPLE:
+        if e.kind is principle:
             out.append(node_line(e, "  "))
+    association = RelationKind.ASSOCIATION
     for r in model.relations:
-        style = ", dir=none" if r.kind is RelationKind.ASSOCIATION else ""
+        style = ", dir=none" if r.kind is association else ""
         out.append(f'  "{r.source}" -> "{r.target}" [label="{r.kind.value}"{style}];')
     out.append("}")
     return "\n".join(out) + "\n"

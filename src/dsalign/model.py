@@ -414,7 +414,9 @@ class AlignmentModel:
     order for formatting, derivation, and export.  Models are mutable while
     being built and should be frozen before they are shared.  Only
     ``add_element`` and ``add_relation`` change a model, so ``validate``
-    runs its rules once per model state.
+    runs its rules once per model state.  ``attach`` seeds its model's
+    findings from those of the model it extends, so a pipeline checks each
+    element once.
     """
 
     def __init__(self, system_name: str):
@@ -579,68 +581,108 @@ class AlignmentModel:
             return list(self._diagnostics)
         out: list[Diagnostic] = []
         _check_text(self._system_name, "the system name", None, out)
+        by_id = self._by_id
+        association = RelationKind.ASSOCIATION
         linked: set[str] = set()  # ids of elements that have their V1-V6 link
         unusual: list[Diagnostic] = []
         for rel in self._relations:
-            skind = self._by_id[rel.source].kind
-            tkind = self._by_id[rel.target].kind
+            skind = by_id[rel.source].kind
+            tkind = by_id[rel.target].kind
             if (rel.kind, tkind) in _LINKS.get(skind, ()):
                 linked.add(rel.source)
             if (rel.kind, skind) in _LINKS.get(tkind, ()):
                 linked.add(rel.target)
-            if rel.kind is RelationKind.ASSOCIATION:
-                if frozenset({skind, tkind}) not in ASSOCIATION_CORE:
-                    # V8: ``add_relation`` already refused unpermitted directed
-                    # relations (E004); an association only draws a warning.
-                    message = f"unusual association between {skind.value} and {tkind.value}"
-                    unusual.append(Diagnostic("W105", Severity.WARNING, message, subject=rel.id))
-
+            if rel.kind is association:
+                _check_association(rel, skind, tkind, unusual)
         for e in self._elements:
-            _check_text(e.name, "its name", e.id, out)
-            _check_text(e.description, "its description", e.id, out)
-            for code, severity, message, attrs, link in _ELEMENT_RULES.get(e.kind, ()):
-                if not (e.id in linked if link else any(map(e.attrs.get, attrs))):
-                    out.append(Diagnostic(code, severity, message.format(e.id), subject=e.id))
-            out.extend(self._validate_attrs(e))
+            _check_element(e, e.id in linked, out)
         out.extend(unusual)
         self._diagnostics = out
         return list(out)
 
-    def _validate_attrs(self, e: Element) -> list[Diagnostic]:
-        """V7: attr values well-formed (``add_element`` keeps keys on the allowlist)."""
-        out: list[Diagnostic] = []
+    def _seed_findings(self, parent: AlignmentModel) -> None:
+        """Set the memo of a copy of ``parent`` that has only gained records.
 
-        def add(code: str, message: str) -> None:
-            out.append(Diagnostic(code, Severity.ERROR, message, subject=e.id))
+        This equals a full pass only if no added relation gives an element
+        its V1-V6 link: each needs an end of a kind that no ``_LINKS`` row
+        names, as the records ``attach`` adds have.
+        """
+        found = parent._diagnostics  # set unless nothing has validated ``parent``
+        if found is None:
+            found = parent.validate()
+        out = [d for d in found if d.code != "W105"]
+        for e in self._elements[len(parent._elements):]:
+            _check_element(e, False, out)
+        out += [d for d in found if d.code == "W105"]
+        by_id = self._by_id
+        association = RelationKind.ASSOCIATION
+        for rel in self._relations[len(parent._relations):]:
+            if rel.kind is association:
+                _check_association(rel, by_id[rel.source].kind, by_id[rel.target].kind, out)
+        self._diagnostics = out
 
-        def check_leaf(value: object, leaves: tuple[str, ...], what: str) -> None:
-            if not isinstance(value, str) or not is_leaf(value):
-                add("E120", f"{e.id!r}: unknown taxonomy leaf {value!r} in {what}")
-            elif value not in leaves:
-                add(
-                    "E125",
-                    f"{e.id!r}: leaf {value!r} is from the wrong branch for {what}",
-                )
 
-        for key, value in e.attrs.items():
-            if key == "category":
-                check_leaf(value, BRANCHES[e.kind][1], "category")
-                continue
-            if key == "severity":
-                if value not in SEVERITY_LEVELS:
-                    add("E122", f"{e.id!r}: unknown severity level {value!r}")
-                continue
+def _check_element(e: Element, linked: bool, out: list[Diagnostic]) -> None:
+    """One element's findings: V9 on its texts, its kind's V1-V6 rows, V7.
+
+    ``linked`` says whether the element has the relation its kind's row needs.
+    """
+    id = e.id
+    _check_text(e.name, "its name", id, out)
+    _check_text(e.description, "its description", id, out)
+    for code, severity, message, attrs, link in _ELEMENT_RULES.get(e.kind, ()):
+        if not (linked if link else any(map(e.attrs.get, attrs))):
+            out.append(Diagnostic(code, severity, message.format(id), subject=id))
+    if e.attrs:
+        _check_attrs(e, out)
+
+
+def _check_association(
+    rel: Relation, skind: ElementKind, tkind: ElementKind, out: list[Diagnostic]
+) -> None:
+    """V8 on one association.  ``add_relation`` refuses unpermitted directed
+    relations (E004); an association outside the core pairs only warns."""
+    if frozenset({skind, tkind}) not in ASSOCIATION_CORE:
+        message = f"unusual association between {skind.value} and {tkind.value}"
+        out.append(Diagnostic("W105", Severity.WARNING, message, subject=rel.id))
+
+
+def _check_attrs(e: Element, out: list[Diagnostic]) -> None:
+    """V7: attr values well-formed (``add_element`` keeps keys on the allowlist)."""
+    id = e.id
+    for key, value in e.attrs.items():
+        if key == "category":
+            _check_leaf(value, BRANCHES[e.kind][1], "category", id, out)
+        elif key == "severity":
+            if value not in SEVERITY_LEVELS:
+                out.append(_error("E122", f"{id!r}: unknown severity level {value!r}", id))
+        else:
             spec = STATEMENTS[e.kind].entries[key]
             if spec.form == "word":
                 if value not in spec.leaves:
-                    add("E123", f"{e.id!r}: unknown runtime target {value!r}")
+                    out.append(_error("E123", f"{id!r}: unknown runtime target {value!r}", id))
                 continue
             hinders = spec.form == "hinders"
-            for entry in _entries(value, 3 if hinders else 2, e.id, key, out):
-                check_leaf(entry[0], spec.leaves, key)
+            for entry in _entries(value, 3 if hinders else 2, id, key, out):
+                _check_leaf(entry[0], spec.leaves, key, id, out)
                 if hinders and entry[1] not in SEVERITY_LEVELS:
-                    add("E122", f"{e.id!r}: unknown severity level {entry[1]!r}")
-        return out
+                    out.append(_error("E122", f"{id!r}: unknown severity level {entry[1]!r}", id))
+
+
+def _check_leaf(
+    value: object, leaves: tuple[str, ...], what: str, subject: str, out: list[Diagnostic]
+) -> None:
+    """E120 for a value that is no taxonomy leaf, E125 for a leaf not in ``leaves``."""
+    if not isinstance(value, str) or not is_leaf(value):
+        message = f"{subject!r}: unknown taxonomy leaf {value!r} in {what}"
+        out.append(_error("E120", message, subject))
+    elif value not in leaves:
+        message = f"{subject!r}: leaf {value!r} is from the wrong branch for {what}"
+        out.append(_error("E125", message, subject))
+
+
+def _error(code: str, message: str, subject: str) -> Diagnostic:
+    return Diagnostic(code, Severity.ERROR, message, subject=subject)
 
 
 def _entries(
@@ -653,28 +695,14 @@ def _entries(
     part of a well-shaped one.
     """
     if not isinstance(value, (list, tuple)):
-        out.append(
-            Diagnostic(
-                "E012",
-                Severity.ERROR,
-                f"{subject!r}: attr {key!r} must be a list of entries",
-                subject=subject,
-            )
-        )
+        out.append(_error("E012", f"{subject!r}: attr {key!r} must be a list of entries", subject))
         return []
     good = []
     where = f"its {key!r} entry"
     for entry in value:
         shaped = isinstance(entry, (list, tuple)) and len(entry) == arity
         if not shaped or not isinstance(entry[-1], str):
-            out.append(
-                Diagnostic(
-                    "E012",
-                    Severity.ERROR,
-                    f"{subject!r}: malformed {key!r} entry {entry!r}",
-                    subject=subject,
-                )
-            )
+            out.append(_error("E012", f"{subject!r}: malformed {key!r} entry {entry!r}", subject))
         else:
             good.append(tuple(entry))
             for part in entry:
@@ -696,7 +724,7 @@ def _check_text(text: object, where: str, subject: str | None, out: list[Diagnos
     if m:
         prefix = f"{subject!r}: " if subject else ""
         message = f"{prefix}character {m.group()!r} is not allowed in {where}"
-        out.append(Diagnostic("E013", Severity.ERROR, message, subject=subject))
+        out.append(_error("E013", message, subject))
 
 
 def new_model(system_name: str) -> AlignmentModel:

@@ -24,6 +24,7 @@ from dsalign.model import (
     Severity,
     new_model,
 )
+from dsalign import model as model_module
 from dsalign.dsl import format_model, parse
 from dsalign.export import to_dot, to_open_exchange
 
@@ -448,6 +449,15 @@ def test_attach_unknown_source_rejected(faq_model):
     assert err.value.code == "E201"
 
 
+def test_attach_refuses_a_risk_item_outside_the_risk_branch(faq_model):
+    event = faq_model.elements_of_kind(K.OBSERVED_EVENT)[0].id
+    item = EvaluationItem("item_r2_risk_1", "functional", "x", [event], Rule.R2_RISK, "low")
+    with pytest.raises(ModelError) as err:
+        attach(faq_model, EvaluationItemSet(system_name=faq_model.system_name, items=[item]))
+    assert err.value.code == "E201"
+    assert "'functional'" in err.value.message
+
+
 def _influence_model(activities: int):
     """User activities u1..uN, each influencing operator activity o(i % 3 + 1)."""
     model = new_model("Influences")
@@ -506,20 +516,22 @@ def test_attach_scans_relations_a_constant_number_of_times(monkeypatch):
 
 
 def test_pipeline_runs_the_rules_once_per_model_state(monkeypatch):
+    # ``attach`` seeds its model's findings, so each element is checked once.
     checked = []
-    plain = AlignmentModel._validate_attrs
+    plain = model_module._check_element
 
-    def counting(self, *args):
-        checked.append(self)
-        return plain(self, *args)
+    def counting(e, *args):
+        checked.append(e.id)
+        return plain(e, *args)
 
-    monkeypatch.setattr(AlignmentModel, "_validate_attrs", counting)
+    monkeypatch.setattr(model_module, "_check_element", counting)
     model = parse((FIXTURES / "faq_chatbot.dsa").read_text(), "faq_chatbot").model
+    model.validate()
     attached = attach(model, derive_all(model))
     to_open_exchange(attached)
     to_dot(attached)
     format_model(model)
-    assert len(checked) == len(model.elements) + len(attached.elements)
+    assert checked == [e.id for e in attached.elements]
 
 
 def test_element_attrs_are_read_only(faq_model):

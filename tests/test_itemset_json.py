@@ -1,0 +1,88 @@
+"""``serialize_itemset`` writes what ``json.dumps(indent=2)`` writes, byte for byte."""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+
+from dsalign import derive_all
+from dsalign.derive import EvaluationItem, EvaluationItemSet, Rule, serialize_itemset
+from dsalign.model import ALL_LEAVES, Diagnostic, Severity
+
+from conftest import FIXTURE_NAMES
+
+
+def reference_serialize(itemset: EvaluationItemSet) -> str:
+    """The document built and dumped by the standard library's JSON encoder."""
+    doc = {
+        "system": itemset.system_name,
+        "items": [
+            {
+                "id": item.id,
+                "rule": item.rule.value,
+                "category": item.category_path,
+                "description": item.description,
+                "sources": item.sources,
+                "severity": item.severity,
+            }
+            for item in itemset.items
+        ],
+        "warnings": [
+            {
+                "code": d.code,
+                "severity": d.severity.value,
+                "message": d.message,
+                "subject": d.subject,
+            }
+            for d in itemset.warnings
+        ],
+    }
+    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_fixture_itemsets_match_the_reference(name, fixture_models):
+    itemset = derive_all(fixture_models[name])
+    assert serialize_itemset(itemset) == reference_serialize(itemset)
+
+
+def test_empty_lists_and_nulls_match_the_reference():
+    item = EvaluationItem("i", "privacy", "", [], Rule.R2_RISK)
+    warning = Diagnostic("W105", Severity.WARNING, "", subject=None)
+    for itemset in (
+        EvaluationItemSet("S", []),
+        EvaluationItemSet("S", [item]),
+        EvaluationItemSet("S", [], [warning]),
+        EvaluationItemSet("S", [item, item], [warning, warning]),
+    ):
+        assert serialize_itemset(itemset) == reference_serialize(itemset)
+
+
+# Arbitrary Unicode, with lone surrogates, C0 controls, the characters JSON
+# escapes, U+2028 and astral characters drawn about as often as all others.
+SPECIAL = st.sampled_from('"\\/\x00\x08\x1f\x7f\u2028\u2029\ud800\udfff\U00010000\U0001f600\ufeff')
+TEXTS = st.text(SPECIAL | st.characters(), max_size=6)
+NULLABLE = st.none() | TEXTS
+
+ITEMS = st.builds(
+    EvaluationItem,
+    TEXTS,
+    st.sampled_from(ALL_LEAVES),
+    TEXTS,
+    st.lists(TEXTS, max_size=3),
+    st.sampled_from(Rule),
+    NULLABLE,
+)
+WARNINGS = st.builds(
+    Diagnostic, TEXTS, st.sampled_from(Severity), TEXTS, st.none(), NULLABLE
+)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@seed(20261019)
+@given(st.builds(EvaluationItemSet, TEXTS, st.lists(ITEMS, max_size=3), st.lists(WARNINGS, max_size=3)))
+def test_random_itemsets_match_the_reference(itemset):
+    assert serialize_itemset(itemset) == reference_serialize(itemset)
