@@ -19,8 +19,6 @@ motivation-layer elements with provenance edges.
 
 from __future__ import annotations
 
-from enum import Enum
-
 from .model import (
     AlignmentModel,
     Diagnostic,
@@ -31,17 +29,21 @@ from .model import (
     RelationKind,
     Severity,
     _Record,
+    _constants,
     is_valid_id,
     leaf_path,
 )
 
 
-class Rule(str, Enum):
+class Rule:
     R1_COST = "R1_cost"
     R2_RISK = "R2_risk"
     R3_BUSINESS = "R3_business"
     R4_USER = "R4_user"
     R5_QUALITY = "R5_quality"
+
+
+RULES = _constants(Rule)
 
 
 K, R = ElementKind, RelationKind
@@ -96,7 +98,7 @@ class EvaluationItemSet(_Record):
         self.warnings = [] if warnings is None else warnings
 
     def by_rule(self, rule: Rule) -> list[EvaluationItem]:
-        return [item for item in self.items if item.rule is rule]
+        return [item for item in self.items if item.rule == rule]
 
 
 def derive_rule(model: AlignmentModel, rule: Rule) -> list[EvaluationItem]:
@@ -107,13 +109,13 @@ def derive_rule(model: AlignmentModel, rule: Rule) -> list[EvaluationItem]:
     and usage-fee items.
     """
     items: list[EvaluationItem] = []
-    prefix = f"item_{rule.value.lower()}_"
+    prefix = f"item_{rule.lower()}_"
 
     def emit(category: str, description: str, source: str, severity: str | None = None) -> None:
         item_id = f"{prefix}{len(items) + 1}"
         items.append(EvaluationItem(item_id, category, description, [source], rule, severity))
 
-    if rule is Rule.R1_COST:
+    if rule == Rule.R1_COST:
         components = model.elements_of_kind(ElementKind.SYSTEM_COMPONENT)
         for comp in components:
             emit("human_resources", f"develop and test {comp.name}", comp.id)
@@ -161,7 +163,7 @@ def derive_all(model: AlignmentModel) -> EvaluationItemSet:
     if any(d.severity is Severity.ERROR for d in diagnostics):
         codes = ", ".join(sorted({d.code for d in diagnostics if d.severity is Severity.ERROR}))
         raise ModelError("E200", f"model has validation errors ({codes})")
-    items = [item for rule in Rule for item in derive_rule(model, rule)]
+    items = [item for rule in RULES for item in derive_rule(model, rule)]
     warnings = [d for d in diagnostics if d.severity is Severity.WARNING]
     warnings.extend(_influence_warnings(model))
     return EvaluationItemSet(system_name=model.system_name, items=items, warnings=warnings)
@@ -200,7 +202,7 @@ def attach(model: AlignmentModel, itemset: EvaluationItemSet) -> AlignmentModel:
             )
         pid = f"principle_{item.category}"
         if pid in model and model.element(pid).kind is not ElementKind.PRINCIPLE:
-            kind = model.element(pid).kind.value
+            kind = model.element(pid).kind
             raise ModelError("E201", f"derived id {pid!r} is already used by a {kind} element")
 
     # ``out`` is a new unfrozen copy and ``category`` and ``severity`` are on
@@ -211,7 +213,7 @@ def attach(model: AlignmentModel, itemset: EvaluationItemSet) -> AlignmentModel:
         if not is_valid_id(item.id):
             raise ModelError("E005", f"invalid identifier {item.id!r}")
         attrs: dict = {"category": item.category}
-        if item.rule is risk:
+        if item.rule == risk:
             attrs["severity"] = item.severity
         add_element(RULE_TABLE[item.rule][0], item.id, item.description, None, attrs)
 
@@ -259,7 +261,7 @@ def attach(model: AlignmentModel, itemset: EvaluationItemSet) -> AlignmentModel:
 
 def summary_line(itemset: EvaluationItemSet) -> str:
     """One-line count summary, e.g. ``15 items (9 cost, 2 risk, ...)``."""
-    counts = {rule: len(itemset.by_rule(rule)) for rule in Rule}
+    counts = {rule: len(itemset.by_rule(rule)) for rule in RULES}
     return (
         f"{len(itemset.items)} items ({counts[Rule.R1_COST]} cost, "
         f"{counts[Rule.R2_RISK]} risk, {counts[Rule.R3_BUSINESS]} business, "
@@ -274,11 +276,15 @@ def serialize_itemset(itemset: EvaluationItemSet) -> str:
     document, written from the C string encoder that call uses: an indent
     makes ``json.dumps`` fall back to its pure-Python encoder.
     """
-    # Imported here: of the CLI commands, only ``derive --items`` needs it.
-    from json.encoder import encode_basestring as enc
+    # The C encoder itself, which ``json.encoder`` re-exports: importing the
+    # ``json`` package would cost a ``derive --items`` run about 2 ms more.
+    try:
+        from _json import encode_basestring as enc
+    except ImportError:  # an interpreter without the C accelerator
+        from json.encoder import encode_basestring as enc
 
     items = [
-        f'{{\n      "id": {enc(item.id)},\n      "rule": {enc(item.rule.value)},'
+        f'{{\n      "id": {enc(item.id)},\n      "rule": {enc(item.rule)},'
         f'\n      "category": {enc(item.category_path)},'
         f'\n      "description": {enc(item.description)},'
         f'\n      "sources": {_json_list(list(map(enc, item.sources)), "      ")},'
@@ -286,7 +292,7 @@ def serialize_itemset(itemset: EvaluationItemSet) -> str:
         for item in itemset.items
     ]
     warnings = [
-        f'{{\n      "code": {enc(d.code)},\n      "severity": {enc(d.severity.value)},'
+        f'{{\n      "code": {enc(d.code)},\n      "severity": {enc(d.severity)},'
         f'\n      "message": {enc(d.message)},'
         f'\n      "subject": {"null" if d.subject is None else enc(d.subject)}\n    }}'
         for d in itemset.warnings

@@ -498,7 +498,7 @@ class _Parser:
             self.expected("':'", i + 1)
         entry = entries.get(key)
         if entry is None:
-            self.error("E002", f"attr {key!r} is not allowed on {kind.value}", i)
+            self.error("E002", f"attr {key!r} is not allowed on {kind}", i)
             self.sync_entry()
             return
         if entry.single:
@@ -658,7 +658,7 @@ def format_model(model: AlignmentModel) -> str:
         if found is None:
             raise ModelError(
                 "E140",
-                f"{rel.kind.value} from {rel.source!r} to {rel.target!r} "
+                f"{rel.kind} from {rel.source!r} to {rel.target!r} "
                 "is not expressible in the DSL",
             )
         key, entry = found
@@ -685,7 +685,7 @@ def format_model(model: AlignmentModel) -> str:
         statement = STATEMENTS.get(e.kind)
         if statement is None:
             raise ModelError(
-                "E140", f"{e.kind.value} elements are not expressible in the DSL"
+                "E140", f"{e.kind} elements are not expressible in the DSL"
             )
         words = (statement.keyword, statement.role, e.id, _quote(e.name))
         header = " ".join(word for word in words if word)

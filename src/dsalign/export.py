@@ -124,7 +124,7 @@ def to_open_exchange(model: AlignmentModel) -> str:
             out.append(
                 f'    <relationship identifier="id-{r.id}" '
                 f'source="id-{r.source}" target="id-{r.target}" '
-                f'xsi:type="{r.kind.value}"/>'
+                f'xsi:type="{r.kind}"/>'
             )
         out.append("  </relationships>")
 
@@ -155,7 +155,7 @@ def to_dot(model: AlignmentModel) -> str:
     _check_exportable(model)
 
     def node_line(e: Element, indent: str) -> str:
-        label = f"{_dot_escape(e.kind.value)}\\n{_dot_escape(e.name)}"
+        label = f"{_dot_escape(e.kind)}\\n{_dot_escape(e.name)}"
         return f'{indent}"{e.id}" [label="{label}"];'
 
     clusters: dict[str, list[Element]] = {_cluster(kind): [] for kind in BRANCHES}
@@ -188,7 +188,7 @@ def to_dot(model: AlignmentModel) -> str:
     association = RelationKind.ASSOCIATION
     for r in model.relations:
         style = ", dir=none" if r.kind is association else ""
-        out.append(f'  "{r.source}" -> "{r.target}" [label="{r.kind.value}"{style}];')
+        out.append(f'  "{r.source}" -> "{r.target}" [label="{r.kind}"{style}];')
     out.append("}")
     return "\n".join(out) + "\n"
 

@@ -12,12 +12,17 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Mapping
-from enum import Enum
 import re
 from types import MappingProxyType
 
+# Kinds, severities and rules are plain ``str`` constants grouped in
+# namespaces, so ``ElementKind.USER == "User"`` and a kind prints as itself.
+# Models hold only these constant objects (``add_element`` and
+# ``add_relation`` map an equal string to its constant), so the rules may
+# compare kinds with ``is``.
 
-class ElementKind(str, Enum):
+
+class ElementKind:
     # System-side kinds, one per element of the generic dialogue-system model.
     USER = "User"
     OPERATOR = "Operator"
@@ -37,7 +42,7 @@ class ElementKind(str, Enum):
     PRINCIPLE = "Principle"
 
 
-class RelationKind(str, Enum):
+class RelationKind:
     SERVING = "Serving"
     REALIZATION = "Realization"
     ASSIGNMENT = "Assignment"
@@ -46,9 +51,21 @@ class RelationKind(str, Enum):
     ACCESS = "Access"
 
 
-class Severity(str, Enum):
+class Severity:
     ERROR = "error"
     WARNING = "warning"
+
+
+def _constants(namespace: type) -> tuple[str, ...]:
+    """A namespace's constants in declaration order."""
+    return tuple(value for name, value in vars(namespace).items() if not name.startswith("_"))
+
+
+ELEMENT_KINDS = _constants(ElementKind)
+RELATION_KINDS = _constants(RelationKind)
+# Each kind mapped to itself, for the one lookup that makes an equal string canonical.
+_ELEMENT_KIND = {kind: kind for kind in ELEMENT_KINDS}
+_RELATION_KIND = {kind: kind for kind in RELATION_KINDS}
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +108,10 @@ SEVERITY_LEVELS = ("low", "medium", "high")
 DEFAULT_RISK_SEVERITY = "medium"
 
 RUNTIME_TARGETS = ("server", "device", "external_api", "browser")
+
+# Formats of ``report``; declared here so the CLI can offer them without
+# importing the report module.
+REPORT_FORMATS = ("markdown", "csv")
 
 # Leaf counts are part of the contract; fail fast if the tree is edited badly.
 assert len(VALUE_LEAVES) == 9 and len(RISK_LEAVES) == 7 and len(COST_LEAVES) == 3
@@ -245,7 +266,7 @@ STATEMENTS: dict[ElementKind, Statement] = {
 # Attribute allowlist per element kind, in the printer's order: a leaf
 # category on derived items, the table's attr entries on surface kinds.
 ALLOWED_ATTRS: dict[ElementKind, tuple[str, ...]] = {
-    kind: ("category",) if kind in BRANCHES else () for kind in ElementKind
+    kind: ("category",) if kind in BRANCHES else () for kind in ELEMENT_KINDS
 }
 ALLOWED_ATTRS[K.RISK_ITEM] += ("severity",)
 ALLOWED_ATTRS.update(
@@ -316,9 +337,9 @@ def relation_permitted(
     source_kind: ElementKind, kind: RelationKind, target_kind: ElementKind
 ) -> bool:
     """True if the triple may be added at all (W105 pairs included)."""
-    if kind is RelationKind.ASSOCIATION:
+    if kind == RelationKind.ASSOCIATION:
         return True
-    return (source_kind, target_kind) in PERMITTED_RELATIONS[kind]
+    return (source_kind, target_kind) in PERMITTED_RELATIONS.get(kind, ())
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +391,7 @@ class Diagnostic(
             prefix = f"{file}: "
         else:
             prefix = ""
-        return f"{prefix}{self.severity.value} {self.code}: {self.message}"
+        return f"{prefix}{self.severity} {self.code}: {self.message}"
 
 
 class ModelError(Exception):
@@ -444,15 +465,14 @@ class AlignmentModel:
         attrs: dict | None = None,
     ) -> str:
         self._check_mutable()
+        kind = _canonical(_ELEMENT_KIND, kind, "element")
         if not is_valid_id(id):
             raise ModelError("E005", f"invalid identifier {id!r}")
         attrs = dict(attrs or {})
         allowed = ALLOWED_ATTRS[kind]
         for key in attrs:
             if key not in allowed:
-                raise ModelError(
-                    "E002", f"attr {key!r} is not allowed on {kind.value}"
-                )
+                raise ModelError("E002", f"attr {key!r} is not allowed on {kind}")
         return self._add_element(kind, id, name, description, attrs)
 
     def _add_element(
@@ -463,9 +483,7 @@ class AlignmentModel:
             raise ModelError("E001", f"duplicate element id {id!r}")
         if kind in _ONE_PER_MODEL:
             if any(e.kind is kind for e in self._elements):
-                raise ModelError(
-                    "E007", f"model already has an element of kind {kind.value}"
-                )
+                raise ModelError("E007", f"model already has an element of kind {kind}")
         element = Element(id, kind, name, description, MappingProxyType(attrs))
         self._elements.append(element)
         self._by_id[id] = element
@@ -474,7 +492,7 @@ class AlignmentModel:
 
     def add_relation(self, kind: RelationKind, source: str, target: str) -> str:
         self._check_mutable()
-        return self._add_relation(kind, source, target)
+        return self._add_relation(_canonical(_RELATION_KIND, kind, "relation"), source, target)
 
     def _add_relation(self, kind: RelationKind, source: str, target: str) -> str:
         """``add_relation`` on a model known to be mutable."""
@@ -486,9 +504,7 @@ class AlignmentModel:
         target_kind = by_id[target].kind
         if not relation_permitted(source_kind, kind, target_kind):
             raise ModelError(
-                "E004",
-                f"{kind.value} from {source_kind.value} to {target_kind.value} "
-                "is not permitted",
+                "E004", f"{kind} from {source_kind} to {target_kind} is not permitted"
             )
         id = f"r{len(self._relations) + 1:03d}"
         self._relations.append(Relation(id, kind, source, target))
@@ -525,7 +541,7 @@ class AlignmentModel:
         return self._by_id[id]
 
     def elements_of_kind(self, kind: ElementKind) -> list[Element]:
-        return [e for e in self._elements if e.kind is kind]
+        return [e for e in self._elements if e.kind == kind]
 
     def neighbors(
         self,
@@ -544,7 +560,7 @@ class AlignmentModel:
         self.element(id)
         seen: dict[str, None] = {}
         for rel in self._relations:
-            if kind is not None and rel.kind is not kind:
+            if kind is not None and rel.kind != kind:
                 continue
             other: str | None = None
             if rel.kind is RelationKind.ASSOCIATION:
@@ -643,7 +659,7 @@ def _check_association(
     """V8 on one association.  ``add_relation`` refuses unpermitted directed
     relations (E004); an association outside the core pairs only warns."""
     if frozenset({skind, tkind}) not in ASSOCIATION_CORE:
-        message = f"unusual association between {skind.value} and {tkind.value}"
+        message = f"unusual association between {skind} and {tkind}"
         out.append(Diagnostic("W105", Severity.WARNING, message, subject=rel.id))
 
 
@@ -725,6 +741,14 @@ def _check_text(text: object, where: str, subject: str | None, out: list[Diagnos
         prefix = f"{subject!r}: " if subject else ""
         message = f"{prefix}character {m.group()!r} is not allowed in {where}"
         out.append(_error("E013", message, subject))
+
+
+def _canonical(constants: dict[str, str], kind: str, what: str) -> str:
+    """The constant equal to ``kind``; E008 for a kind outside the closed set."""
+    try:
+        return constants[kind]
+    except KeyError:
+        raise ModelError("E008", f"unknown {what} kind {kind!r}") from None
 
 
 def new_model(system_name: str) -> AlignmentModel:

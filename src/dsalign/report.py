@@ -8,10 +8,8 @@ RFC-4180-style CSV.
 
 from __future__ import annotations
 
-from .model import ALL_LEAVES, ModelError, _Record, leaf_path
+from .model import ALL_LEAVES, REPORT_FORMATS as FORMATS, ModelError, _Record, leaf_path
 from .derive import EvaluationItemSet
-
-FORMATS = ("markdown", "csv")
 
 
 class Matrix(_Record):
@@ -84,7 +82,7 @@ def item_table(itemset: EvaluationItemSet, format: str = "markdown") -> str:
             item.description,
             ", ".join(item.sources),
             item.severity or "",
-            item.rule.value,
+            item.rule,
         ]
         for item in itemset.items
     ]

@@ -193,7 +193,7 @@ def test_acceptance_monotonicity(fixture_models):
 
     def multiset(itemset):
         return sorted(
-            (i.rule.value, i.category, i.description, tuple(i.sources), i.severity)
+            (i.rule, i.category, i.description, tuple(i.sources), i.severity)
             for i in itemset.items
         )
 

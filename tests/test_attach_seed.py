@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, seed, settings
 
 from dsalign import attach, derive_all, parse
-from dsalign.derive import RULE_TABLE, EvaluationItem, EvaluationItemSet, Rule, derive_rule
+from dsalign.derive import RULE_TABLE, RULES, EvaluationItem, EvaluationItemSet, Rule, derive_rule
 from dsalign.model import _LINKS, ElementKind, ModelError, RelationKind, Severity, new_model
 
 from conftest import FIXTURE_NAMES, FIXTURES, REPO
@@ -40,7 +40,7 @@ def assert_seeded(model, itemset) -> list:
 
 def all_items(model) -> EvaluationItemSet:
     """R1-R5's items whether or not the model validates, for ``attach``."""
-    items = [item for rule in Rule for item in derive_rule(model, rule)]
+    items = [item for rule in RULES for item in derive_rule(model, rule)]
     return EvaluationItemSet(model.system_name, items)
 
 
@@ -98,7 +98,7 @@ def test_seed_equals_a_full_pass_on_random_models(m):
 
 
 def _item(rule, n, category, sources, description="x", severity=None):
-    id = f"item_{rule.value.lower()}_{n}"
+    id = f"item_{rule.lower()}_{n}"
     return EvaluationItem(id, category, description, sources, rule, severity)
 
 

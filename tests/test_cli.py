@@ -362,40 +362,69 @@ def test_control_character_in_a_name_never_reaches_open_exchange(tmp_path, monke
 
 
 def test_cli_import_loads_no_module_that_only_some_commands_need():
-    # uuid (which loads platform) has no user; json serves only `derive
-    # --items` and csv only the CSV reports.  dataclasses brings in inspect,
-    # ast and dis, which cost more to import than all of dsalign.  argparse,
-    # with the gettext and locale it loads, serves only help and usage
-    # errors.  Each costs start-up time.
+    # uuid (which loads platform) has no user, and csv serves only the CSV
+    # reports.  json has none: itemset JSON comes from the C encoder in
+    # _json.  dataclasses brings in inspect, ast and dis, which cost more to
+    # import than all of dsalign.  argparse, with the gettext and locale it
+    # loads, serves only help and usage errors.  derive, export and report
+    # load only for the commands that run them.  Each costs start-up time.
     parser = {"argparse", "gettext", "locale"}
     unwanted = {"uuid", "platform", "json", "csv", "dataclasses", "inspect", "ast", "dis"}
+    lazy = {"dsalign.derive", "dsalign.export", "dsalign.report"}
     env = {**os.environ, "PYTHONPATH": str(REPO / "src"), "COLUMNS": "80"}
     for module in ("dsalign.cli", "dsalign"):
-        code = f"import {module}, sys; print(sorted({unwanted | parser!r} & set(sys.modules)))"
+        code = f"import {module}, sys; print(sorted({unwanted | parser | lazy!r} & set(sys.modules)))"
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env=env
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n", module
-    # A well-formed run of each command the benchmark times.
-    run = (
-        "import sys\nfrom dsalign.cli import main\ncode = main(sys.argv[1:])\n"
-        f"print(sorted({parser!r} & set(sys.modules)), file=sys.stderr)\nsys.exit(code)"
-    )
+    # Each command the benchmark times, run as the benchmark runs it, loads
+    # exactly the dsalign modules it calls.
+    base = {"dsalign", "dsalign.model", "dsalign.dsl", "dsalign.cli"}
     corpus = [str(FIXTURES / f"{n}.dsa") for n in FIXTURE_NAMES]
-    for argv in (
-        ["check", FAQ],
-        ["derive", FAQ, "--items", "-"],
-        ["export", FAQ, "--format", "open_exchange"],
-        ["export", FAQ, "--format", "dot"],
-        ["report", *corpus, "--matrix"],
-        ["fmt", "--check", FAQ],
+    for argv, own in (
+        (["check", FAQ], set()),
+        (["derive", FAQ, "--items", "-"], {"dsalign.derive"}),
+        (["export", FAQ, "--format", "open_exchange"], {"dsalign.derive", "dsalign.export"}),
+        (["export", FAQ, "--format", "dot"], {"dsalign.derive", "dsalign.export"}),
+        (["export", FAQ, "--format", "dot", "--no-derived"], {"dsalign.export"}),
+        (["report", *corpus, "--matrix"], {"dsalign.derive", "dsalign.report"}),
+        (["fmt", "--check", FAQ], set()),
     ):
         proc = subprocess.run(
-            [sys.executable, "-c", run, *argv], capture_output=True, text=True, env=env
+            [sys.executable, "-X", "importtime", "-m", "dsalign", *argv],
+            capture_output=True, text=True, env=env,
         )
-        assert (proc.returncode, proc.stderr) == (0, "[]\n"), argv
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert all(line.startswith("import time:") for line in lines), argv
+        loaded = {line.rsplit("|", 1)[1].strip() for line in lines[1:]}
+        assert {m for m in loaded if m.startswith("dsalign")} == base | own, argv
+        assert not loaded & (unwanted | parser), argv
     # Help still comes from argparse.
     proc = run_cli("--help", env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: dsalign [-h] {check,derive,export,report,fmt} ...\n")
+
+
+def test_package_names_load_their_module_on_first_use():
+    names = (
+        "import dsalign, sys\n"
+        "lazy = {'dsalign.derive', 'dsalign.export', 'dsalign.report'}\n"
+        "assert not lazy & set(sys.modules)\n"
+        "assert set(dsalign.__all__) <= set(dir(dsalign))\n"
+        "from dsalign import *\n"
+        "assert all(globals()[name] is getattr(dsalign, name) for name in dsalign.__all__)\n"
+        "assert lazy <= set(sys.modules)\n"
+        "from dsalign import export, derive\n"
+        "assert export.to_dot is to_dot and derive.Rule is Rule\n"
+        "try:\n"
+        "    dsalign.no_such_name\n"
+        "except AttributeError as err:\n"
+        "    print(err)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    proc = subprocess.run([sys.executable, "-c", names], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "module 'dsalign' has no attribute 'no_such_name'\n"

@@ -4,6 +4,7 @@ import pytest
 
 from dsalign.derive import (
     RULE_TABLE,
+    RULES,
     EvaluationItem,
     EvaluationItemSet,
     Rule,
@@ -34,7 +35,7 @@ K = ElementKind
 
 
 def item_key(item):
-    return (item.rule.value, item.category, item.description, tuple(item.sources), item.severity)
+    return (item.rule, item.category, item.description, tuple(item.sources), item.severity)
 
 
 def expected_cost_count(model) -> int:
@@ -56,7 +57,7 @@ def test_rule_table_has_a_row_per_rule_and_per_item_yielding_entry():
         for key, entry in statement.entries.items()
         if entry.form in ("leaf", "cost", "hinders")
     }
-    assert list(RULE_TABLE) == list(Rule)
+    assert list(RULE_TABLE) == list(RULES)
     assert {(kind, attr) for _, _, kind, attr in RULE_TABLE.values()} == yielding
     # Each row's entries take exactly its item kind's leaves, so no derived
     # item fails V7 on the attached model (which would make export stop, E300).
@@ -232,7 +233,7 @@ def test_item_ids_are_deterministic(faq_model):
 
 def test_rules_run_in_order(faq_model):
     rules = [i.rule for i in derive_all(faq_model).items]
-    assert rules == sorted(rules, key=list(Rule).index)
+    assert rules == sorted(rules, key=RULES.index)
 
 
 def test_derive_all_rejects_invalid_model():
@@ -471,7 +472,7 @@ def _influence_model(activities: int):
 
 def _itemset(model, r4_sources):
     def item(rule, n, sources, category):
-        return EvaluationItem(f"item_{rule.value.lower()}_{n}", category, "x", sources, rule)
+        return EvaluationItem(f"item_{rule.lower()}_{n}", category, "x", sources, rule)
 
     business = [item(Rule.R3_BUSINESS, i, [f"o{i}"], "revenue_increase") for i in range(1, 4)]
     user = [item(Rule.R4_USER, n, s, "functional") for n, s in enumerate(r4_sources, start=1)]

@@ -4,11 +4,14 @@ import itertools
 
 import pytest
 
+from dsalign.export import to_dot
 from dsalign.model import (
     ALL_LEAVES,
     ALLOWED_ATTRS,
     BRANCHES,
     COST_LEAVES,
+    ELEMENT_KINDS,
+    RELATION_KINDS,
     ElementKind,
     ModelError,
     RelationKind,
@@ -95,6 +98,39 @@ def test_single_user_and_operator():
     assert err.value.code == "E007"
 
 
+def test_unknown_kinds_are_e008():
+    m = two_element_model(K.SYSTEM_COMPONENT, K.DATA_MODEL)
+    for kind in ("Bogus", R.ACCESS, ""):
+        with pytest.raises(ModelError) as err:
+            m.add_element(kind, "d2", "D")
+        assert err.value.code == "E008"
+    for kind in ("Bogus", K.DATA_MODEL):
+        with pytest.raises(ModelError) as err:
+            m.add_relation(kind, "src", "dst")
+        assert err.value.code == "E008"
+    assert m.elements[2:] == [] and m.relations == []
+    assert not relation_permitted(K.SYSTEM_COMPONENT, "Bogus", K.DATA_MODEL)
+
+
+def test_a_kind_built_at_run_time_is_stored_as_its_constant():
+    # An equal string that is not the constant itself: the rules compare
+    # kinds with ``is``, so the model must hold the constant.
+    user, access = "".join(["Us", "er"]), "".join(["Acc", "ess"])
+    assert user == K.USER and user is not K.USER
+    m = new_model("x")
+    m.add_element(user, "u", "Alice")
+    assert m.element("u").kind is K.USER
+    assert '"u" [label="User\\nAlice"];' in to_dot(m)
+    with pytest.raises(ModelError) as err:
+        m.add_element("".join(["Us", "er"]), "u2", "Second user")
+    assert err.value.code == "E007"
+    m.add_element(K.SYSTEM_COMPONENT, "c", "C")
+    m.add_element(K.DATA_MODEL, "d", "D")
+    m.add_relation(access, "c", "d")
+    assert m.relations[0].kind is R.ACCESS
+    assert m.elements_of_kind(user) == [m.element("u")]
+
+
 def test_frozen_model_rejects_mutation():
     m = new_model("x")
     m.freeze()
@@ -159,11 +195,11 @@ EXPECTED_DIRECTED = {
 
 def test_permitted_connections_exhaustive():
     singletons = (K.USER, K.OPERATOR)
-    for skind, rkind, tkind in itertools.product(ElementKind, RelationKind, ElementKind):
+    for skind, rkind, tkind in itertools.product(ELEMENT_KINDS, RELATION_KINDS, ELEMENT_KINDS):
         if rkind is R.ASSOCIATION:
             expected = True  # any pair may associate (W105 outside the core pairs)
         else:
-            expected = (rkind.value, skind.value, tkind.value) in EXPECTED_DIRECTED
+            expected = (rkind, skind, tkind) in EXPECTED_DIRECTED
         assert relation_permitted(skind, rkind, tkind) == expected, (skind, rkind, tkind)
         if skind is tkind and skind in singletons:
             continue  # not constructible: one User/Operator per model
@@ -182,7 +218,7 @@ def test_relation_closure_over_fixture(faq_model):
         skind = faq_model.element(rel.source).kind
         tkind = faq_model.element(rel.target).kind
         if rel.kind is not R.ASSOCIATION:
-            assert (rel.kind.value, skind.value, tkind.value) in EXPECTED_DIRECTED
+            assert (rel.kind, skind, tkind) in EXPECTED_DIRECTED
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +674,7 @@ def test_record_repr_is_pinned():
     span = SourceSpan("m.dsa", 3, 5)
     assert repr(span) == "SourceSpan(file='m.dsa', line=3, column=5, length=1)"
     assert repr(Diagnostic("W104", Severity.WARNING, "unused", span, "d")) == (
-        "Diagnostic(code='W104', severity=<Severity.WARNING: 'warning'>, message='unused', "
+        "Diagnostic(code='W104', severity='warning', message='unused', "
         "location=SourceSpan(file='m.dsa', line=3, column=5, length=1), subject='d')"
     )
 

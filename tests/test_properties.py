@@ -24,6 +24,7 @@ from dsalign import Rule, attach, derive_all, format_model, parse, to_dot, to_op
 from dsalign.dsl import KEYWORDS
 from dsalign.model import (
     ASSOCIATION_CORE,
+    ELEMENT_KINDS,
     MOTIVATION_KINDS,
     PERMITTED_RELATIONS,
     SEVERITY_LEVELS,
@@ -36,7 +37,7 @@ from dsalign.model import (
     new_model,
 )
 
-SURFACE_KINDS = [kind for kind in ElementKind if kind not in MOTIVATION_KINDS]
+SURFACE_KINDS = [kind for kind in ELEMENT_KINDS if kind not in MOTIVATION_KINDS]
 
 # Per rule: the kind of its items and the relation from a source to its item.
 ITEM_SHAPES = {
@@ -174,7 +175,7 @@ def _assert_items_follow_the_rules(m, itemset, attached):
         entries = [(e, entry) for e in m.elements_of_kind(kind) for entry in e.attrs.get(attr, ())]
         expected = [
             (
-                f"item_{rule.value.lower()}_{n}",
+                f"item_{rule.lower()}_{n}",
                 entry[0],
                 f"{entry[-1]} ({e.name})",
                 [e.id],
