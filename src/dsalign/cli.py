@@ -7,20 +7,12 @@ artifacts go to stdout or the path given by ``--out``/``--items``.
 ``COMMANDS`` is the one declaration of the CLI.  ``_read`` takes each
 well-formed run straight from it; help, usage errors and every form it does
 not name go to the argparse parser that ``build_parser`` makes from the same
-table, so each help and usage text is argparse's own.  argparse is imported
-only then, because importing it and building the parser (which loads
-``gettext`` and ``locale``) took about 40 % of a run above the bare
-interpreter: ``check`` of one fixture fell from 15.8 to 9.8 ms above it
-(medians of 40 interleaved child runs, warm bytecode cache).
+table, so each help and usage text is argparse's own.
 
-For the same reason each handler imports ``derive``, ``export`` and
-``report`` only if it calls them, and the package loads their names on
-first use.  Together with plain-string kinds and itemset JSON from ``_json``
-rather than the ``json`` package, this cut child CPU time above a bare
-interpreter for one fixture from 7.0 to 5.5 ms for ``check``, 9.9 to 6.4 ms
-for ``derive --items -``, 8.1 to 7.0 ms for ``export --format dot`` and 7.8
-to 5.2 ms for ``fmt --check`` (means of 60 interleaved runs, warm bytecode
-cache, shared 2-vCPU host).
+A run is mostly interpreter start-up and import, so it imports only what it
+uses: argparse, whose parser loads ``gettext`` and ``locale``, only for help
+and usage errors, and ``derive``, ``export`` and ``report`` only in the
+handlers that call them.
 """
 
 from __future__ import annotations

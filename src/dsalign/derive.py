@@ -261,12 +261,8 @@ def attach(model: AlignmentModel, itemset: EvaluationItemSet) -> AlignmentModel:
 
 def summary_line(itemset: EvaluationItemSet) -> str:
     """One-line count summary, e.g. ``15 items (9 cost, 2 risk, ...)``."""
-    counts = {rule: len(itemset.by_rule(rule)) for rule in RULES}
-    return (
-        f"{len(itemset.items)} items ({counts[Rule.R1_COST]} cost, "
-        f"{counts[Rule.R2_RISK]} risk, {counts[Rule.R3_BUSINESS]} business, "
-        f"{counts[Rule.R4_USER]} user, {counts[Rule.R5_QUALITY]} quality)"
-    )
+    counts = (f"{len(itemset.by_rule(rule))} {rule.partition('_')[2]}" for rule in RULES)
+    return f"{len(itemset.items)} items ({', '.join(counts)})"
 
 
 def serialize_itemset(itemset: EvaluationItemSet) -> str:

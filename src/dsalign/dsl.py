@@ -450,6 +450,9 @@ class _Parser:
         self.i = i
         if ident is None:
             return
+        for key, value in attrs.items():  # the model keeps each list attr as a tuple
+            if value.__class__ is list:
+                attrs[key] = tuple(value)
         self.add_element(kind, ident, name, attrs)
         element_id = toks[ident]
         # Relations are queued in entry order; nested elements follow their owner.

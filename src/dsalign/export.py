@@ -7,8 +7,6 @@ attributes in fixed order, ids derived 1:1 from element slugs.
 
 from __future__ import annotations
 
-from functools import cache
-
 from .model import (
     BRANCHES,
     AlignmentModel,
@@ -46,11 +44,11 @@ XSI_TYPES: dict[ElementKind, str] = {
 }
 
 
-@cache
-def _cluster(kind: ElementKind) -> str | None:
-    """DOT cluster of a derived item kind: the first segment of its branch path."""
-    branch = BRANCHES.get(kind)
-    return branch[0].partition("/")[0] if branch else None
+# DOT cluster of each derived item kind: the first segment of its branch path.
+_CLUSTERS = {kind: path.partition("/")[0] for kind, (path, _) in BRANCHES.items()}
+
+# Words DOT reserves in any case; a graph id that is one must be quoted.
+_DOT_KEYWORDS = frozenset({"node", "edge", "graph", "digraph", "subgraph", "strict"})
 
 
 def _check_exportable(model: AlignmentModel) -> None:
@@ -72,7 +70,7 @@ def to_open_exchange(model: AlignmentModel) -> str:
         props: list[tuple[str, str]] = []
         if "category" in e.attrs:
             props.append(("category", leaf_path(e.attrs["category"])))
-        role = _cluster(e.kind)
+        role = _CLUSTERS.get(e.kind)
         if role not in (None, "value"):
             props.append(("role", role))
         if "severity" in e.attrs:
@@ -158,17 +156,20 @@ def to_dot(model: AlignmentModel) -> str:
         label = f"{_dot_escape(e.kind)}\\n{_dot_escape(e.name)}"
         return f'{indent}"{e.id}" [label="{label}"];'
 
-    clusters: dict[str, list[Element]] = {_cluster(kind): [] for kind in BRANCHES}
+    clusters: dict[str, list[Element]] = {branch: [] for branch in _CLUSTERS.values()}
     plain: list[Element] = []
     for e in model.elements:
-        branch = _cluster(e.kind)
+        branch = _CLUSTERS.get(e.kind)
         if branch is None:
             plain.append(e)
         else:
             clusters[branch].append(e)
 
     principle = ElementKind.PRINCIPLE
-    out = [f"digraph {slugify(model.system_name)} {{"]
+    graph_id = slugify(model.system_name)
+    if graph_id in _DOT_KEYWORDS:
+        graph_id = f'"{graph_id}"'
+    out = [f"digraph {graph_id} {{"]
     out.append("  rankdir=LR;")
     out.append("  node [shape=box];")
     for e in plain:

@@ -407,9 +407,9 @@ class Element(_Record):
     """One element record.
 
     Records belong to the model that made them and to its copies.  Their
-    fields must not be reassigned nor their attr entries edited, because
-    ``validate`` caches its findings per model state; ``attrs`` itself is a
-    read-only view.
+    fields must not be reassigned, because ``validate`` caches its findings
+    per model state; ``attrs`` is read-only all the way down, a view of a
+    dict whose list values are tuples of entry tuples.
     """
 
     __slots__ = ("id", "kind", "name", "description", "attrs")
@@ -444,8 +444,7 @@ class AlignmentModel:
         if not system_name:
             raise ModelError("E000", "system name must not be empty")
         self._system_name = system_name
-        self._elements: list[Element] = []
-        self._by_id: dict[str, Element] = {}
+        self._by_id: dict[str, Element] = {}  # every element, in insertion order
         self._relations: list[Relation] = []
         self._frozen = False
         self._diagnostics: list[Diagnostic] | None = None  # last rule pass
@@ -470,23 +469,22 @@ class AlignmentModel:
             raise ModelError("E005", f"invalid identifier {id!r}")
         attrs = dict(attrs or {})
         allowed = ALLOWED_ATTRS[kind]
-        for key in attrs:
+        for key, value in attrs.items():
             if key not in allowed:
                 raise ModelError("E002", f"attr {key!r} is not allowed on {kind}")
+            if isinstance(value, (list, tuple)):  # the model's own copy, immutable
+                attrs[key] = tuple(tuple(e) if isinstance(e, list) else e for e in value)
         return self._add_element(kind, id, name, description, attrs)
 
     def _add_element(
         self, kind: ElementKind, id: str, name: str, description: str | None, attrs: dict
     ) -> str:
-        """``add_element`` after its argument checks; ``attrs`` becomes the model's."""
+        """``add_element`` after its checks; ``attrs``, lists made tuples, becomes the model's."""
         if id in self._by_id:
             raise ModelError("E001", f"duplicate element id {id!r}")
-        if kind in _ONE_PER_MODEL:
-            if any(e.kind is kind for e in self._elements):
-                raise ModelError("E007", f"model already has an element of kind {kind}")
-        element = Element(id, kind, name, description, MappingProxyType(attrs))
-        self._elements.append(element)
-        self._by_id[id] = element
+        if kind in _ONE_PER_MODEL and any(e.kind is kind for e in self._by_id.values()):
+            raise ModelError("E007", f"model already has an element of kind {kind}")
+        self._by_id[id] = Element(id, kind, name, description, MappingProxyType(attrs))
         self._diagnostics = None
         return id
 
@@ -526,7 +524,7 @@ class AlignmentModel:
 
     @property
     def elements(self) -> list[Element]:
-        return list(self._elements)
+        return list(self._by_id.values())
 
     @property
     def relations(self) -> list[Relation]:
@@ -541,7 +539,7 @@ class AlignmentModel:
         return self._by_id[id]
 
     def elements_of_kind(self, kind: ElementKind) -> list[Element]:
-        return [e for e in self._elements if e.kind == kind]
+        return [e for e in self._by_id.values() if e.kind == kind]
 
     def neighbors(
         self,
@@ -579,7 +577,6 @@ class AlignmentModel:
     def copy(self) -> AlignmentModel:
         """Unfrozen copy that shares the (read-only) element and relation records."""
         dup = AlignmentModel(self.system_name)
-        dup._elements = list(self._elements)
         dup._by_id = dict(self._by_id)
         dup._relations = list(self._relations)
         return dup
@@ -610,7 +607,7 @@ class AlignmentModel:
                 linked.add(rel.target)
             if rel.kind is association:
                 _check_association(rel, skind, tkind, unusual)
-        for e in self._elements:
+        for e in by_id.values():
             _check_element(e, e.id in linked, out)
         out.extend(unusual)
         self._diagnostics = out
@@ -626,11 +623,11 @@ class AlignmentModel:
         found = parent._diagnostics  # set unless nothing has validated ``parent``
         if found is None:
             found = parent.validate()
+        by_id = self._by_id
         out = [d for d in found if d.code != "W105"]
-        for e in self._elements[len(parent._elements):]:
+        for e in list(by_id.values())[len(parent._by_id):]:
             _check_element(e, False, out)
         out += [d for d in found if d.code == "W105"]
-        by_id = self._by_id
         association = RelationKind.ASSOCIATION
         for rel in self._relations[len(parent._relations):]:
             if rel.kind is association:
@@ -710,17 +707,17 @@ def _entries(
     it must be a string) and E013 for a forbidden character in any string
     part of a well-shaped one.
     """
-    if not isinstance(value, (list, tuple)):
+    if not isinstance(value, tuple):
         out.append(_error("E012", f"{subject!r}: attr {key!r} must be a list of entries", subject))
         return []
     good = []
     where = f"its {key!r} entry"
     for entry in value:
-        shaped = isinstance(entry, (list, tuple)) and len(entry) == arity
+        shaped = isinstance(entry, tuple) and len(entry) == arity
         if not shaped or not isinstance(entry[-1], str):
             out.append(_error("E012", f"{subject!r}: malformed {key!r} entry {entry!r}", subject))
         else:
-            good.append(tuple(entry))
+            good.append(entry)
             for part in entry:
                 _check_text(part, where, subject, out)
     return good

@@ -258,6 +258,23 @@ def test_out_path_in_missing_directory_is_io_error(tmp_path):
     assert "cannot write" in proc.stderr
 
 
+def test_derive_items_to_an_unwritable_path_is_io_error(tmp_path):
+    out = tmp_path / "no" / "such" / "items.json"
+    proc = run_cli("derive", FAQ, "--items", str(out))
+    assert proc.returncode == 3
+    assert proc.stderr.startswith(f"cannot write {out}: ")
+    assert proc.stdout == ""
+
+
+def test_fmt_prints_the_valid_files_and_fails_on_an_invalid_one(tmp_path):
+    bad = tmp_path / "bad.dsa"
+    bad.write_text('system "Bad" {\n  data 9bad "D"\n}\n')
+    proc = run_cli("fmt", str(bad), FAQ)
+    assert proc.returncode == 1
+    assert proc.stderr == f"{bad}:2:8: error E005: invalid identifier '9bad'\n"
+    assert proc.stdout == (FIXTURES / "faq_chatbot.dsa").read_text()
+
+
 def test_report_aborts_when_any_input_fails(tmp_path):
     bad = tmp_path / "bad.dsa"
     bad.write_text("not a model\n")

@@ -450,6 +450,15 @@ def test_attach_unknown_source_rejected(faq_model):
     assert err.value.code == "E201"
 
 
+def test_attach_refuses_an_invalid_item_id(faq_model):
+    source = faq_model.elements_of_kind(K.SYSTEM_COMPONENT)[0].id
+    item = EvaluationItem("Item-1", "it_resources", "fees", [source], Rule.R1_COST)
+    with pytest.raises(ModelError) as err:
+        attach(faq_model, EvaluationItemSet(system_name=faq_model.system_name, items=[item]))
+    assert err.value.code == "E005"
+    assert err.value.message == "invalid identifier 'Item-1'"
+
+
 def test_attach_refuses_a_risk_item_outside_the_risk_branch(faq_model):
     event = faq_model.elements_of_kind(K.OBSERVED_EVENT)[0].id
     item = EvaluationItem("item_r2_risk_1", "functional", "x", [event], Rule.R2_RISK, "low")

@@ -176,7 +176,7 @@ def test_hinders_severity_defaults_to_medium():
     )
     result = parse(text)
     assert result.model is not None
-    assert result.model.element("e").attrs["hinders"] == [("privacy", "medium", "leaks")]
+    assert result.model.element("e").attrs["hinders"] == (("privacy", "medium", "leaks"),)
 
 
 def test_error_locality_spans():
@@ -287,6 +287,35 @@ def test_tokens_are_not_tracked_by_the_cycle_collector():
     toks, _, _ = _lex((FIXTURES / "faq_chatbot.dsa").read_text())
     gc.collect()
     assert not any(gc.is_tracked(tok) for tok in toks)
+
+
+def test_attrs_are_not_tracked_by_the_cycle_collector():
+    model = parse((FIXTURES / "faq_chatbot.dsa").read_text()).model
+    gc.collect()
+    gc.collect()  # a tuple is untracked once the tuples it holds are
+    entries = 0
+    for e in model.elements:
+        (attrs,) = gc.get_referents(e.attrs)  # the dict behind the read-only view
+        assert not gc.is_tracked(attrs)
+        for value in attrs.values():
+            if isinstance(value, tuple):
+                assert not any(gc.is_tracked(entry) for entry in value)
+                entries += len(value)
+    assert entries > 0
+
+
+def test_parsed_attr_entries_cannot_be_edited():
+    # ``validate`` caches its findings, so an edited entry would go unchecked.
+    model = parse((FIXTURES / "faq_chatbot.dsa").read_text(), "faq_chatbot").model
+    found = model.validate()
+    listed = [(e, k) for e in model.elements for k, v in e.attrs.items() if not isinstance(v, str)]
+    assert listed
+    for e, key in listed:
+        with pytest.raises(AttributeError):
+            e.attrs[key].append(("bogus_leaf", "extreme", "x"))
+        with pytest.raises(TypeError):
+            e.attrs[key][0][0] = "bogus_leaf"
+    assert model.validate() == found == model.copy().validate()
 
 
 def test_every_parse_error_carries_span():

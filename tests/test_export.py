@@ -175,6 +175,13 @@ def test_dot_node_labels_and_graph_name(fixture_models):
     assert '"web_server" [label="SystemComponent\\nWeb application server"];' in text
 
 
+@pytest.mark.parametrize("name", ["Node", "Graph", "Edge", "Strict", "Subgraph", "Digraph"])
+def test_dot_quotes_a_graph_id_that_is_a_dot_keyword(name):
+    # DOT reserves these words in any case, so a bare one is no graph id.
+    assert to_dot(new_model(name)).startswith(f'digraph "{name.lower()}" {{\n')
+    assert to_dot(new_model(f"{name} bot")).startswith(f"digraph {name.lower()}_bot {{\n")
+
+
 def test_dot_counts_match_model(fixture_models):
     _, attached = attached_fixture(fixture_models, "status_interview")
     text = to_dot(attached)

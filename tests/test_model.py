@@ -75,6 +75,18 @@ def test_add_element_event_with_hinders_attr():
     assert m.element("pii").attrs["hinders"][0][0] == "privacy"
 
 
+def test_add_element_keeps_its_own_attr_entries():
+    entries = [["privacy", "medium", "may leak"]]
+    m = new_model("x")
+    m.add_element(K.OBSERVED_EVENT, "pii", "PII", attrs={"hinders": entries})
+    m.add_relation(R.ASSOCIATION, "pii", m.add_element(K.DATA_MODEL, "d", "D"))
+    found = m.validate()
+    entries.append(("bogus_leaf", "extreme", "x"))
+    entries[0][0] = "bogus_leaf"
+    assert m.element("pii").attrs["hinders"] == (("privacy", "medium", "may leak"),)
+    assert m.validate() == found == m.copy().validate()
+
+
 def test_add_element_rejects_unknown_attr_key():
     m = new_model("x")
     with pytest.raises(ModelError) as err:
@@ -319,6 +331,13 @@ def test_validate_malformed_attr_value():
     m = new_model("x")
     m.add_element(K.OBSERVED_EVENT, "e", "Event", attrs={"hinders": "privacy"})
     assert "E012" in codes(m.validate())
+
+
+def test_validate_malformed_list_entry_shows_as_the_stored_tuple():
+    m = new_model("x")
+    m.add_element(K.OBSERVED_EVENT, "e", "Event", attrs={"implies_cost": [["it_resources"]]})
+    message = "'e': malformed 'implies_cost' entry ('it_resources',)"
+    assert [d.message for d in m.validate() if d.code == "E012"] == [message]
 
 
 def test_validate_non_string_description_e012():
