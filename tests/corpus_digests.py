@@ -3,11 +3,12 @@
 Each input runs through the whole in-process pipeline (parse, validate,
 derive, itemset JSON, attach, Open Exchange, DOT, fmt), and its line in
 ``fixtures/golden/corpus.sha256`` holds a prefix of the pass's
-``Outputs.digest``: the diagnostics rendered at their spans and every
-artifact.  The inputs are the five fixtures, the benchmark's seed-1 mutant
-pool and three synthetic models; one more line pins a digest of the input
-texts themselves, so that a changed generator reads as a changed corpus and
-not as changed output.
+``Outputs.digest`` (the diagnostics rendered at their spans and every
+artifact) hashed together with the parse's ``ParseResult.spans``.  The
+inputs are the five fixtures, the benchmark's seed-1 mutant pool and three
+synthetic models; one more line pins a digest of the input texts
+themselves, so that a changed generator reads as a changed corpus and not
+as changed output.
 
 A change that alters an output on purpose regenerates the file:
 
@@ -55,14 +56,36 @@ def inputs_digest(corpus: list[tuple[str, str]]) -> str:
     return h.hexdigest()
 
 
+class _KeepSpans:
+    """``dsalign`` as ``run_pipeline`` calls it, keeping the spans of its last parse."""
+
+    def __init__(self, dsa) -> None:
+        self._dsa = dsa
+        self.spans: dict = {}
+
+    def __getattr__(self, name: str):
+        return getattr(self._dsa, name)
+
+    def parse(self, text: str, file: str):
+        result = self._dsa.parse(text, file)
+        self.spans = result.spans
+        return result
+
+
 def digests(corpus: list[tuple[str, str]]) -> dict[str, str]:
     """Input name -> prefix of the digest of everything its pipeline pass produced."""
     import dsalign
 
-    return {
-        name: pipeline.run_pipeline(dsalign, text, name).digest(name)[:PREFIX]
-        for name, text in corpus
-    }
+    dsa = _KeepSpans(dsalign)
+    out = {}
+    for name, text in corpus:
+        dsa.spans = {}
+        h = hashlib.sha256(pipeline.run_pipeline(dsa, text, name).digest(name).encode())
+        for id, s in dsa.spans.items():
+            span = f"{id} {s.file}:{s.line}:{s.column}:{s.length}\0"
+            h.update(span.encode("utf-8", "surrogatepass"))
+        out[name] = h.hexdigest()[:PREFIX]
+    return out
 
 
 def render(corpus: list[tuple[str, str]]) -> str:
