@@ -23,6 +23,7 @@ from .model import (
     AlignmentModel,
     Diagnostic,
     ElementKind,
+    MappingProxyType,
     ModelError,
     PRINCIPLE_NAMES,
     RISK_LEAVES,
@@ -135,10 +136,11 @@ def derive_rule(model: AlignmentModel, rule: Rule) -> list[EvaluationItem]:
 def _influence_pairs(model: AlignmentModel) -> list[tuple[str, str]]:
     """Declared (user activity, operator activity) influence pairs, in order."""
     influence, user_activity = RelationKind.INFLUENCE, ElementKind.USER_ACTIVITY
+    by_id = model._by_id
     return [
-        (rel.source, rel.target)
-        for rel in model.relations
-        if rel.kind is influence and model.element(rel.source).kind is user_activity
+        (source, target)
+        for _, kind, source, target in model._relations
+        if kind is influence and by_id[source].kind is user_activity
     ]
 
 
@@ -209,13 +211,18 @@ def attach(model: AlignmentModel, itemset: EvaluationItemSet) -> AlignmentModel:
     # every item kind's allowlist: of ``add_element``'s checks, only E005 remains.
     out = model.copy()
     add_element, add_relation = out._add_element, out._add_relation
+    views: dict[tuple, MappingProxyType] = {}  # one read-only attrs view per str values
     for item in itemset.items:
         if not is_valid_id(item.id):
             raise ModelError("E005", f"invalid identifier {item.id!r}")
-        attrs: dict = {"category": item.category}
-        if item.rule == risk:
-            attrs["severity"] = item.severity
-        add_element(RULE_TABLE[item.rule][0], item.id, item.description, None, attrs)
+        values = (item.category, item.severity) if item.rule == risk else (item.category,)
+        try:
+            view = views[values]
+        except (KeyError, TypeError):  # new values, or unhashable ones
+            view = MappingProxyType(dict(zip(("category", "severity"), values)))
+            if all(value.__class__ is str for value in values):  # equal only if alike
+                views[values] = view
+        add_element(RULE_TABLE[item.rule][0], item.id, item.description, None, view)
 
     for category in dict.fromkeys(item.category for item in risk_items):
         pid = f"principle_{category}"

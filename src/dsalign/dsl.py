@@ -652,17 +652,16 @@ def format_model(model: AlignmentModel) -> str:
 
     refs: dict[tuple[str, str], list[str]] = {}  # (owner id, entry key) -> other ends
     nested: set[str] = set()  # ids declared inside their owner's statement
-    for rel in model.relations:
-        owner, other = rel.source, rel.target
-        found = _ENTRY_OF_RELATION.get((rel.kind, model.element(owner).kind, True))
+    by_id = model._by_id
+    for _, kind, source, target in model._relations:
+        owner, other = source, target
+        found = _ENTRY_OF_RELATION.get((kind, by_id[owner].kind, True))
         if found is None:
             owner, other = other, owner
-            found = _ENTRY_OF_RELATION.get((rel.kind, model.element(owner).kind, False))
+            found = _ENTRY_OF_RELATION.get((kind, by_id[owner].kind, False))
         if found is None:
             raise ModelError(
-                "E140",
-                f"{rel.kind} from {rel.source!r} to {rel.target!r} "
-                "is not expressible in the DSL",
+                "E140", f"{kind} from {source!r} to {target!r} is not expressible in the DSL"
             )
         key, entry = found
         others = refs.setdefault((owner, key), [])

@@ -63,7 +63,7 @@ def _xml_text(value: str) -> str:
 def to_open_exchange(model: AlignmentModel) -> str:
     """Render the model in the Open Exchange 3.x layout (UTF-8 text, LF)."""
     _check_exportable(model)
-    relations = model.relations
+    relations = model._relations
 
     def properties_of(e: Element) -> list[tuple[str, str]]:
         # ``ALLOWED_ATTRS`` keeps category to derived items, severity to risks.
@@ -118,11 +118,11 @@ def to_open_exchange(model: AlignmentModel) -> str:
 
     if relations:
         out.append("  <relationships>")
-        for r in relations:
+        for rid, kind, source, target in relations:
             out.append(
-                f'    <relationship identifier="id-{r.id}" '
-                f'source="id-{r.source}" target="id-{r.target}" '
-                f'xsi:type="{r.kind}"/>'
+                f'    <relationship identifier="id-{rid}" '
+                f'source="id-{source}" target="id-{target}" '
+                f'xsi:type="{kind}"/>'
             )
         out.append("  </relationships>")
 
@@ -187,9 +187,9 @@ def to_dot(model: AlignmentModel) -> str:
         if e.kind is principle:
             out.append(node_line(e, "  "))
     association = RelationKind.ASSOCIATION
-    for r in model.relations:
-        style = ", dir=none" if r.kind is association else ""
-        out.append(f'  "{r.source}" -> "{r.target}" [label="{r.kind}"{style}];')
+    for _, kind, source, target in model._relations:
+        style = ", dir=none" if kind is association else ""
+        out.append(f'  "{source}" -> "{target}" [label="{kind}"{style}];')
     out.append("}")
     return "\n".join(out) + "\n"
 

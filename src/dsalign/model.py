@@ -188,6 +188,13 @@ ASSOCIATION_CORE: frozenset[frozenset[ElementKind]] = frozenset(
 
 MOTIVATION_KINDS = frozenset(BRANCHES) | {K.PRINCIPLE}
 
+# Every (source kind, relation kind, target kind) triple ``add_relation``
+# accepts: the directed table's, and Association between any two kinds.
+_PERMITTED_TRIPLES = frozenset(
+    [(s, kind, t) for kind, pairs in PERMITTED_RELATIONS.items() for s, t in pairs]
+    + [(s, RelationKind.ASSOCIATION, t) for s in ELEMENT_KINDS for t in ELEMENT_KINDS]
+)
+
 # ---------------------------------------------------------------------------
 # The ``.dsa`` statement table: each surface kind's statement keyword and its
 # entries in canonical order.  The lexer, the parser, the printer and V7 all
@@ -337,9 +344,7 @@ def relation_permitted(
     source_kind: ElementKind, kind: RelationKind, target_kind: ElementKind
 ) -> bool:
     """True if the triple may be added at all (W105 pairs included)."""
-    if kind == RelationKind.ASSOCIATION:
-        return True
-    return (source_kind, target_kind) in PERMITTED_RELATIONS.get(kind, ())
+    return (source_kind, kind, target_kind) in _PERMITTED_TRIPLES
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +414,8 @@ class Element(_Record):
     Records belong to the model that made them and to its copies.  Their
     fields must not be reassigned, because ``validate`` caches its findings
     per model state; ``attrs`` is read-only all the way down, a view of a
-    dict whose list values are tuples of entry tuples.
+    dict whose list values are tuples of entry tuples.  Elements with equal
+    attrs may share one view.
     """
 
     __slots__ = ("id", "kind", "name", "description", "attrs")
@@ -426,6 +432,9 @@ class Element(_Record):
 
 
 Relation = namedtuple("Relation", "id kind source target")
+
+# The attrs of every element that has none: read-only, so one view serves all.
+_NO_ATTRS = MappingProxyType({})
 
 
 class AlignmentModel:
@@ -445,7 +454,9 @@ class AlignmentModel:
             raise ModelError("E000", "system name must not be empty")
         self._system_name = system_name
         self._by_id: dict[str, Element] = {}  # every element, in insertion order
-        self._relations: list[Relation] = []
+        # (id, kind, source, target) per relation: exact tuples of strings,
+        # which the cycle collector stops tracking.
+        self._relations: list[tuple[str, str, str, str]] = []
         self._frozen = False
         self._diagnostics: list[Diagnostic] | None = None  # last rule pass
 
@@ -477,14 +488,20 @@ class AlignmentModel:
         return self._add_element(kind, id, name, description, attrs)
 
     def _add_element(
-        self, kind: ElementKind, id: str, name: str, description: str | None, attrs: dict
+        self, kind: ElementKind, id: str, name: str, description: str | None, attrs: Mapping
     ) -> str:
-        """``add_element`` after its checks; ``attrs``, lists made tuples, becomes the model's."""
+        """``add_element`` after its checks.
+
+        A dict ``attrs``, lists made tuples, becomes the model's behind a
+        read-only view; a read-only view over a dict no caller holds is kept.
+        """
         if id in self._by_id:
             raise ModelError("E001", f"duplicate element id {id!r}")
         if kind in _ONE_PER_MODEL and any(e.kind is kind for e in self._by_id.values()):
             raise ModelError("E007", f"model already has an element of kind {kind}")
-        self._by_id[id] = Element(id, kind, name, description, MappingProxyType(attrs))
+        if attrs.__class__ is dict:
+            attrs = MappingProxyType(attrs) if attrs else _NO_ATTRS
+        self._by_id[id] = Element(id, kind, name, description, attrs)
         self._diagnostics = None
         return id
 
@@ -500,12 +517,12 @@ class AlignmentModel:
                 raise ModelError("E003", f"unknown element id {endpoint!r}")
         source_kind = by_id[source].kind
         target_kind = by_id[target].kind
-        if not relation_permitted(source_kind, kind, target_kind):
+        if (source_kind, kind, target_kind) not in _PERMITTED_TRIPLES:
             raise ModelError(
                 "E004", f"{kind} from {source_kind} to {target_kind} is not permitted"
             )
         id = f"r{len(self._relations) + 1:03d}"
-        self._relations.append(Relation(id, kind, source, target))
+        self._relations.append((id, kind, source, target))
         self._diagnostics = None
         return id
 
@@ -528,7 +545,8 @@ class AlignmentModel:
 
     @property
     def relations(self) -> list[Relation]:
-        return list(self._relations)
+        """The relations in insertion order, as named tuples made on each call."""
+        return list(map(Relation._make, self._relations))
 
     def __contains__(self, id: str) -> bool:
         return id in self._by_id
@@ -551,25 +569,26 @@ class AlignmentModel:
 
         ``direction`` is ``in``, ``out``, or ``any`` and applies to directed
         relations only; Association edges are undirected and match every
-        direction.  Repeated neighbors are reported once.
+        direction.  Repeated neighbors are reported once.  Each call scans
+        every relation of the model.
         """
         if direction not in ("in", "out", "any"):
             raise ValueError(f"bad direction {direction!r}")
         self.element(id)
         seen: dict[str, None] = {}
-        for rel in self._relations:
-            if kind is not None and rel.kind != kind:
+        for _, rkind, source, target in self._relations:
+            if kind is not None and rkind != kind:
                 continue
             other: str | None = None
-            if rel.kind is RelationKind.ASSOCIATION:
-                if rel.source == id:
-                    other = rel.target
-                elif rel.target == id:
-                    other = rel.source
-            elif direction in ("out", "any") and rel.source == id:
-                other = rel.target
-            elif direction in ("in", "any") and rel.target == id:
-                other = rel.source
+            if rkind is RelationKind.ASSOCIATION:
+                if source == id:
+                    other = target
+                elif target == id:
+                    other = source
+            elif direction in ("out", "any") and source == id:
+                other = target
+            elif direction in ("in", "any") and target == id:
+                other = source
             if other is not None:
                 seen.setdefault(other, None)
         return [self._by_id[other] for other in seen]
@@ -598,15 +617,15 @@ class AlignmentModel:
         association = RelationKind.ASSOCIATION
         linked: set[str] = set()  # ids of elements that have their V1-V6 link
         unusual: list[Diagnostic] = []
-        for rel in self._relations:
-            skind = by_id[rel.source].kind
-            tkind = by_id[rel.target].kind
-            if (rel.kind, tkind) in _LINKS.get(skind, ()):
-                linked.add(rel.source)
-            if (rel.kind, skind) in _LINKS.get(tkind, ()):
-                linked.add(rel.target)
-            if rel.kind is association:
-                _check_association(rel, skind, tkind, unusual)
+        for rid, kind, source, target in self._relations:
+            skind = by_id[source].kind
+            tkind = by_id[target].kind
+            if (kind, tkind) in _LINKS.get(skind, ()):
+                linked.add(source)
+            if (kind, skind) in _LINKS.get(tkind, ()):
+                linked.add(target)
+            if kind is association:
+                _check_association(rid, skind, tkind, unusual)
         for e in by_id.values():
             _check_element(e, e.id in linked, out)
         out.extend(unusual)
@@ -629,9 +648,9 @@ class AlignmentModel:
             _check_element(e, False, out)
         out += [d for d in found if d.code == "W105"]
         association = RelationKind.ASSOCIATION
-        for rel in self._relations[len(parent._relations):]:
-            if rel.kind is association:
-                _check_association(rel, by_id[rel.source].kind, by_id[rel.target].kind, out)
+        for rid, kind, source, target in self._relations[len(parent._relations):]:
+            if kind is association:
+                _check_association(rid, by_id[source].kind, by_id[target].kind, out)
         self._diagnostics = out
 
 
@@ -651,13 +670,13 @@ def _check_element(e: Element, linked: bool, out: list[Diagnostic]) -> None:
 
 
 def _check_association(
-    rel: Relation, skind: ElementKind, tkind: ElementKind, out: list[Diagnostic]
+    rid: str, skind: ElementKind, tkind: ElementKind, out: list[Diagnostic]
 ) -> None:
-    """V8 on one association.  ``add_relation`` refuses unpermitted directed
-    relations (E004); an association outside the core pairs only warns."""
+    """V8 on the association ``rid``.  ``add_relation`` refuses unpermitted
+    directed relations (E004); an association outside the core pairs only warns."""
     if frozenset({skind, tkind}) not in ASSOCIATION_CORE:
         message = f"unusual association between {skind} and {tkind}"
-        out.append(Diagnostic("W105", Severity.WARNING, message, subject=rel.id))
+        out.append(Diagnostic("W105", Severity.WARNING, message, subject=rid))
 
 
 def _check_attrs(e: Element, out: list[Diagnostic]) -> None:

@@ -25,6 +25,7 @@ from dsalign.model import (
     Severity,
     new_model,
 )
+from dsalign import derive as derive_module
 from dsalign import model as model_module
 from dsalign.dsl import format_model, parse
 from dsalign.export import to_dot, to_open_exchange
@@ -523,6 +524,27 @@ def test_attach_scans_relations_a_constant_number_of_times(monkeypatch):
         return len(reads) - before
 
     assert relation_reads(2) == relation_reads(20)
+
+
+def test_attach_scans_the_stored_relations_a_constant_number_of_times(monkeypatch):
+    # ``attach`` reads the stored relation tuples, not the ``relations`` view.
+    scans = []
+    plain = derive_module._influence_pairs
+
+    def counting(model):
+        scans.append(model)
+        return plain(model)
+
+    monkeypatch.setattr(derive_module, "_influence_pairs", counting)
+
+    def relation_scans(activities: int) -> int:
+        model = _influence_model(activities)
+        itemset = _itemset(model, [[f"u{i}"] for i in range(1, activities + 1)])
+        before = len(scans)
+        attach(model, itemset)
+        return len(scans) - before
+
+    assert relation_scans(2) == relation_scans(20) == 1
 
 
 def test_pipeline_runs_the_rules_once_per_model_state(monkeypatch):
