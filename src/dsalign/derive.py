@@ -33,6 +33,7 @@ from .model import (
     _constants,
     is_valid_id,
     leaf_path,
+    slugify,
 )
 
 
@@ -179,7 +180,9 @@ def attach(model: AlignmentModel, itemset: EvaluationItemSet) -> AlignmentModel:
     cost/risk item, association between each activity and its value item,
     influence from events to the principles they hinder, and the declared
     user-value to business-value influences.  The new model's findings are
-    seeded from ``model``'s, so only the added records are checked.
+    seeded from ``model``'s, so only the added records are checked.  An id
+    it would add that repeats the system name's Open Exchange identifier
+    raises E014.
     """
     if itemset.system_name != model.system_name:
         raise ModelError(
@@ -187,9 +190,13 @@ def attach(model: AlignmentModel, itemset: EvaluationItemSet) -> AlignmentModel:
             f"itemset for {itemset.system_name!r} does not match model "
             f"{model.system_name!r}",
         )
+    slug = slugify(model.system_name)  # the model's Open Exchange identifier is id-<slug>
+    clash = f"derived id {slug!r} repeats the Open Exchange identifier of the system name"
     for item in itemset.items:
         if item.id in model:
             raise ModelError("E201", f"item {item.id!r} is already materialized")
+        if item.id == slug:
+            raise ModelError("E014", clash)
         for source in item.sources:
             if source not in model:
                 raise ModelError(
@@ -206,6 +213,8 @@ def attach(model: AlignmentModel, itemset: EvaluationItemSet) -> AlignmentModel:
         if pid in model and model.element(pid).kind is not ElementKind.PRINCIPLE:
             kind = model.element(pid).kind
             raise ModelError("E201", f"derived id {pid!r} is already used by a {kind} element")
+        if pid == slug:
+            raise ModelError("E014", clash)
 
     # ``out`` is a new unfrozen copy and ``category`` and ``severity`` are on
     # every item kind's allowlist: of ``add_element``'s checks, only E005 remains.

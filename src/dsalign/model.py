@@ -603,7 +603,7 @@ class AlignmentModel:
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> list[Diagnostic]:
-        """Run structural rules V1-V9 and return every finding.
+        """Run structural rules V1-V10 and return every finding.
 
         An empty list means the model is a well-formed pre-derivation model;
         error-level findings make it unsuitable for derivation and export.
@@ -613,6 +613,11 @@ class AlignmentModel:
             return list(self._diagnostics)
         out: list[Diagnostic] = []
         _check_text(self._system_name, "the system name", None, out)
+        slug = slugify(self._system_name)
+        if _is_relation_id(slug):
+            name = self._system_name
+            message = f"system name {name!r} gives id {slug!r}, which has the form {_OF_RELATION}"
+            out.append(_error("E014", message, None))
         by_id = self._by_id
         association = RelationKind.ASSOCIATION
         linked: set[str] = set()  # ids of elements that have their V1-V6 link
@@ -627,7 +632,7 @@ class AlignmentModel:
             if kind is association:
                 _check_association(rid, skind, tkind, unusual)
         for e in by_id.values():
-            _check_element(e, e.id in linked, out)
+            _check_element(e, e.id in linked, slug, out)
         out.extend(unusual)
         self._diagnostics = out
         return list(out)
@@ -644,8 +649,9 @@ class AlignmentModel:
             found = parent.validate()
         by_id = self._by_id
         out = [d for d in found if d.code != "W105"]
+        slug = slugify(self._system_name)
         for e in list(by_id.values())[len(parent._by_id):]:
-            _check_element(e, False, out)
+            _check_element(e, False, slug, out)
         out += [d for d in found if d.code == "W105"]
         association = RelationKind.ASSOCIATION
         for rid, kind, source, target in self._relations[len(parent._relations):]:
@@ -654,12 +660,18 @@ class AlignmentModel:
         self._diagnostics = out
 
 
-def _check_element(e: Element, linked: bool, out: list[Diagnostic]) -> None:
-    """One element's findings: V9 on its texts, its kind's V1-V6 rows, V7.
+def _check_element(e: Element, linked: bool, slug: str, out: list[Diagnostic]) -> None:
+    """One element's findings: V10 on its id, V9 on its texts, its kind's V1-V6 rows, V7.
 
-    ``linked`` says whether the element has the relation its kind's row needs.
+    ``linked`` says whether the element has the relation its kind's row needs;
+    ``slug`` is the system name's, whose Open Exchange identifier no id may take.
     """
     id = e.id
+    if id == slug:
+        message = f"{id!r}: element id repeats the Open Exchange identifier of the system name"
+        out.append(_error("E014", message, id))
+    elif _is_relation_id(id):
+        out.append(_error("E014", f"{id!r}: element id has the form {_OF_RELATION}", id))
     _check_text(e.name, "its name", id, out)
     _check_text(e.description, "its description", id, out)
     for code, severity, message, attrs, link in _ELEMENT_RULES.get(e.kind, ()):
@@ -713,7 +725,16 @@ def _check_leaf(
         out.append(_error("E125", message, subject))
 
 
-def _error(code: str, message: str, subject: str) -> Diagnostic:
+# Relation ids are ``r`` and a number of three or more digits; the Open
+# Exchange export gives relations and elements identifiers from one space.
+_OF_RELATION = "of a relation id (r and three or more digits)"
+
+
+def _is_relation_id(id: str) -> bool:
+    return len(id) > 3 and id[0] == "r" and id[1:].isdigit()
+
+
+def _error(code: str, message: str, subject: str | None) -> Diagnostic:
     return Diagnostic(code, Severity.ERROR, message, subject=subject)
 
 

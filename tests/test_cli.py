@@ -172,7 +172,7 @@ def test_export_reports_a_derived_id_collision(tmp_path, data_id, event):
     # A valid model whose data element takes an id that attach would create.
     src = tmp_path / "collide.dsa"
     src.write_text(
-        'system "C" {\n  component c "C" {\n    function f "F";\n'
+        'system "Collide" {\n  component c "C" {\n    function f "F";\n'
         f'    uses: {data_id};\n  }}\n  data {data_id} "X"\n{event}}}\n'
     )
     check = run_cli("check", str(src))
@@ -182,6 +182,25 @@ def test_export_reports_a_derived_id_collision(tmp_path, data_id, event):
     assert proc.stdout == ""
     assert proc.stderr.startswith(f"{src}: error E201: ")
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+def test_clashing_open_exchange_identifiers_are_errors(tmp_path):
+    src = tmp_path / "faq.dsa"
+    src.write_text('system "Faq" {\n  data faq "D"\n}\n')
+    check = run_cli("check", str(src))
+    assert check.returncode == 1
+    assert check.stderr.startswith(f"{src}:2:8: error E014: 'faq': element id repeats")
+    src.write_text(
+        'system "Principle Privacy" {\n  component c "C" {\n    function f "F";\n  }\n'
+        '  event e "E" {\n    about: c;\n    hinders: privacy severity: low "leaks";\n  }\n}\n'
+    )
+    assert run_cli("check", str(src)).returncode == 0
+    proc = run_cli("export", str(src), "--format", "open_exchange")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (
+        f"{src}: error E014: derived id 'principle_privacy' repeats the Open Exchange"
+        " identifier of the system name\n"
+    )
 
 
 def test_report_matrix_over_corpus(tmp_path):

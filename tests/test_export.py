@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from dsalign.derive import attach, derive_all
-from dsalign.dsl import format_model
+from dsalign.dsl import format_model, parse
 from dsalign.export import to_dot, to_open_exchange
 from dsalign.model import ElementKind, ModelError, new_model
 
@@ -136,6 +136,81 @@ def test_xml_escaping_round_trips():
     root = parse_xml(to_open_exchange(m))
     names = [e.find("oe:name", NS).text for e in xml_elements(root)]
     assert 'a & b < c > "d"' in names
+
+
+# Models whose Open Exchange identifiers would repeat, each refused with E014:
+# an element id of a relation's form, an element id equal to the system
+# name's slug, a system name whose slug has a relation's form, and a system
+# name whose slug equals an id that ``attach`` adds.
+CLASHING_MODELS = {
+    "function_r001": 'system "Faq" {\n  component c "C" {\n    function r001 "F";\n  }\n}\n',
+    "data_faq": 'system "Faq" {\n  data faq "D"\n}\n',
+    "system_r001": 'system "R001" {\n  component c "C" {\n    function f "F";\n  }\n}\n',
+    "principle_privacy": (
+        'system "Principle Privacy" {\n  component c "C" {\n    function f "F";\n  }\n'
+        '  event e "E" {\n    about: c;\n    hinders: privacy severity: low "leaks";\n  }\n}\n'
+    ),
+}
+
+
+def _exports(model):
+    """Open Exchange text of the model and of its attached model, or the code refusing each."""
+    out = []
+    for target in (lambda: model, lambda: attach(model, derive_all(model))):
+        try:
+            out.append(to_open_exchange(target()))
+        except ModelError as err:
+            out.append(err.code)
+    return out
+
+
+@pytest.mark.parametrize("name", CLASHING_MODELS)
+def test_exports_never_repeat_an_identifier(name):
+    model = parse(CLASHING_MODELS[name], f"{name}.dsa").model
+    exports = _exports(model)
+    refused = [text for text in exports if text.startswith("E")]
+    for text in exports:
+        if text not in refused:
+            ids = [node.get("identifier") for node in parse_xml(text).iter() if node.get("identifier")]
+            repeated = {i for i in ids if ids.count(i) > 1}
+            assert not repeated, (name, repeated)
+    if name == "principle_privacy":
+        assert model.validate() == [] and exports[1] == "E014"
+    else:
+        assert "E014" in [d.code for d in model.validate()]
+        assert refused == ["E300", "E200"]
+
+
+def test_e014_names_the_clashing_ids():
+    found = {
+        name: [d.render(f"{name}.dsa") for d in parse(text, name).model.validate() if d.code == "E014"]
+        for name, text in CLASHING_MODELS.items()
+    }
+    assert found == {
+        "function_r001": [
+            "function_r001.dsa: error E014: 'r001': element id has the form of a relation id"
+            " (r and three or more digits)"
+        ],
+        "data_faq": [
+            "data_faq.dsa: error E014: 'faq': element id repeats the Open Exchange identifier"
+            " of the system name"
+        ],
+        "system_r001": [
+            "system_r001.dsa: error E014: system name 'R001' gives id 'r001', which has the form"
+            " of a relation id (r and three or more digits)"
+        ],
+        "principle_privacy": [],
+    }
+
+
+def test_attach_refuses_an_item_id_equal_to_the_system_slug():
+    m = new_model("Item R1 Cost 1")
+    m.add_element(ElementKind.SYSTEM_COMPONENT, "c", "C")
+    m.add_element(ElementKind.COMPONENT_FUNCTION, "f", "F")
+    m.add_relation("Realization", "c", "f")
+    with pytest.raises(ModelError) as err:
+        attach(m, derive_all(m))
+    assert err.value.code == "E014"
 
 
 # ---------------------------------------------------------------------------
