@@ -220,7 +220,9 @@ def attach(model: AlignmentModel, itemset: EvaluationItemSet) -> AlignmentModel:
     # every item kind's allowlist: of ``add_element``'s checks, only E005 remains.
     out = model.copy()
     add_element, add_relation = out._add_element, out._add_relation
-    views: dict[tuple, MappingProxyType] = {}  # one read-only attrs view per str values
+    # Items with equal attrs share one read-only view, but only for str values:
+    # 1 == True, yet each must read back as itself.
+    views: dict[tuple, MappingProxyType] = {}
     for item in itemset.items:
         if not is_valid_id(item.id):
             raise ModelError("E005", f"invalid identifier {item.id!r}")
@@ -229,7 +231,7 @@ def attach(model: AlignmentModel, itemset: EvaluationItemSet) -> AlignmentModel:
             view = views[values]
         except (KeyError, TypeError):  # new values, or unhashable ones
             view = MappingProxyType(dict(zip(("category", "severity"), values)))
-            if all(value.__class__ is str for value in values):  # equal only if alike
+            if all(value.__class__ is str for value in values):
                 views[values] = view
         add_element(RULE_TABLE[item.rule][0], item.id, item.description, None, view)
 
