@@ -27,6 +27,7 @@ from .model import REPORT_FORMATS, AlignmentModel, Diagnostic, ModelError, Sever
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:
     import argparse
+    from collections.abc import Mapping
 
     from .derive import EvaluationItemSet
 
@@ -52,7 +53,7 @@ class _Reporter:
         self,
         diagnostics: list[Diagnostic],
         file: str | None,
-        spans: dict[str, SourceSpan] | None = None,
+        spans: Mapping[str, SourceSpan] | None = None,
     ) -> None:
         for d in diagnostics:
             if d.location is None and spans and d.subject in spans:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from codecs import BOM_UTF8
-from collections.abc import Collection
+from collections.abc import Collection, Mapping
 from itertools import accumulate, compress, count
 from operator import add
 import re
@@ -88,19 +88,47 @@ _COST_LEAF_TO_WORD = {leaf: word for word, leaf in COST_WORDS.items()}
 class ParseResult(_Record):
     """Outcome of a parse: the model is present iff there are no errors.
 
-    ``spans`` maps element ids to their declaration sites so callers can
-    anchor model-level diagnostics back into the source file.
+    ``spans`` maps element ids, in declaration order, to their declaration
+    sites so callers can anchor model-level diagnostics back into the source
+    file.  From ``parse`` it is a read-only mapping that builds each
+    ``SourceSpan`` on lookup.
     """
 
     __slots__ = ("model", "diagnostics", "spans")
 
     def __init__(
         self, model: AlignmentModel | None, diagnostics: list[Diagnostic],
-        spans: dict[str, SourceSpan] | None = None,
+        spans: Mapping[str, SourceSpan] | None = None,
     ) -> None:
         self.model = model
         self.diagnostics = diagnostics
         self.spans = {} if spans is None else spans
+
+
+class _Spans(Mapping):
+    """Element id -> the ``SourceSpan`` of its id token, built on lookup from its offset."""
+
+    __slots__ = ("text", "file", "starts", "lines")
+
+    def __init__(self, text: str, file: str) -> None:
+        self.text, self.file, self.starts, self.lines = text, file, {}, None
+
+    def at(self, start: int, length: int) -> SourceSpan:
+        if self.lines is None:
+            # Line n + 1 starts after the first n lines and their n line feeds.
+            lengths = map(len, self.text.split("\n"))
+            self.lines = list(map(add, accumulate(lengths, initial=0), count()))
+        line = bisect_right(self.lines, start)
+        return SourceSpan(self.file, line, start - self.lines[line - 1] + 1, length)
+
+    def __getitem__(self, id: str) -> SourceSpan:
+        return self.at(self.starts[id], len(id))
+
+    def __iter__(self):
+        return iter(self.starts)
+
+    def __len__(self) -> int:
+        return len(self.starts)
 
 
 # ---------------------------------------------------------------------------
@@ -236,13 +264,11 @@ class _Parser:
     """
 
     def __init__(self, text: str, file: str):
-        self.text = text
-        self.file = file
         self.toks, self.starts, found = _lex(text)
         self.i = 0
-        self.line_starts: list[int] | None = None
+        self.spans = _Spans(text, file)
         self.diags = [
-            Diagnostic(code, Severity.ERROR, message, location=self.span_at(start, length))
+            Diagnostic(code, Severity.ERROR, message, location=self.spans.at(start, length))
             for start, length, code, message in found
         ]
         self.model: AlignmentModel | None = None
@@ -250,26 +276,16 @@ class _Parser:
         # the reference token.  A flat list holds no tuple for the cycle
         # collector to track.
         self.rel_specs: list[RelationKind | str | int] = []
-        self.spans: dict[str, SourceSpan] = {}
 
     # -- locations and errors ----------------------------------------------
-
-    def span_at(self, start: int, length: int) -> SourceSpan:
-        lines = self.line_starts
-        if lines is None:
-            # Line n + 1 starts after the first n lines and their n line feeds.
-            lengths = map(len, self.text.split("\n"))
-            lines = self.line_starts = list(map(add, accumulate(lengths, initial=0), count()))
-        line = bisect_right(lines, start)
-        return SourceSpan(self.file, line, start - lines[line - 1] + 1, length)
 
     def span(self, i: int) -> SourceSpan:
         tok, start = self.toks[i], self.starts[i]
         length = len(tok)
         if tok[:1] == '"':  # an escaped or unterminated string is longer in the source
-            m = _TOKEN_RE.match(self.text, start)
+            m = _TOKEN_RE.match(self.spans.text, start)
             length = len(m[1] or m[2])
-        return self.span_at(start, length)
+        return self.spans.at(start, length)
 
     def error(self, code: str, message: str, i: int) -> None:
         self.diags.append(Diagnostic(code, Severity.ERROR, message, location=self.span(i)))
@@ -415,7 +431,7 @@ class _Parser:
         except ModelError as err:
             self.error(err.code, err.message, i)
             return False
-        self.spans[id] = self.span_at(self.starts[i], len(id))
+        self.spans.starts[id] = self.starts[i]
         return True
 
     def parse_element(self, kind: ElementKind, keyword: str) -> None:
@@ -650,7 +666,7 @@ def format_model(model: AlignmentModel) -> str:
     if any(d.severity is Severity.ERROR for d in model.validate()):
         raise ModelError("E141", "cannot format a model with validation errors")
 
-    refs: dict[tuple[str, str], list[str]] = {}  # (owner id, entry key) -> other ends
+    refs: dict[str, dict[str, list[str]]] = {}  # owner id -> {entry key: other ends}
     nested: set[str] = set()  # ids declared inside their owner's statement
     by_id = model._by_id
     for _, kind, source, target in model._relations:
@@ -664,7 +680,7 @@ def format_model(model: AlignmentModel) -> str:
                 "E140", f"{kind} from {source!r} to {target!r} is not expressible in the DSL"
             )
         key, entry = found
-        others = refs.setdefault((owner, key), [])
+        others = refs.setdefault(owner, {}).setdefault(key, [])
         if entry.single and others:
             raise ModelError("E140", f"a second {key!r} entry on {owner!r} is not expressible")
         if entry.nested:
@@ -673,54 +689,54 @@ def format_model(model: AlignmentModel) -> str:
             nested.add(other)
         others.append(other)
 
-    statements: list[tuple[str, list[str]]] = []  # (leading keyword, lines)
-    for e in model.elements:
-        if e.id in KEYWORDS:
-            raise ModelError("E140", f"reserved word {e.id!r} is not expressible as an id")
+    # A blank line separates statements, except two one-line statements with
+    # the same keyword.  ``last`` is the previous one-line statement's
+    # keyword, "" after a block, None before the first statement.
+    out: list[str] = [""]  # the system line, quoted after every element
+    last: str | None = None
+    for e in by_id.values():
+        id, attrs = e.id, e.attrs
+        if id in KEYWORDS:
+            raise ModelError("E140", f"reserved word {id!r} is not expressible as an id")
         if e.description is not None:
-            raise ModelError("E140", f"the description of {e.id!r} is not expressible")
+            raise ModelError("E140", f"the description of {id!r} is not expressible")
         if e.kind in _NESTED:
-            if e.id not in nested:
+            if id not in nested:
                 key, owner = _NESTED[e.kind]
-                raise ModelError("E140", f"{key} {e.id!r} has no owning {owner}")
+                raise ModelError("E140", f"{key} {id!r} has no owning {owner}")
             continue
         statement = STATEMENTS.get(e.kind)
         if statement is None:
-            raise ModelError(
-                "E140", f"{e.kind} elements are not expressible in the DSL"
-            )
-        words = (statement.keyword, statement.role, e.id, _quote(e.name))
-        header = " ".join(word for word in words if word)
+            raise ModelError("E140", f"{e.kind} elements are not expressible in the DSL")
+        keyword = statement.keyword
+        role = f"{statement.role} " if statement.role else ""
+        header = f"  {keyword} {role}{id} {_quote(e.name)}"
+        keyed = refs.get(id, {})
         body: list[str] = []
         for key, entry in statement.entries.items():
-            if entry.nested:
-                for ref in refs.get((e.id, key), ()):
-                    body.append(f"{key} {ref} {_quote(model.element(ref).name)};")
-            elif entry.relation is not None:
-                if (e.id, key) in refs:
-                    body.append(f"{key}: {', '.join(refs[e.id, key])};")
-            elif entry.form == "word":
-                if key in e.attrs:
-                    body.append(f"{key}: {e.attrs[key]};")
-            else:
-                for leaf, *rest in e.attrs.get(key, ()):
-                    word = _COST_LEAF_TO_WORD[leaf] if entry.form == "cost" else leaf
-                    severity = f" severity: {rest[0]}" if entry.form == "hinders" else ""
-                    body.append(f"{key}: {word}{severity} {_quote(rest[-1])};")
-        if body:
-            lines = [header + " {"] + ["  " + line for line in body] + ["}"]
-        else:
-            lines = [header]
-        statements.append((statement.keyword, lines))
-
-    out: list[str] = [f"system {_quote(model.system_name)} {{"]
-    prev_keyword: str | None = None
-    prev_single = False
-    for keyword, lines in statements:
-        single = len(lines) == 1
-        if prev_keyword is not None and not (single and prev_single and keyword == prev_keyword):
+            if key in keyed:  # a relation entry
+                if entry.nested:
+                    body += [f"    {key} {ref} {_quote(by_id[ref].name)};" for ref in keyed[key]]
+                else:
+                    body.append(f"    {key}: {', '.join(keyed[key])};")
+            elif key in attrs:
+                value, form = attrs[key], entry.form
+                if form == "word":
+                    body.append(f"    {key}: {value};")
+                elif form == "hinders":
+                    body += [
+                        f"    {key}: {leaf} severity: {severity} {_quote(desc)};"
+                        for leaf, severity, desc in value
+                    ]
+                else:  # only a cost leaf has a surface word of its own
+                    body += [
+                        f"    {key}: {_COST_LEAF_TO_WORD.get(leaf, leaf)} {_quote(desc)};"
+                        for leaf, desc in value
+                    ]
+        if last is not None and (body or last != keyword):
             out.append("")
-        out.extend("  " + line if line else "" for line in lines)
-        prev_keyword, prev_single = keyword, single
+        out += (f"{header} {{", *body, "  }") if body else (header,)
+        last = "" if body else keyword
+    out[0] = f"system {_quote(model.system_name)} {{"
     out.append("}")
     return "\n".join(out) + "\n"

@@ -60,82 +60,75 @@ def _xml_text(value: str) -> str:
     return value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
+def _properties(
+    kind: ElementKind, category: str | None, severity: str | None, used: set[str]
+) -> str:
+    """An element's ``<properties>`` block ("" if none); adds its keys to ``used``."""
+    # ``ALLOWED_ATTRS`` keeps category to derived items, severity to risks.
+    role = _CLUSTERS.get(kind)
+    props = {
+        "category": None if category is None else leaf_path(category),
+        "role": None if role == "value" else role,
+        "severity": severity,
+    }
+    used.update(key for key, value in props.items() if value is not None)
+    rows = "".join(
+        f'        <property propertyDefinitionRef="propid-{key}">\n'
+        f'          <value xml:lang="en">{_xml_text(value)}</value>\n'
+        "        </property>\n"
+        for key, value in props.items()
+        if value is not None
+    )
+    return rows and f"      <properties>\n{rows}      </properties>\n"
+
+
 def to_open_exchange(model: AlignmentModel) -> str:
     """Render the model in the Open Exchange 3.x layout (UTF-8 text, LF)."""
     _check_exportable(model)
-    relations = model._relations
-
-    def properties_of(e: Element) -> list[tuple[str, str]]:
-        # ``ALLOWED_ATTRS`` keeps category to derived items, severity to risks.
-        props: list[tuple[str, str]] = []
-        if "category" in e.attrs:
-            props.append(("category", leaf_path(e.attrs["category"])))
-        role = _CLUSTERS.get(e.kind)
-        if role not in (None, "value"):
-            props.append(("role", role))
-        if "severity" in e.attrs:
-            props.append(("severity", e.attrs["severity"]))
-        return props
-
-    elements = model.elements
     used_propdefs: set[str] = set()
+    # (kind, category, severity) -> properties block.  ``validate`` admits
+    # only str categories and severities, so equal keys render alike.
+    blocks: dict[tuple[str, str | None, str | None], str] = {}
 
     # Identifiers come from ids and slugs, which hold only [a-z0-9_], so
     # they need no escaping.
-    out: list[str] = ['<?xml version="1.0" encoding="UTF-8"?>']
-    out.append(
+    elements: list[str] = []
+    for e in model._by_id.values():
+        kind, attrs = e.kind, e.attrs
+        key = (kind, attrs.get("category"), attrs.get("severity"))
+        props = blocks.get(key)
+        if props is None:
+            props = blocks[key] = _properties(*key, used_propdefs)
+        doc = e.description
+        if doc:
+            doc = f'      <documentation xml:lang="en">{_xml_text(doc)}</documentation>\n'
+        elements.append(
+            f'    <element identifier="id-{e.id}" xsi:type="{XSI_TYPES[kind]}">\n'
+            f'      <name xml:lang="en">{_xml_text(e.name)}</name>\n'
+            f"{doc or ''}{props}    </element>"
+        )
+    relationships = [
+        f'    <relationship identifier="id-{rid}" source="id-{source}" '
+        f'target="id-{target}" xsi:type="{kind}"/>'
+        for rid, kind, source, target in model._relations
+    ]
+    definitions = [
+        f'    <propertyDefinition identifier="propid-{key}" type="string">\n'
+        f"      <name>{key}</name>\n    </propertyDefinition>"
+        for key in sorted(used_propdefs)
+    ]
+    out: list[str] = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
         f'<model xmlns="{OPEN_EXCHANGE_NS}" xmlns:xsi="{XSI_NS}" '
-        f'identifier="id-{slugify(model.system_name)}">'
-    )
-    out.append(f'  <name xml:lang="en">{_xml_text(model.system_name)}</name>')
-
-    if elements:
-        out.append("  <elements>")
-        for e in elements:
-            props = properties_of(e)
-            open_tag = (
-                f'    <element identifier="id-{e.id}" '
-                f'xsi:type="{XSI_TYPES[e.kind]}">'
-            )
-            out.append(open_tag)
-            out.append(f'      <name xml:lang="en">{_xml_text(e.name)}</name>')
-            if e.description:
-                out.append(
-                    f'      <documentation xml:lang="en">{_xml_text(e.description)}</documentation>'
-                )
-            if props:
-                out.append("      <properties>")
-                for key, value in props:
-                    used_propdefs.add(key)
-                    out.append(
-                        f'        <property propertyDefinitionRef="propid-{key}">'
-                    )
-                    out.append(f'          <value xml:lang="en">{_xml_text(value)}</value>')
-                    out.append("        </property>")
-                out.append("      </properties>")
-            out.append("    </element>")
-        out.append("  </elements>")
-
-    if relations:
-        out.append("  <relationships>")
-        for rid, kind, source, target in relations:
-            out.append(
-                f'    <relationship identifier="id-{rid}" '
-                f'source="id-{source}" target="id-{target}" '
-                f'xsi:type="{kind}"/>'
-            )
-        out.append("  </relationships>")
-
-    if used_propdefs:
-        out.append("  <propertyDefinitions>")
-        for key in sorted(used_propdefs):
-            out.append(
-                f'    <propertyDefinition identifier="propid-{key}" type="string">'
-            )
-            out.append(f"      <name>{_xml_text(key)}</name>")
-            out.append("    </propertyDefinition>")
-        out.append("  </propertyDefinitions>")
-
+        f'identifier="id-{slugify(model.system_name)}">',
+        f'  <name xml:lang="en">{_xml_text(model.system_name)}</name>',
+    ]
+    for tag, rows in (
+        ("elements", elements), ("relationships", relationships),
+        ("propertyDefinitions", definitions),
+    ):
+        if rows:
+            out += (f"  <{tag}>", *rows, f"  </{tag}>")
     out.append("</model>")
     return "\n".join(out) + "\n"
 
@@ -152,44 +145,33 @@ def to_dot(model: AlignmentModel) -> str:
     """
     _check_exportable(model)
 
-    def node_line(e: Element, indent: str) -> str:
-        label = f"{_dot_escape(e.kind)}\\n{_dot_escape(e.name)}"
-        return f'{indent}"{e.id}" [label="{label}"];'
-
-    clusters: dict[str, list[Element]] = {branch: [] for branch in _CLUSTERS.values()}
     plain: list[Element] = []
-    for e in model.elements:
-        branch = _CLUSTERS.get(e.kind)
-        if branch is None:
-            plain.append(e)
-        else:
-            clusters[branch].append(e)
+    clusters: dict[str, list[Element]] = {branch: [] for branch in _CLUSTERS.values()}
+    groups = {kind: clusters[branch] for kind, branch in _CLUSTERS.items()}
+    principles = groups[ElementKind.PRINCIPLE] = []
+    for e in model._by_id.values():
+        groups.get(e.kind, plain).append(e)
 
-    principle = ElementKind.PRINCIPLE
+    def nodes(members: list[Element], indent: str) -> list[str]:
+        # Kinds are fixed words, so only names need escaping.
+        return [f'{indent}"{e.id}" [label="{e.kind}\\n{_dot_escape(e.name)}"];' for e in members]
+
     graph_id = slugify(model.system_name)
     if graph_id in _DOT_KEYWORDS:
         graph_id = f'"{graph_id}"'
-    out = [f"digraph {graph_id} {{"]
-    out.append("  rankdir=LR;")
-    out.append("  node [shape=box];")
-    for e in plain:
-        if e.kind is not principle:
-            out.append(node_line(e, "  "))
+    out = [f"digraph {graph_id} {{", "  rankdir=LR;", "  node [shape=box];"]
+    out += nodes(plain, "  ")
     for branch, members in clusters.items():
-        if not members:
-            continue
-        out.append(f"  subgraph cluster_{branch} {{")
-        out.append(f'    label="{branch}";')
-        for e in members:
-            out.append(node_line(e, "    "))
-        out.append("  }")
-    for e in plain:
-        if e.kind is principle:
-            out.append(node_line(e, "  "))
+        if members:
+            out += (f"  subgraph cluster_{branch} {{", f'    label="{branch}";')
+            out += nodes(members, "    ")
+            out.append("  }")
+    out += nodes(principles, "  ")
     association = RelationKind.ASSOCIATION
-    for _, kind, source, target in model._relations:
-        style = ", dir=none" if kind is association else ""
-        out.append(f'  "{source}" -> "{target}" [label="{kind}"{style}];')
+    out += [
+        f'  "{source}" -> "{target}" '
+        f'[label="{kind}"{", dir=none" if kind is association else ""}];'
+        for _, kind, source, target in model._relations
+    ]
     out.append("}")
     return "\n".join(out) + "\n"
-

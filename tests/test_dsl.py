@@ -649,6 +649,82 @@ def test_format_refuses_what_would_not_parse_back(build):
     assert err.value.code == "E140" and "\n" not in str(err.value)
 
 
+def _unsurfaced_relation_and_reserved_id():
+    m = _data(id="severity")
+    m.add_element(ElementKind.SYSTEM_COMPONENT, "c", "C")
+    m.add_element(ElementKind.COMPONENT_FUNCTION, "f", "F")
+    m.add_element(ElementKind.DIALOGUE_SERVICE, "s", "S")
+    m.add_relation(RelationKind.REALIZATION, "c", "f")
+    m.add_relation(RelationKind.SERVING, "c", "s")
+    return m
+
+
+def _second_assignment_and_description():
+    m = _second_assignment()
+    m.add_element(ElementKind.DATA_MODEL, "d", "D", "about D")
+    return m
+
+
+def _orphan_function_and_cost_item(function_first):
+    m = new_model("X")
+    adds = [
+        lambda: m.add_element(ElementKind.COMPONENT_FUNCTION, "f", "F"),
+        lambda: m.add_element(
+            ElementKind.COST_ITEM, "k", "Cost", attrs={"category": "it_resources"}
+        ),
+    ]
+    for add in adds if function_first else adds[::-1]:
+        add()
+    return m
+
+
+def _cost_item_and_function_of_two_components():
+    m = _function_realized_twice(["c1", "c2"])
+    m.add_element(ElementKind.COST_ITEM, "k", "Cost", attrs={"category": "it_resources"})
+    return m
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        # Relations are checked before any element, whatever the element order.
+        (
+            _unsurfaced_relation_and_reserved_id,
+            "Serving from 'c' to 's' is not expressible in the DSL",
+        ),
+        (_second_assignment_and_description, "a second 'by' entry on 'a' is not expressible"),
+        (
+            _cost_item_and_function_of_two_components,
+            "function 'f' is declared by more than one owner",
+        ),
+        # Elements are checked in model order, and the system name after them.
+        (lambda: _orphan_function_and_cost_item(True), "function 'f' has no owning component"),
+        (
+            lambda: _orphan_function_and_cost_item(False),
+            "CostItem elements are not expressible in the DSL",
+        ),
+        (
+            lambda: _data(system="two\nlines", id="severity"),
+            "reserved word 'severity' is not expressible as an id",
+        ),
+    ],
+    ids=[
+        "unsurfaced-relation-before-reserved-id",
+        "second-entry-before-description",
+        "two-owners-before-cost-item",
+        "orphan-function-then-cost-item",
+        "cost-item-then-orphan-function",
+        "reserved-id-before-system-name",
+    ],
+)
+def test_format_reports_the_first_of_two_inexpressible_parts(build, message):
+    m = build()
+    assert not [d for d in m.validate() if d.severity is Severity.ERROR]
+    with pytest.raises(ModelError) as err:
+        format_model(m)
+    assert err.value.code == "E140" and err.value.message == message
+
+
 # ---------------------------------------------------------------------------
 # totality
 

@@ -4,10 +4,10 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from dsalign.derive import attach, derive_all
+from dsalign.derive import EvaluationItem, EvaluationItemSet, Rule, attach, derive_all
 from dsalign.dsl import format_model, parse
 from dsalign.export import to_dot, to_open_exchange
-from dsalign.model import ElementKind, ModelError, new_model
+from dsalign.model import ElementKind, ModelError, leaf_path, new_model
 
 from conftest import FIXTURE_NAMES
 
@@ -95,6 +95,49 @@ def test_risk_and_cost_items_carry_role_properties(fixture_models):
     assert values["propid-category"] == "risk/privacy"
     cost = by_id["id-item_r1_cost_1"]
     assert cost.get(XSI_TYPE) == "Value"
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_each_element_carries_the_properties_of_its_own_attrs(name, fixture_models):
+    # The exporter renders one properties block per (kind, category,
+    # severity) and reuses it; each element must still get its own values.
+    _, attached = attached_fixture(fixture_models, name)
+    root = parse_xml(to_open_exchange(attached))
+    for xml, e in zip(xml_elements(root), attached.elements, strict=True):
+        found = {
+            p.get("propertyDefinitionRef"): p.find("oe:value", NS).text
+            for p in xml.findall("oe:properties/oe:property", NS)
+        }
+        expected = {}
+        if "category" in e.attrs:
+            expected["propid-category"] = leaf_path(e.attrs["category"])
+        if e.kind in (ElementKind.RISK_ITEM, ElementKind.COST_ITEM):
+            expected["propid-role"] = "risk" if e.kind == ElementKind.RISK_ITEM else "cost"
+        if "severity" in e.attrs:
+            expected["propid-severity"] = e.attrs["severity"]
+        assert found == expected, e.id
+
+
+@pytest.mark.parametrize(
+    "rule, category, attr",
+    [(Rule.R1_COST, "it_resources", "category"), (Rule.R2_RISK, "privacy", "severity")],
+)
+def test_equal_values_of_other_types_never_reach_a_properties_block(
+    rule, category, attr, faq_model
+):
+    # 1 == True, so a block keyed on them could be shared; validate refuses both.
+    event = faq_model.elements_of_kind(ElementKind.OBSERVED_EVENT)[0].id
+    items = [
+        EvaluationItem(f"item_{rule.lower()}_{n}", category, "x", [event], rule, "high")
+        for n in (1, 2)
+    ]
+    setattr(items[0], attr, 1)
+    setattr(items[1], attr, True)
+    attached = attach(faq_model, EvaluationItemSet(faq_model.system_name, items))
+    for render in (to_open_exchange, to_dot):
+        with pytest.raises(ModelError) as err:
+            render(attached)
+        assert err.value.code == "E300"
 
 
 def test_export_is_deterministic(fixture_models):

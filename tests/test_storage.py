@@ -1,9 +1,10 @@
-"""How a model stores its records, and that the public views hide it.
+"""How a model and a parse store their records, and that the public views hide it.
 
 Relations are held as exact ``(id, kind, source, target)`` tuples and elements
 without attrs, or derived items with equal attrs, share one read-only view.
-These records are what the cycle collector would otherwise walk on every
-collection, so one test pins how many objects a large model leaves tracked.
+A parse keeps each element's start offset and builds its ``SourceSpan`` on
+lookup.  These records are what the cycle collector would otherwise walk on
+every collection, so tests pin how many objects a large model leaves tracked.
 """
 
 from __future__ import annotations
@@ -15,19 +16,25 @@ import sys
 import pytest
 
 from dsalign import attach, derive_all, parse
+from dsalign.cli import _Reporter
 from dsalign.derive import EvaluationItem, EvaluationItemSet, Rule
+from dsalign.dsl import _lex
 from dsalign.model import (
     ELEMENT_KINDS,
     RELATION_KINDS,
+    STATEMENTS,
+    Diagnostic,
     ElementKind,
     ModelError,
     Relation,
     RelationKind,
+    Severity,
+    SourceSpan,
     new_model,
     relation_permitted,
 )
 
-from conftest import FIXTURE_NAMES, REPO
+from conftest import FIXTURES, FIXTURE_NAMES, REPO
 
 sys.path.insert(0, str(REPO / "perfbench"))
 import synth  # noqa: E402
@@ -151,3 +158,65 @@ def test_a_large_attached_model_leaves_few_objects_for_the_collector():
     tracked = len(gc.get_objects()) - before
     assert len(attached.elements) == 11_207
     assert tracked <= 20_000, tracked
+
+
+def test_a_parse_kept_alive_holds_no_span_objects():
+    text, _ = synth.generate(800, 1)
+    result = parse(text, "synthetic-spans.dsa")
+    gc.collect()
+    spans = [o for o in gc.get_objects() if o.__class__ is SourceSpan]
+    assert not [s for s in spans if s.file == "synthetic-spans.dsa"]
+    assert len(result.spans) == 5_602
+
+
+# Words after which the parser reads a declared id: each statement keyword
+# but ``actor``, the role words after ``actor``, and ``function``.
+_DECLARING = {s.role or s.keyword for s in STATEMENTS.values()} | {"function"}
+
+
+def _eager_spans(text: str, file: str) -> dict[str, SourceSpan]:
+    """The spans as the parser built them eagerly: one per declared id token."""
+    toks, starts, _ = _lex(text)
+    spans = {}
+    for word, tok, start in zip(toks, toks[1:], starts[1:]):
+        if word in _DECLARING:
+            column = start - text.rfind("\n", 0, start)
+            spans[tok] = SourceSpan(file, text.count("\n", 0, start) + 1, column, len(tok))
+    return spans
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_spans_equal_the_eager_dict_in_declaration_order(name):
+    text = (FIXTURES / f"{name}.dsa").read_text()
+    result = parse(text, f"{name}.dsa")
+    eager = _eager_spans(text, f"{name}.dsa")
+    assert list(result.spans) == list(eager) == [e.id for e in result.model.elements]
+    assert result.spans == eager and dict(result.spans) == eager
+    assert [result.spans[id] for id in eager] == list(eager.values())
+
+
+def test_spans_are_read_only_and_refuse_unknown_ids():
+    result = parse((FIXTURES / "faq_chatbot.dsa").read_text(), "faq_chatbot.dsa")
+    spans = result.spans
+    assert "no_such_id" not in spans and spans.get("no_such_id") is None
+    with pytest.raises(KeyError):
+        spans["no_such_id"]
+    with pytest.raises(TypeError):
+        spans["faq_set"] = SourceSpan("faq_chatbot.dsa", 1, 1)
+    assert spans["faq_set"] == spans["faq_set"] and spans["faq_set"] is not spans["faq_set"]
+
+
+def test_the_reporter_anchors_model_findings_at_their_declarations(capsys):
+    text = (
+        'system "X" {\n  data d "D"\n\n  component c "C" {\n    function f "F";\n  }\n'
+        '\tdata  e "E"\n}\n'
+    )
+    result = parse(text, "w.dsa")
+    stray = Diagnostic("W104", Severity.WARNING, "not declared here", subject="zz")
+    reporter = _Reporter()
+    reporter.emit([*result.model.validate(), stray], "w.dsa", result.spans)
+    assert capsys.readouterr().err.splitlines() == [
+        "w.dsa:2:8: warning W104: data model 'd' is not accessed by any component",
+        "w.dsa:7:8: warning W104: data model 'e' is not accessed by any component",
+        "w.dsa: warning W104: not declared here",
+    ]
