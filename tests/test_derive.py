@@ -506,32 +506,46 @@ def test_attach_multi_source_user_item_keeps_relation_order():
     ]
 
 
-def test_attach_scans_the_stored_relations_a_constant_number_of_times(monkeypatch):
-    # ``attach`` scans the stored relation tuples once and never reads the
-    # ``relations`` view, whatever the number of items.
-    scans, reads = [], []
-    plain_scan = derive_module._influence_pairs
-    plain_view = AlignmentModel.relations.fget
+def test_attach_scans_relations_a_constant_number_of_times(monkeypatch):
+    # ``attach`` never reads the ``relations`` view, whatever the number of items.
+    reads = []
+    plain = AlignmentModel.relations.fget
 
-    def counting_scan(model):
-        scans.append(model)
-        return plain_scan(model)
-
-    def counting_view(self):
+    def counting(self):
         reads.append(self)
-        return plain_view(self)
+        return plain(self)
 
-    monkeypatch.setattr(derive_module, "_influence_pairs", counting_scan)
-    monkeypatch.setattr(AlignmentModel, "relations", property(counting_view))
+    monkeypatch.setattr(AlignmentModel, "relations", property(counting))
 
-    def relation_scans(activities: int) -> tuple[int, int]:
+    def relation_reads(activities: int) -> int:
         model = _influence_model(activities)
         itemset = _itemset(model, [[f"u{i}"] for i in range(1, activities + 1)])
-        before = len(scans), len(reads)
+        before = len(reads)
         attach(model, itemset)
-        return len(scans) - before[0], len(reads) - before[1]
+        return len(reads) - before
 
-    assert relation_scans(2) == relation_scans(20) == (1, 0)
+    assert relation_reads(2) == relation_reads(20) == 0
+
+
+def test_attach_scans_the_stored_relations_a_constant_number_of_times(monkeypatch):
+    # ``attach`` reads the stored relation tuples, not the ``relations`` view.
+    scans = []
+    plain = derive_module._influence_pairs
+
+    def counting(model):
+        scans.append(model)
+        return plain(model)
+
+    monkeypatch.setattr(derive_module, "_influence_pairs", counting)
+
+    def relation_scans(activities: int) -> int:
+        model = _influence_model(activities)
+        itemset = _itemset(model, [[f"u{i}"] for i in range(1, activities + 1)])
+        before = len(scans)
+        attach(model, itemset)
+        return len(scans) - before
+
+    assert relation_scans(2) == relation_scans(20) == 1
 
 
 def test_pipeline_runs_the_rules_once_per_model_state(monkeypatch):
