@@ -19,7 +19,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from codecs import BOM_UTF8
 from collections.abc import Collection, Mapping
-from itertools import accumulate, compress, count
+from itertools import accumulate, compress, count, islice
 from operator import add
 import re
 
@@ -91,7 +91,8 @@ class ParseResult(_Record):
     ``spans`` maps element ids, in declaration order, to their declaration
     sites so callers can anchor model-level diagnostics back into the source
     file.  From ``parse`` it is a read-only mapping that builds each
-    ``SourceSpan`` on lookup.
+    ``SourceSpan`` on lookup; the parse sums no token offsets until the first
+    lookup or diagnostic needs one.
     """
 
     __slots__ = ("model", "diagnostics", "spans")
@@ -106,12 +107,26 @@ class ParseResult(_Record):
 
 
 class _Spans(Mapping):
-    """Element id -> the ``SourceSpan`` of its id token, built on lookup from its offset."""
+    """Element id -> the ``SourceSpan`` of its id token, built on lookup.
 
-    __slots__ = ("text", "file", "starts", "lines")
+    ``index`` maps each id to its token index.  The token start offsets are
+    summed from ``_lex``'s tokens and trails once, by the first lookup or
+    parser diagnostic that reads one, unless the lexer had summed them.
+    """
 
-    def __init__(self, text: str, file: str) -> None:
-        self.text, self.file, self.starts, self.lines = text, file, {}, None
+    __slots__ = ("text", "file", "index", "toks", "trails", "starts", "lines")
+
+    def __init__(
+        self, text: str, file: str, toks: list[str], trails: list[str], starts: list[int] | None
+    ) -> None:
+        self.text, self.file, self.index, self.lines = text, file, {}, None
+        self.toks, self.trails, self.starts = toks, trails, starts
+
+    def start(self, i: int) -> int:
+        """The start offset of token ``i``."""
+        if self.starts is None:
+            self.starts = _starts(self.toks, self.trails)
+        return self.starts[i]
 
     def at(self, start: int, length: int) -> SourceSpan:
         if self.lines is None:
@@ -122,13 +137,13 @@ class _Spans(Mapping):
         return SourceSpan(self.file, line, start - self.lines[line - 1] + 1, length)
 
     def __getitem__(self, id: str) -> SourceSpan:
-        return self.at(self.starts[id], len(id))
+        return self.at(self.start(self.index[id]), len(id))
 
     def __iter__(self):
-        return iter(self.starts)
+        return iter(self.index)
 
     def __len__(self) -> int:
-        return len(self.starts)
+        return len(self.index)
 
 
 # ---------------------------------------------------------------------------
@@ -186,28 +201,42 @@ def _string_value(text: str, start: int, end: int, found: list[_Finding]) -> str
     return re.sub(_STRING_PIECE, piece, text[start:end])
 
 
-def _lex(text: str) -> tuple[list[str], list[int], list[_Finding]]:
-    """Tokens, their start offsets, and the lexer's findings in source order.
+def _starts(toks: list[str], trails: list[str]) -> list[int]:
+    """Each token's start offset, summed from the token and trail lengths before it.
 
-    A token is its source text, except that a string token is its value in
-    quotes.  The last token is "" at the end of the file or, when the file
-    ends in a comment, at that comment's '#'.
+    ``trails[0]`` is the text's leading blanks and ``trails[k + 1]`` follows
+    ``toks[k]``.  EOF starts at the '#' of a comment that ends the file.
     """
-    # The leading ';' is a token whose trail takes the text's leading blanks.
-    parts = _TOKEN_RE.split(";" + text)  # "", plain, odd, trail per token, then ""
-    toks, odd, trails = parts[1::4], parts[2::4], parts[3::4]
-    if any(odd):
-        toks = [o or p for p, o in zip(toks, odd)]
-    starts = list(accumulate(map(add, map(len, toks), map(len, trails)), initial=-1))
-    del toks[0], starts[0], odd[0]
-    toks.append("")
+    lengths = map(add, map(len, toks), map(len, islice(trails, 1, None)))
+    starts = list(accumulate(lengths, initial=len(trails[0])))
     tail = trails[-1]
     comment = tail.find("#", tail.rfind("\n") + 1)
     if comment >= 0:
         starts[-1] -= len(tail) - comment
+    return starts
+
+
+def _lex(text: str) -> tuple[list[str], list[str], list[int] | None, list[_Finding]]:
+    """Tokens, their trails, their start offsets, and the lexer's findings in source order.
+
+    A token is its source text, except that a string token is its value in
+    quotes.  The last token is "" at the end of the file or, when the file
+    ends in a comment, at that comment's '#'.  The offsets are summed only
+    when there are odd lexemes to report, and are None otherwise:
+    ``_starts(toks, trails)`` gives them then.
+    """
+    # The leading ';' is a token whose trail takes the text's leading blanks.
+    parts = _TOKEN_RE.split(";" + text)  # "", plain, odd, trail per token, then ""
+    toks, odd, trails = parts[5::4], parts[6::4], parts[3::4]
+    if not any(odd):
+        toks.append("")
+        return toks, trails, None, []
+    toks = [o or p for p, o in zip(toks, odd)]
+    toks.append("")
+    starts = _starts(toks, trails)
     found: list[_Finding] = []
     dropped = False
-    for k in compress(range(len(toks)), odd):
+    for k in compress(range(len(odd)), odd):
         lexeme, start = toks[k], starts[k]
         if lexeme[0] != '"':
             found.append((start, 1, "E103", f"invalid character {lexeme!r}"))
@@ -223,7 +252,7 @@ def _lex(text: str) -> tuple[list[str], list[int], list[_Finding]]:
     if dropped:
         starts = [start for start, tok in zip(starts, toks) if tok is not None]
         toks = [tok for tok in toks if tok is not None]
-    return toks, starts, found
+    return toks, trails, starts, found
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +293,9 @@ class _Parser:
     """
 
     def __init__(self, text: str, file: str):
-        self.toks, self.starts, found = _lex(text)
+        self.toks, trails, starts, found = _lex(text)
         self.i = 0
-        self.spans = _Spans(text, file)
+        self.spans = _Spans(text, file, self.toks, trails, starts)
         self.diags = [
             Diagnostic(code, Severity.ERROR, message, location=self.spans.at(start, length))
             for start, length, code, message in found
@@ -280,7 +309,7 @@ class _Parser:
     # -- locations and errors ----------------------------------------------
 
     def span(self, i: int) -> SourceSpan:
-        tok, start = self.toks[i], self.starts[i]
+        tok, start = self.toks[i], self.spans.start(i)
         length = len(tok)
         if tok[:1] == '"':  # an escaped or unterminated string is longer in the source
             m = _TOKEN_RE.match(self.spans.text, start)
@@ -431,7 +460,7 @@ class _Parser:
         except ModelError as err:
             self.error(err.code, err.message, i)
             return False
-        self.spans.starts[id] = self.starts[i]
+        self.spans.index[id] = i
         return True
 
     def parse_element(self, kind: ElementKind, keyword: str) -> None:
@@ -524,16 +553,6 @@ class _Parser:
             if key in seen_single:
                 self.error("E130", f"repeated entry {key!r}", i)
             seen_single.add(key)
-        self.parse_entry_value(key, entry, attrs, refs)
-
-    def parse_entry_value(
-        self,
-        key: str,
-        entry: Entry,
-        attrs: dict[str, object],
-        refs: dict[str, list[tuple[int, str]]],
-    ) -> None:
-        toks = self.toks
         if entry.relation is not None:
             ids = refs.setdefault(key, [])
             while True:

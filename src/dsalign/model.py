@@ -326,8 +326,6 @@ _ONE_PER_MODEL = (K.USER, K.OPERATOR)
 
 del K, R
 
-_ID_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
-
 # Characters XML 1.0 (section 2.2, ``Char``) cannot carry: C0 controls other
 # than tab and line feed, U+FFFE, U+FFFF and lone surrogates.  A carriage
 # return is a legal XML character, but parsers fold it into a space or a line
@@ -336,8 +334,10 @@ _ID_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 XML_FORBIDDEN = "\x00-\x08\x0b-\x1f\ufffe\uffff\ud800-\udfff"
 
 
-def is_valid_id(candidate: str) -> bool:
-    return bool(_ID_RE.match(candidate))
+def is_valid_id(id: object) -> bool:
+    """A ``str`` of the form ``[a-z][a-z0-9_]*``: an ASCII identifier, no capital, a letter first."""
+    identifier = isinstance(id, str) and id.isascii() and id.isidentifier()
+    return identifier and id.islower() and id[0].isalpha()
 
 
 def relation_permitted(
@@ -450,6 +450,9 @@ class AlignmentModel:
     """
 
     def __init__(self, system_name: str):
+        if not isinstance(system_name, str):
+            kind = type(system_name).__name__
+            raise ModelError("E015", f"system name must be a string, not {kind}")
         if not system_name:
             raise ModelError("E000", "system name must not be empty")
         self._system_name = system_name
@@ -512,11 +515,11 @@ class AlignmentModel:
     def _add_relation(self, kind: RelationKind, source: str, target: str) -> str:
         """``add_relation`` on a model known to be mutable."""
         by_id = self._by_id
-        for endpoint in (source, target):
-            if endpoint not in by_id:
-                raise ModelError("E003", f"unknown element id {endpoint!r}")
-        source_kind = by_id[source].kind
-        target_kind = by_id[target].kind
+        try:
+            source_kind = by_id[source].kind
+            target_kind = by_id[target].kind
+        except KeyError as err:
+            raise ModelError("E003", f"unknown element id {err.args[0]!r}") from None
         if (source_kind, kind, target_kind) not in _PERMITTED_TRIPLES:
             raise ModelError(
                 "E004", f"{kind} from {source_kind} to {target_kind} is not permitted"
@@ -673,7 +676,8 @@ def _check_element(e: Element, linked: bool, slug: str, out: list[Diagnostic]) -
     elif _is_relation_id(id):
         out.append(_error("E014", f"{id!r}: element id has the form {_OF_RELATION}", id))
     _check_text(e.name, "its name", id, out)
-    _check_text(e.description, "its description", id, out)
+    if e.description is not None:
+        _check_text(e.description, "its description", id, out)
     for code, severity, message, attrs, link in _ELEMENT_RULES.get(e.kind, ()):
         if not (linked if link else any(map(e.attrs.get, attrs))):
             out.append(Diagnostic(code, severity, message.format(id), subject=id))
@@ -758,18 +762,24 @@ def _entries(
             out.append(_error("E012", f"{subject!r}: malformed {key!r} entry {entry!r}", subject))
         else:
             good.append(entry)
-            for part in entry:
-                _check_text(part, where, subject, out)
+            for part in entry:  # a part that is not a string is a leaf or level: E120, E122
+                if isinstance(part, str):
+                    _check_text(part, where, subject, out)
     return good
 
 
 def _check_text(text: object, where: str, subject: str | None, out: list[Diagnostic]) -> None:
-    """V9: report E013 if a string holds a character XML 1.0 cannot carry.
+    """V9: report E015 if ``text`` is not a string, E013 if it holds a
+    character XML 1.0 cannot carry.
 
     Every text that reaches an export is checked; the lexer's E108 already
     keeps these characters out of parsed models.
     """
-    if not isinstance(text, str) or text.isprintable():  # no forbidden character is printable
+    if not isinstance(text, str):
+        message = f"{subject!r}: {where} must be a string, not {type(text).__name__}"
+        out.append(_error("E015", message, subject))
+        return
+    if text.isprintable():  # no forbidden character is printable
         return
     # Compiled on first use and cached by ``re``: compiling costs about 1 ms,
     # which every CLI run would otherwise pay at import.

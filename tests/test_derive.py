@@ -453,11 +453,12 @@ def test_attach_unknown_source_rejected(faq_model):
 
 def test_attach_refuses_an_invalid_item_id(faq_model):
     source = faq_model.elements_of_kind(K.SYSTEM_COMPONENT)[0].id
-    item = EvaluationItem("Item-1", "it_resources", "fees", [source], Rule.R1_COST)
-    with pytest.raises(ModelError) as err:
-        attach(faq_model, EvaluationItemSet(system_name=faq_model.system_name, items=[item]))
-    assert err.value.code == "E005"
-    assert err.value.message == "invalid identifier 'Item-1'"
+    for bad, shown in (("Item-1", "'Item-1'"), (5, "5")):
+        item = EvaluationItem(bad, "it_resources", "fees", [source], Rule.R1_COST)
+        with pytest.raises(ModelError) as err:
+            attach(faq_model, EvaluationItemSet(system_name=faq_model.system_name, items=[item]))
+        assert err.value.code == "E005"
+        assert err.value.message == f"invalid identifier {shown}"
 
 
 def test_attach_refuses_a_risk_item_outside_the_risk_branch(faq_model):

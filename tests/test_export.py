@@ -169,6 +169,43 @@ def test_xml_forbidden_character_from_the_api_never_reaches_an_export():
     assert err.value.code == "E141"
 
 
+@pytest.mark.parametrize(
+    "name, description, message",
+    [
+        (5, None, "'d': its name must be a string, not int"),
+        (None, None, "'d': its name must be a string, not NoneType"),
+        ("D", 7, "'d': its description must be a string, not int"),
+        ("D", b"bytes", "'d': its description must be a string, not bytes"),
+    ],
+    ids=["int-name", "no-name", "int-description", "bytes-description"],
+)
+def test_model_text_that_is_not_a_string_never_reaches_a_writer(name, description, message):
+    m = new_model("x")
+    m.add_element(ElementKind.DATA_MODEL, "d", name, description)
+    errors = [d for d in m.validate() if d.code == "E015"]
+    assert [(d.message, d.severity, d.subject) for d in errors] == [(message, "error", "d")]
+    for render in (to_open_exchange, to_dot):
+        with pytest.raises(ModelError) as err:
+            render(m)
+        assert err.value.code == "E300"
+    with pytest.raises(ModelError) as err:
+        format_model(m)
+    assert err.value.code == "E141"
+
+
+def test_a_derived_item_whose_description_is_not_a_string_is_not_exported(faq_model):
+    source = faq_model.elements_of_kind(ElementKind.SYSTEM_COMPONENT)[0].id
+    item = EvaluationItem("item_r1_cost_9", "it_resources", 7, [source], Rule.R1_COST)
+    attached = attach(faq_model, EvaluationItemSet(faq_model.system_name, [item]))
+    assert [d.message for d in attached.validate() if d.code == "E015"] == [
+        "'item_r1_cost_9': its name must be a string, not int"
+    ]
+    for render in (to_open_exchange, to_dot):
+        with pytest.raises(ModelError) as err:
+            render(attached)
+        assert err.value.code == "E300"
+
+
 def test_xml_escaping_round_trips():
     m = new_model('Ampersand & <Friends> "quoted"')
     m.add_element(ElementKind.DATA_MODEL, "d", 'a & b < c > "d"')

@@ -46,6 +46,14 @@ def test_new_model_rejects_empty_name():
     assert err.value.code == "E000"
 
 
+def test_new_model_refuses_a_name_that_is_not_a_string():
+    for bad in (5, None, b"FAQ"):
+        with pytest.raises(ModelError) as err:
+            new_model(bad)
+        assert err.value.code == "E015"
+    assert err.value.message == "system name must be a string, not bytes"
+
+
 def test_new_model_other_name():
     assert new_model("Job Interview Practice").elements == []
 
@@ -96,7 +104,7 @@ def test_add_element_rejects_unknown_attr_key():
 
 def test_add_element_rejects_bad_id():
     m = new_model("x")
-    for bad in ("Faq", "1faq", "faq-search", "_x"):
+    for bad in ("Faq", "1faq", "faq-search", "_x", 5, None, ("a",)):
         with pytest.raises(ModelError) as err:
             m.add_element(K.DATA_MODEL, bad, "D")
         assert err.value.code == "E005"

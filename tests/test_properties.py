@@ -1,4 +1,4 @@
-"""Model-level properties of the printer and the exporters.
+"""Model-level properties of the printer, the exporters and the id check.
 
 Random models are built through ``new_model``: surface kinds only, texts in
 arbitrary Unicode, attrs drawn from the statement table, directed relations
@@ -17,7 +17,7 @@ import xml.etree.ElementTree as ET
 from collections import Counter
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from dsalign import Rule, attach, derive_all, format_model, parse, to_dot, to_open_exchange
@@ -34,6 +34,7 @@ from dsalign.model import (
     ModelError,
     RelationKind,
     Severity,
+    is_valid_id,
     new_model,
 )
 
@@ -230,3 +231,29 @@ def test_format_round_trips_or_refuses_and_exports_are_well_formed(m):
     for rel in root.findall("oe:relationships/oe:relationship", ns):
         assert rel.get("source") in ids and rel.get("target") in ids
     assert _braces_balance(to_dot(attached))
+
+
+# Characters near the id alphabet: non-ASCII letters and digits, among them
+# the Kelvin sign and the long s, which case-fold to ASCII letters.
+ID_LIKE = st.sampled_from("az09_AZ\u212a\u017f\u0131\u00e9\u00df\u0663\u00b2\n-")
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@seed(20261019)
+@given(st.text(ID_LIKE | st.characters(), max_size=6) | st.text(ID_LIKE, max_size=6))
+@example("")
+@example("a\n")
+@example("_a")
+@example("1a")
+@example("A")
+@example("\u212a")
+@example("a\u212a")
+def test_is_valid_id_accepts_exactly_the_id_pattern(s):
+    assert is_valid_id(s) == bool(re.fullmatch(r"[a-z][a-z0-9_]*", s))
+
+
+def test_is_valid_id_on_every_code_point_alone_and_after_a_letter():
+    code_points = list(map(chr, range(0x110000)))
+    assert "".join(filter(is_valid_id, code_points)) == "abcdefghijklmnopqrstuvwxyz"
+    after = [c for c in code_points if is_valid_id("a" + c)]
+    assert "".join(after) == "0123456789_abcdefghijklmnopqrstuvwxyz"

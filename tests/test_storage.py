@@ -2,9 +2,10 @@
 
 Relations are held as exact ``(id, kind, source, target)`` tuples and elements
 without attrs, or derived items with equal attrs, share one read-only view.
-A parse keeps each element's start offset and builds its ``SourceSpan`` on
-lookup.  These records are what the cycle collector would otherwise walk on
-every collection, so tests pin how many objects a large model leaves tracked.
+A parse keeps each element's token index, sums the token offsets on the
+first lookup, and builds its ``SourceSpan`` on lookup.  These records are
+what the cycle collector would otherwise walk on every collection, so tests
+pin how many objects a large model leaves tracked.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ import sys
 
 import pytest
 
-from dsalign import attach, derive_all, parse
+from dsalign import attach, derive_all, dsl, parse
 from dsalign.cli import _Reporter
 from dsalign.derive import EvaluationItem, EvaluationItemSet, Rule
-from dsalign.dsl import _lex
+from dsalign.dsl import _TOKEN_RE, _lex
 from dsalign.model import (
     ELEMENT_KINDS,
     RELATION_KINDS,
@@ -169,6 +170,21 @@ def test_a_parse_kept_alive_holds_no_span_objects():
     assert len(result.spans) == 5_602
 
 
+def test_a_parse_sums_token_offsets_only_when_a_span_is_read(monkeypatch):
+    text, _ = synth.generate(800, 1)
+    sums = []
+    summed = dsl._starts
+    monkeypatch.setattr(dsl, "_starts", lambda *args: sums.append(1) or summed(*args))
+    result = parse(text, "synthetic.dsa")
+    assert result.model is not None and not sums
+    assert "no_such_id" not in result.spans and len(list(result.spans)) == 5_602
+    assert not sums
+    first, *_, last = result.spans
+    assert result.spans[last].line > result.spans[first].line
+    assert len(sums) == 1
+    assert len(dict(result.spans)) == 5_602 and len(sums) == 1
+
+
 # Words after which the parser reads a declared id: each statement keyword
 # but ``actor``, the role words after ``actor``, and ``function``.
 _DECLARING = {s.role or s.keyword for s in STATEMENTS.values()} | {"function"}
@@ -176,7 +192,8 @@ _DECLARING = {s.role or s.keyword for s in STATEMENTS.values()} | {"function"}
 
 def _eager_spans(text: str, file: str) -> dict[str, SourceSpan]:
     """The spans as the parser built them eagerly: one per declared id token."""
-    toks, starts, _ = _lex(text)
+    toks, *_ = _lex(text)
+    starts = [m.start() - 1 for m in _TOKEN_RE.finditer(";" + text)][1:]
     spans = {}
     for word, tok, start in zip(toks, toks[1:], starts[1:]):
         if word in _DECLARING:
