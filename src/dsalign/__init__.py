@@ -17,7 +17,6 @@ from .model import (
     RelationKind,
     Severity,
     SourceSpan,
-    new_model,
 )
 from .dsl import ParseResult, format_model, load_file, parse
 
@@ -60,7 +59,6 @@ __all__ = [
     "item_table",
     "load_file",
     "matrix",
-    "new_model",
     "parse",
     "serialize_itemset",
     "to_dot",

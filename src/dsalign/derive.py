@@ -193,6 +193,8 @@ def attach(model: AlignmentModel, itemset: EvaluationItemSet) -> AlignmentModel:
     slug = slugify(model.system_name)  # the model's Open Exchange identifier is id-<slug>
     clash = f"derived id {slug!r} repeats the Open Exchange identifier of the system name"
     for item in itemset.items:
+        if item.rule not in RULE_TABLE:
+            raise ModelError("E201", f"item {item.id!r} has unknown rule {item.rule!r}")
         if item.id in model:
             raise ModelError("E201", f"item {item.id!r} is already materialized")
         if item.id == slug:

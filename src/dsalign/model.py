@@ -186,8 +186,6 @@ ASSOCIATION_CORE: frozenset[frozenset[ElementKind]] = frozenset(
     }
 )
 
-MOTIVATION_KINDS = frozenset(BRANCHES) | {K.PRINCIPLE}
-
 # Every (source kind, relation kind, target kind) triple ``add_relation``
 # accepts: the directed table's, and Association between any two kinds.
 _PERMITTED_TRIPLES = frozenset(
@@ -338,13 +336,6 @@ def is_valid_id(id: object) -> bool:
     """A ``str`` of the form ``[a-z][a-z0-9_]*``: an ASCII identifier, no capital, a letter first."""
     identifier = isinstance(id, str) and id.isascii() and id.isidentifier()
     return identifier and id.islower() and id[0].isalpha()
-
-
-def relation_permitted(
-    source_kind: ElementKind, kind: RelationKind, target_kind: ElementKind
-) -> bool:
-    """True if the triple may be added at all (W105 pairs included)."""
-    return (source_kind, kind, target_kind) in _PERMITTED_TRIPLES
 
 
 # ---------------------------------------------------------------------------
@@ -562,40 +553,6 @@ class AlignmentModel:
     def elements_of_kind(self, kind: ElementKind) -> list[Element]:
         return [e for e in self._by_id.values() if e.kind == kind]
 
-    def neighbors(
-        self,
-        id: str,
-        kind: RelationKind | None = None,
-        direction: str = "any",
-    ) -> list[Element]:
-        """Adjacent elements in relation insertion order.
-
-        ``direction`` is ``in``, ``out``, or ``any`` and applies to directed
-        relations only; Association edges are undirected and match every
-        direction.  Repeated neighbors are reported once.  Each call scans
-        every relation of the model.
-        """
-        if direction not in ("in", "out", "any"):
-            raise ValueError(f"bad direction {direction!r}")
-        self.element(id)
-        seen: dict[str, None] = {}
-        for _, rkind, source, target in self._relations:
-            if kind is not None and rkind != kind:
-                continue
-            other: str | None = None
-            if rkind is RelationKind.ASSOCIATION:
-                if source == id:
-                    other = target
-                elif target == id:
-                    other = source
-            elif direction in ("out", "any") and source == id:
-                other = target
-            elif direction in ("in", "any") and target == id:
-                other = source
-            if other is not None:
-                seen.setdefault(other, None)
-        return [self._by_id[other] for other in seen]
-
     def copy(self) -> AlignmentModel:
         """Unfrozen copy that shares the (read-only) element and relation records."""
         dup = AlignmentModel(self.system_name)
@@ -796,11 +753,6 @@ def _canonical(constants: dict[str, str], kind: str, what: str) -> str:
         return constants[kind]
     except KeyError:
         raise ModelError("E008", f"unknown {what} kind {kind!r}") from None
-
-
-def new_model(system_name: str) -> AlignmentModel:
-    """Create an empty model. The name must be non-empty (E000)."""
-    return AlignmentModel(system_name)
 
 
 def slugify(name: str) -> str:

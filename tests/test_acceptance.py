@@ -5,6 +5,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 
 from __future__ import annotations
 
+import ast
 import json
 import random
 import re
@@ -17,10 +18,10 @@ import pytest
 from dsalign.derive import attach, derive_all, serialize_itemset
 from dsalign.dsl import format_model, load_file, parse
 from dsalign.export import to_dot, to_open_exchange
-from dsalign.model import AlignmentModel, ElementKind, Severity, new_model
+from dsalign.model import AlignmentModel, ElementKind, Severity
 from dsalign.report import build_matrix
 
-from conftest import FIXTURES, GOLDEN, FIXTURE_NAMES, run_cli
+from conftest import FIXTURES, GOLDEN, FIXTURE_NAMES, REPO, run_cli
 
 NS = {"oe": "http://www.opengroup.org/xsd/archimate/3.0/"}
 
@@ -175,7 +176,7 @@ INERT_KINDS = (
 
 def _reinsert(model: AlignmentModel, index: int, kind: ElementKind, ident: str) -> AlignmentModel:
     """Rebuild the model with one extra element spliced in at ``index``."""
-    rebuilt = new_model(model.system_name)
+    rebuilt = AlignmentModel(model.system_name)
     elements = model.elements
     for pos, e in enumerate(elements):
         if pos == index:
@@ -327,3 +328,14 @@ def test_acceptance_attach_soundness(fixture_models):
         errors = [d for d in attached.validate() if d.severity is Severity.ERROR]
         assert errors == [], (name, [d.render() for d in errors])
     _passed("attach soundness")
+
+
+def test_acceptance_syntax_floor():
+    """Every src and tests file parses as the oldest Python pyproject.toml admits."""
+    floor = re.search(r'requires-python = ">=3\.(\d+)"', (REPO / "pyproject.toml").read_text())
+    version = (3, int(floor[1]))
+    paths = [*(REPO / "src" / "dsalign").glob("*.py"), *(REPO / "tests").glob("*.py")]
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=version)
+    _passed(f"syntax floor {version}")

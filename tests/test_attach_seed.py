@@ -17,7 +17,7 @@ from hypothesis import given, seed, settings
 
 from dsalign import attach, derive_all, parse
 from dsalign.derive import RULE_TABLE, RULES, EvaluationItem, EvaluationItemSet, Rule, derive_rule
-from dsalign.model import _LINKS, ElementKind, ModelError, RelationKind, Severity, new_model
+from dsalign.model import _LINKS, AlignmentModel, ElementKind, ModelError, RelationKind, Severity
 
 from conftest import FIXTURE_NAMES, FIXTURES, REPO
 from test_properties import models
@@ -119,7 +119,7 @@ def test_seed_reports_the_findings_of_added_records(fixture_models):
 
 
 def test_seed_keeps_the_errors_of_an_invalid_model_and_a_declared_principle():
-    model = new_model("Broken")
+    model = AlignmentModel("Broken")
     model.add_element(K.SYSTEM_COMPONENT, "bare", "Bare component", attrs={"runs_on": "server"})
     model.add_element(
         K.OBSERVED_EVENT, "loose", "Loose\x01event", attrs={"hinders": [("privacy", "high", "leak")]}

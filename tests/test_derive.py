@@ -23,7 +23,6 @@ from dsalign.model import (
     ModelError,
     RelationKind,
     Severity,
-    new_model,
 )
 from dsalign import derive as derive_module
 from dsalign import model as model_module
@@ -64,7 +63,7 @@ def test_rule_table_has_a_row_per_rule_and_per_item_yielding_entry():
     # item fails V7 on the attached model (which would make export stop, E300).
     for item_kind, _, kind, attr in RULE_TABLE.values():
         assert STATEMENTS[kind].entries[attr].leaves == BRANCHES[item_kind][1]
-    m = new_model("x")
+    m = AlignmentModel("x")
     for runtime in RUNTIME_TARGETS:
         m.add_element(K.SYSTEM_COMPONENT, f"c_{runtime}", runtime, attrs={"runs_on": runtime})
     fixed = {item.category for item in derive_rule(m, Rule.R1_COST)}
@@ -93,7 +92,7 @@ def test_faq_information_costs_cover_faq_set_and_scenario(faq_model):
 
 
 def test_costs_empty_without_components_and_events():
-    m = new_model("x")
+    m = AlignmentModel("x")
     m.add_element(K.USER, "u", "User")
     assert derive_rule(m, Rule.R1_COST) == []
 
@@ -133,7 +132,7 @@ def test_faq_responsibility_risk_low(faq_model):
 
 
 def test_two_hinders_entries_two_items():
-    m = new_model("x")
+    m = AlignmentModel("x")
     m.add_element(
         K.OBSERVED_EVENT,
         "e",
@@ -163,7 +162,7 @@ def test_faq_business_values(faq_model):
 
 
 def test_business_values_empty_without_activities():
-    m = new_model("x")
+    m = AlignmentModel("x")
     m.add_element(K.USER, "u", "User")
     assert derive_rule(m, Rule.R3_BUSINESS) == []
 
@@ -174,7 +173,7 @@ def test_faq_user_value_functional(faq_model):
 
 
 def test_activity_without_user_value_yields_nothing():
-    m = new_model("x")
+    m = AlignmentModel("x")
     m.add_element(
         K.USER_ACTIVITY,
         "a",
@@ -186,7 +185,7 @@ def test_activity_without_user_value_yields_nothing():
 
 
 def test_emotional_value_for_chat_character_system():
-    m = new_model("Character Chat")
+    m = AlignmentModel("Character Chat")
     m.add_element(
         K.USER_ACTIVITY,
         "chat",
@@ -209,7 +208,7 @@ def test_attractive_quality_value(fixture_models):
 
 
 def test_no_quality_entries_no_items():
-    m = new_model("x")
+    m = AlignmentModel("x")
     m.add_element(K.USER_ACTIVITY, "a", "A")
     assert derive_rule(m, Rule.R5_QUALITY) == []
 
@@ -238,7 +237,7 @@ def test_rules_run_in_order(faq_model):
 
 
 def test_derive_all_rejects_invalid_model():
-    m = new_model("x")
+    m = AlignmentModel("x")
     m.add_element(K.SYSTEM_COMPONENT, "c", "C")  # V1 error
     with pytest.raises(ModelError) as err:
         derive_all(m)
@@ -246,7 +245,7 @@ def test_derive_all_rejects_invalid_model():
 
 
 def test_derive_all_actors_only():
-    m = new_model("x")
+    m = AlignmentModel("x")
     m.add_element(K.USER, "u", "User")
     m.add_element(K.OPERATOR, "o", "Operator")
     itemset = derive_all(m)
@@ -277,7 +276,7 @@ def test_random_element_permutations_keep_item_multiset(fixture_models):
         for _ in range(10):
             order = list(model.elements)
             rng.shuffle(order)
-            rebuilt = new_model(model.system_name)
+            rebuilt = AlignmentModel(model.system_name)
             for e in order:
                 rebuilt.add_element(e.kind, e.id, e.name, e.description, dict(e.attrs))
             for rel in model.relations:
@@ -383,10 +382,13 @@ def test_attach_kind_per_rule(faq_model):
 def test_attach_links_every_item_to_its_sources(faq_model):
     itemset = derive_all(faq_model)
     attached = attach(faq_model, itemset)
+    links = {}
+    for r in attached.relations:
+        links.setdefault((r.source, r.target), []).append(r.kind)
+    assert itemset.items
     for item in itemset.items:
-        neighbor_ids = {e.id for e in attached.neighbors(item.id)}
         for source in item.sources:
-            assert source in neighbor_ids
+            assert links[source, item.id] == [RULE_TABLE[item.rule][1]], (source, item.id)
 
 
 def test_attach_records_influence_lift(faq_model):
@@ -470,9 +472,31 @@ def test_attach_refuses_a_risk_item_outside_the_risk_branch(faq_model):
     assert "'functional'" in err.value.message
 
 
+def test_attach_refuses_an_item_of_an_unknown_rule(faq_model):
+    itemset = derive_all(faq_model)
+    item = EvaluationItem("item_x_1", "functional", "d", ["faq_set"], "R9_other")
+    with pytest.raises(ModelError) as err:
+        attach(faq_model, EvaluationItemSet(itemset.system_name, itemset.items + [item]))
+    assert err.value.code == "E201"
+    assert err.value.message == "item 'item_x_1' has unknown rule 'R9_other'"
+
+
+def test_attach_refuses_a_principle_id_held_by_another_kind():
+    # The fixture's privacy risk makes ``attach`` add ``principle_privacy``.
+    text = (FIXTURES / "faq_chatbot.dsa").read_text()
+    end = text.rindex("}")
+    model = parse(f'{text[:end]}  data principle_privacy "P"\n{text[end:]}').model
+    with pytest.raises(ModelError) as err:
+        attach(model, derive_all(model))
+    assert err.value.code == "E201"
+    assert err.value.message == (
+        "derived id 'principle_privacy' is already used by a DataModel element"
+    )
+
+
 def _influence_model(activities: int):
     """User activities u1..uN, each influencing operator activity o(i % 3 + 1)."""
-    model = new_model("Influences")
+    model = AlignmentModel("Influences")
     for i in range(1, 4):
         model.add_element(K.OPERATOR_ACTIVITY, f"o{i}", f"O{i}")
     for i in range(1, activities + 1):

@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 from dsalign.dsl import KEYWORDS, _lex, _Parser, format_model, load_file, parse
 from dsalign.model import (
     ALL_LEAVES,
+    AlignmentModel,
     ElementKind,
     ModelError,
     RelationKind,
     Severity,
     SourceSpan,
-    new_model,
 )
 
 from conftest import FIXTURES, FIXTURE_NAMES
@@ -550,9 +550,7 @@ def test_entry_order_per_statement_is_pinned():
 
 def test_format_requires_valid_model():
     # A component without a function fails V1, so formatting must refuse.
-    from dsalign.model import new_model
-
-    m = new_model("X")
+    m = AlignmentModel("X")
     m.add_element(ElementKind.SYSTEM_COMPONENT, "c", "C")
     with pytest.raises(ModelError) as err:
         format_model(m)
@@ -560,9 +558,7 @@ def test_format_requires_valid_model():
 
 
 def test_format_rejects_motivation_elements():
-    from dsalign.model import new_model
-
-    m = new_model("X")
+    m = AlignmentModel("X")
     m.add_element(ElementKind.COST_ITEM, "c", "Cost", attrs={"category": "it_resources"})
     with pytest.raises(ModelError) as err:
         format_model(m)
@@ -572,9 +568,7 @@ def test_format_rejects_motivation_elements():
 def test_format_rejects_relation_without_surface():
     # Serving from a component to a service is permitted in the graph but
     # has no statement form, so the printer must refuse.
-    from dsalign.model import RelationKind, new_model
-
-    m = new_model("X")
+    m = AlignmentModel("X")
     m.add_element(ElementKind.SYSTEM_COMPONENT, "c", "C")
     m.add_element(ElementKind.COMPONENT_FUNCTION, "f", "F")
     m.add_element(ElementKind.DIALOGUE_SERVICE, "s", "S")
@@ -586,9 +580,7 @@ def test_format_rejects_relation_without_surface():
 
 
 def test_format_rejects_orphan_function():
-    from dsalign.model import new_model
-
-    m = new_model("X")
+    m = AlignmentModel("X")
     m.add_element(ElementKind.COMPONENT_FUNCTION, "f", "F")
     with pytest.raises(ModelError) as err:
         format_model(m)
@@ -596,7 +588,7 @@ def test_format_rejects_orphan_function():
 
 
 def _second_assignment():
-    m = new_model("X")
+    m = AlignmentModel("X")
     m.add_element(ElementKind.USER, "u", "U")
     m.add_element(ElementKind.USER_ACTIVITY, "a", "A")
     m.add_relation(RelationKind.ASSIGNMENT, "u", "a")
@@ -605,7 +597,7 @@ def _second_assignment():
 
 
 def _function_realized_twice(owners):
-    m = new_model("X")
+    m = AlignmentModel("X")
     for owner in dict.fromkeys(owners):
         m.add_element(ElementKind.SYSTEM_COMPONENT, owner, "C")
     m.add_element(ElementKind.COMPONENT_FUNCTION, "f", "F")
@@ -615,7 +607,7 @@ def _function_realized_twice(owners):
 
 
 def _data(system="X", id="d", name="D", description=None):
-    m = new_model(system)
+    m = AlignmentModel(system)
     m.add_element(ElementKind.DATA_MODEL, id, name, description)
     return m
 
@@ -666,7 +658,7 @@ def _second_assignment_and_description():
 
 
 def _orphan_function_and_cost_item(function_first):
-    m = new_model("X")
+    m = AlignmentModel("X")
     adds = [
         lambda: m.add_element(ElementKind.COMPONENT_FUNCTION, "f", "F"),
         lambda: m.add_element(

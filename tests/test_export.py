@@ -7,7 +7,7 @@ import pytest
 from dsalign.derive import EvaluationItem, EvaluationItemSet, Rule, attach, derive_all
 from dsalign.dsl import format_model, parse
 from dsalign.export import to_dot, to_open_exchange
-from dsalign.model import ElementKind, ModelError, leaf_path, new_model
+from dsalign.model import AlignmentModel, ElementKind, ModelError, leaf_path
 
 from conftest import FIXTURE_NAMES
 
@@ -46,7 +46,7 @@ def test_faq_export_has_three_application_components(fixture_models):
 
 
 def test_empty_model_export():
-    m = new_model("Empty")
+    m = AlignmentModel("Empty")
     text = to_open_exchange(m)
     root = parse_xml(text)
     assert root.get("identifier") == "id-empty"
@@ -147,7 +147,7 @@ def test_export_is_deterministic(fixture_models):
 
 
 def test_export_rejects_invalid_model():
-    m = new_model("x")
+    m = AlignmentModel("x")
     m.add_element(ElementKind.SYSTEM_COMPONENT, "c", "C")
     with pytest.raises(ModelError) as err:
         to_open_exchange(m)
@@ -157,7 +157,7 @@ def test_export_rejects_invalid_model():
 
 
 def test_xml_forbidden_character_from_the_api_never_reaches_an_export():
-    m = new_model("S\x01")
+    m = AlignmentModel("S\x01")
     m.add_element(ElementKind.DATA_MODEL, "d", "bad\x01name")
     assert [d.code for d in m.validate()] == ["E013", "E013", "W104"]
     for render in (to_open_exchange, to_dot):
@@ -180,7 +180,7 @@ def test_xml_forbidden_character_from_the_api_never_reaches_an_export():
     ids=["int-name", "no-name", "int-description", "bytes-description"],
 )
 def test_model_text_that_is_not_a_string_never_reaches_a_writer(name, description, message):
-    m = new_model("x")
+    m = AlignmentModel("x")
     m.add_element(ElementKind.DATA_MODEL, "d", name, description)
     errors = [d for d in m.validate() if d.code == "E015"]
     assert [(d.message, d.severity, d.subject) for d in errors] == [(message, "error", "d")]
@@ -207,7 +207,7 @@ def test_a_derived_item_whose_description_is_not_a_string_is_not_exported(faq_mo
 
 
 def test_xml_escaping_round_trips():
-    m = new_model('Ampersand & <Friends> "quoted"')
+    m = AlignmentModel('Ampersand & <Friends> "quoted"')
     m.add_element(ElementKind.DATA_MODEL, "d", 'a & b < c > "d"')
     m.add_element(ElementKind.SYSTEM_COMPONENT, "c", "C")
     m.add_element(ElementKind.COMPONENT_FUNCTION, "f", "F")
@@ -284,7 +284,7 @@ def test_e014_names_the_clashing_ids():
 
 
 def test_attach_refuses_an_item_id_equal_to_the_system_slug():
-    m = new_model("Item R1 Cost 1")
+    m = AlignmentModel("Item R1 Cost 1")
     m.add_element(ElementKind.SYSTEM_COMPONENT, "c", "C")
     m.add_element(ElementKind.COMPONENT_FUNCTION, "f", "F")
     m.add_relation("Realization", "c", "f")
@@ -333,8 +333,8 @@ def test_dot_node_labels_and_graph_name(fixture_models):
 @pytest.mark.parametrize("name", ["Node", "Graph", "Edge", "Strict", "Subgraph", "Digraph"])
 def test_dot_quotes_a_graph_id_that_is_a_dot_keyword(name):
     # DOT reserves these words in any case, so a bare one is no graph id.
-    assert to_dot(new_model(name)).startswith(f'digraph "{name.lower()}" {{\n')
-    assert to_dot(new_model(f"{name} bot")).startswith(f"digraph {name.lower()}_bot {{\n")
+    assert to_dot(AlignmentModel(name)).startswith(f'digraph "{name.lower()}" {{\n')
+    assert to_dot(AlignmentModel(f"{name} bot")).startswith(f"digraph {name.lower()}_bot {{\n")
 
 
 def test_dot_counts_match_model(fixture_models):
@@ -347,7 +347,7 @@ def test_dot_counts_match_model(fixture_models):
 
 
 def test_dot_escapes_quotes():
-    m = new_model("x")
+    m = AlignmentModel("x")
     m.add_element(ElementKind.DATA_MODEL, "d", 'say "hi" \\ bye')
     m.add_element(ElementKind.SYSTEM_COMPONENT, "c", "C")
     m.add_element(ElementKind.COMPONENT_FUNCTION, "f", "F")

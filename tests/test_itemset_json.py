@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
 import json
-import os
-import subprocess
 import sys
 
 import pytest
@@ -15,7 +14,7 @@ from dsalign import derive_all
 from dsalign.derive import RULES, EvaluationItem, EvaluationItemSet, Rule, serialize_itemset
 from dsalign.model import ALL_LEAVES, Diagnostic, Severity
 
-from conftest import FIXTURE_NAMES, FIXTURES, REPO
+from conftest import FIXTURE_NAMES, GOLDEN
 
 
 def reference_serialize(itemset: EvaluationItemSet) -> str:
@@ -91,25 +90,27 @@ def test_random_itemsets_match_the_reference(itemset):
     assert serialize_itemset(itemset) == reference_serialize(itemset)
 
 
-def test_without_the_c_accelerator_the_text_is_the_same(fixture_models):
+def test_without_the_c_accelerator_the_text_is_the_same(monkeypatch, fixture_models):
     # ``serialize_itemset`` takes the C encoder from ``_json``; an interpreter
-    # without it falls back to ``json.encoder``'s pure-Python one.
-    tricky = EvaluationItem("i", "privacy", '"\\/\x00\x1f\x7f \ud800\U0001f600é', ["s"], Rule.R2_RISK)
-    code = (
-        "import sys\n"
-        "sys.modules['_json'] = None\n"
-        "import json.encoder\n"
-        "from dsalign import EvaluationItem, EvaluationItemSet, Rule, derive_all, load_file, serialize_itemset\n"
-        "assert json.encoder.c_encode_basestring is None\n"
-        f"tricky = EvaluationItem('i', 'privacy', {tricky.description!r}, ['s'], Rule.R2_RISK)\n"
-        "texts = [serialize_itemset(derive_all(load_file(p).model)) for p in sys.argv[1:]]\n"
-        "texts.append(serialize_itemset(EvaluationItemSet('S', [tricky])))\n"
-        "sys.stdout.buffer.write('\\0'.join(texts).encode('utf-8', 'surrogatepass'))\n"
-    )
-    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
-    paths = [str(FIXTURES / f"{n}.dsa") for n in FIXTURE_NAMES]
-    proc = subprocess.run([sys.executable, "-c", code, *paths], capture_output=True, env=env)
-    assert proc.returncode == 0, proc.stderr.decode()
-    expected = [serialize_itemset(derive_all(fixture_models[n])) for n in FIXTURE_NAMES]
-    expected.append(serialize_itemset(EvaluationItemSet("S", [tricky])))
-    assert proc.stdout.decode("utf-8", "surrogatepass").split("\0") == expected
+    # without it falls back to ``json.encoder``'s pure-Python one.  That module
+    # picks its encoder when it is imported, so it is imported again here.
+    item = EvaluationItem("i", "privacy", '"\\/\x00\x1f\x7f \ud800\U0001f600é', ["s"], Rule.R2_RISK)
+    tricky = EvaluationItemSet("S", [item])
+    expected = serialize_itemset(tricky)
+    monkeypatch.setitem(sys.modules, "_json", None)
+    for name in [name for name in sys.modules if name.partition(".")[0] == "json"]:
+        monkeypatch.delitem(sys.modules, name)
+    encoder = importlib.import_module("json.encoder")
+    assert encoder.encode_basestring is encoder.py_encode_basestring
+    encoded = []
+
+    def encode(text):
+        encoded.append(text)
+        return encoder.py_encode_basestring(text)
+
+    monkeypatch.setattr(encoder, "encode_basestring", encode)
+    for name in FIXTURE_NAMES:
+        text = serialize_itemset(derive_all(fixture_models[name]))
+        assert text.encode() == (GOLDEN / f"{name}.items.json").read_bytes(), name
+    assert serialize_itemset(tricky) == expected
+    assert "S" in encoded and fixture_models["faq_chatbot"].system_name in encoded

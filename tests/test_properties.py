@@ -1,7 +1,7 @@
 """Model-level properties of the printer, the exporters and the id check.
 
-Random models are built through ``new_model``: surface kinds only, texts in
-arbitrary Unicode, attrs drawn from the statement table, directed relations
+Random models are built through ``AlignmentModel``: surface kinds only, texts
+in arbitrary Unicode, attrs drawn from the statement table, directed relations
 from ``PERMITTED_RELATIONS`` and associations from ``ASSOCIATION_CORE``.
 Associations with an event at either end are drawn too, so the printer's
 choice of owner for an association is exercised.  Only the system name and
@@ -24,21 +24,24 @@ from dsalign import Rule, attach, derive_all, format_model, parse, to_dot, to_op
 from dsalign.dsl import KEYWORDS
 from dsalign.model import (
     ASSOCIATION_CORE,
+    BRANCHES,
     ELEMENT_KINDS,
-    MOTIVATION_KINDS,
     PERMITTED_RELATIONS,
     SEVERITY_LEVELS,
     STATEMENTS,
     XML_FORBIDDEN,
+    AlignmentModel,
     ElementKind,
     ModelError,
     RelationKind,
     Severity,
     is_valid_id,
-    new_model,
 )
 
-SURFACE_KINDS = [kind for kind in ELEMENT_KINDS if kind not in MOTIVATION_KINDS]
+# Every kind but the motivation kinds: the item branches and principles.
+SURFACE_KINDS = [
+    kind for kind in ELEMENT_KINDS if kind not in BRANCHES and kind != ElementKind.PRINCIPLE
+]
 
 # Per rule: the kind of its items and the relation from a source to its item.
 ITEM_SHAPES = {
@@ -101,7 +104,7 @@ def _attrs(kind):
 
 @st.composite
 def models(draw):
-    m = new_model(draw(TEXTS.filter(bool)))
+    m = AlignmentModel(draw(TEXTS.filter(bool)))
     # Draws favour the first of a list, so each model orders the kinds anew.
     kinds = st.sampled_from(draw(st.permutations(SURFACE_KINDS)))
     for id in draw(st.lists(IDS, unique=True, max_size=8)):

@@ -21,9 +21,11 @@ from dsalign.cli import _Reporter
 from dsalign.derive import EvaluationItem, EvaluationItemSet, Rule
 from dsalign.dsl import _TOKEN_RE, _lex
 from dsalign.model import (
+    _PERMITTED_TRIPLES,
     ELEMENT_KINDS,
     RELATION_KINDS,
     STATEMENTS,
+    AlignmentModel,
     Diagnostic,
     ElementKind,
     ModelError,
@@ -31,8 +33,6 @@ from dsalign.model import (
     RelationKind,
     Severity,
     SourceSpan,
-    new_model,
-    relation_permitted,
 )
 
 from conftest import FIXTURES, FIXTURE_NAMES, REPO
@@ -41,7 +41,6 @@ sys.path.insert(0, str(REPO / "perfbench"))
 import synth  # noqa: E402
 
 K, R = ElementKind, RelationKind
-DIRECTIONS = ("in", "out", "any")
 
 
 @pytest.fixture(scope="module")
@@ -66,32 +65,6 @@ def test_editing_the_relations_list_leaves_the_model_unchanged(faq_model):
     assert faq_model._relations == before
     assert faq_model.relations == before
     assert faq_model.validate() == found
-
-
-def _neighbors_by_scan(model, id, kind=None, direction="any"):
-    """``neighbors`` as a scan over the public ``relations`` view."""
-    found = {}
-    for rel in model.relations:
-        if kind is not None and rel.kind != kind:
-            continue
-        out = rel.target if rel.source == id else None
-        into = rel.source if rel.target == id else None
-        if rel.kind is R.ASSOCIATION or direction == "any":
-            other = out or into
-        else:
-            other = out if direction == "out" else into
-        if other is not None:
-            found.setdefault(other, None)
-    return [model.element(other) for other in found]
-
-
-@pytest.mark.parametrize("name", FIXTURE_NAMES)
-def test_neighbors_match_a_scan_of_the_relations(name, fixture_models, attached_models):
-    for model in (fixture_models[name], attached_models[name]):
-        for e in model.elements:
-            for kind, direction in itertools.product((None, *RELATION_KINDS), DIRECTIONS):
-                expected = _neighbors_by_scan(model, e.id, kind, direction)
-                assert model.neighbors(e.id, kind, direction) == expected, (e.id, kind, direction)
 
 
 def test_attached_items_share_one_read_only_attrs_view(attached_models):
@@ -130,20 +103,28 @@ def test_validate_on_a_copy_equals_a_fresh_full_pass(name, attached_models):
     assert model.copy().validate() == model.validate()
 
 
-def test_relation_permitted_and_add_relation_agree_on_every_triple():
-    for skind, rkind, tkind in itertools.product(ELEMENT_KINDS, RELATION_KINDS, ELEMENT_KINDS):
-        m = new_model("x")
+def test_add_relation_and_the_parser_path_agree_on_every_triple():
+    # ``_add_relation`` is the path the parser and ``attach`` take.
+    def added(add, skind, rkind, tkind):
+        m = AlignmentModel("x")
         m.add_element(skind, "src", "Source")
         target = "src"  # a loop where the kinds are equal: one user per model
         if tkind is not skind:
             target = m.add_element(tkind, "dst", "Target")
         try:
-            m._add_relation(rkind, "src", target)
-            added = True
+            add(m, rkind, "src", target)
         except ModelError as err:
             assert err.code == "E004"
-            added = False
-        assert relation_permitted(skind, rkind, tkind) is added, (skind, rkind, tkind)
+            return None
+        return m._relations
+
+    accepted = set()
+    for triple in itertools.product(ELEMENT_KINDS, RELATION_KINDS, ELEMENT_KINDS):
+        stored = added(AlignmentModel._add_relation, *triple)
+        assert added(AlignmentModel.add_relation, *triple) == stored, triple
+        if stored is not None:
+            accepted.add(triple)
+    assert accepted == _PERMITTED_TRIPLES
 
 
 def test_a_large_attached_model_leaves_few_objects_for_the_collector():
