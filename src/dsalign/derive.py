@@ -20,13 +20,14 @@ motivation-layer elements with provenance edges.
 from __future__ import annotations
 
 from .model import (
+    ALL_LEAVES,
     AlignmentModel,
     Diagnostic,
     ElementKind,
-    MappingProxyType,
     ModelError,
     PRINCIPLE_NAMES,
     RISK_LEAVES,
+    SEVERITY_LEVELS,
     RelationKind,
     Severity,
     _Record,
@@ -69,12 +70,20 @@ _FEE_TEMPLATES = {
 }
 
 
+# A derived item's attr pairs by its (category,) or a risk item's (category,
+# severity) words: one shared tuple per combination of taxonomy words.
+_ITEM_ATTRS = {(leaf,): (("category", leaf),) for leaf in ALL_LEAVES} | {
+    (leaf, level): (("category", leaf), ("severity", level))
+    for leaf in RISK_LEAVES for level in SEVERITY_LEVELS
+}
+
+
 class EvaluationItem(_Record):
     # ``category`` is a taxonomy leaf; only risk items have a ``severity``.
     __slots__ = ("id", "category", "description", "sources", "rule", "severity")
 
     def __init__(
-        self, id: str, category: str, description: str, sources: list[str], rule: Rule,
+        self, id: str, category: str, description: str, sources: tuple[str, ...], rule: Rule,
         severity: str | None = None,
     ) -> None:
         self.id = id
@@ -115,22 +124,24 @@ def derive_rule(model: AlignmentModel, rule: Rule) -> list[EvaluationItem]:
 
     def emit(category: str, description: str, source: str, severity: str | None = None) -> None:
         item_id = f"{prefix}{len(items) + 1}"
-        items.append(EvaluationItem(item_id, category, description, [source], rule, severity))
+        items.append(EvaluationItem(item_id, category, description, (source,), rule, severity))
 
+    rows = model._by_id.values()
     if rule == Rule.R1_COST:
-        components = model.elements_of_kind(ElementKind.SYSTEM_COMPONENT)
-        for comp in components:
-            emit("human_resources", f"develop and test {comp.name}", comp.id)
-            emit("human_resources", f"operate and maintain {comp.name}", comp.id)
-        for comp in components:
-            runtime = comp.attrs.get("runs_on")
+        components = [row for row in rows if row[1] is ElementKind.SYSTEM_COMPONENT]
+        for id, _, name, _, _ in components:
+            emit("human_resources", f"develop and test {name}", id)
+            emit("human_resources", f"operate and maintain {name}", id)
+        for id, _, name, _, attrs in components:
+            runtime = dict(attrs).get("runs_on")
             if runtime in _FEE_TEMPLATES:
-                emit("it_resources", _FEE_TEMPLATES[runtime].format(name=comp.name), comp.id)
-    _, _, kind, attr = RULE_TABLE[rule]
-    for element in model.elements_of_kind(kind):
-        for entry in element.attrs.get(attr, ()):
-            severity = entry[1] if len(entry) == 3 else None  # hinders: leaf, severity, text
-            emit(entry[0], f"{entry[-1]} ({element.name})", element.id, severity)
+                emit("it_resources", _FEE_TEMPLATES[runtime].format(name=name), id)
+    _, _, source_kind, attr = RULE_TABLE[rule]
+    for id, kind, name, _, attrs in rows:
+        if kind is source_kind:
+            for entry in dict(attrs).get(attr, ()):
+                severity = entry[1] if len(entry) == 3 else None  # hinders: leaf, severity, text
+                emit(entry[0], f"{entry[-1]} ({name})", id, severity)
     return items
 
 
@@ -141,23 +152,20 @@ def _influence_pairs(model: AlignmentModel) -> list[tuple[str, str]]:
     return [
         (source, target)
         for _, kind, source, target in model._relations
-        if kind is influence and by_id[source].kind is user_activity
+        if kind is influence and by_id[source][1] is user_activity
     ]
 
 
 def _influence_warnings(model: AlignmentModel) -> list[Diagnostic]:
-    out = []
-    for source, target in _influence_pairs(model):
-        if not model.element(target).attrs.get("yields_business_value"):
-            out.append(
-                Diagnostic(
-                    "W110",
-                    Severity.WARNING,
-                    f"influence target {target!r} of {source!r} yields no business value",
-                    subject=target,
-                )
-            )
-    return out
+    by_id = model._by_id
+    return [
+        Diagnostic(
+            "W110", Severity.WARNING,
+            f"influence target {target!r} of {source!r} yields no business value", subject=target,
+        )
+        for source, target in _influence_pairs(model)
+        if not dict(by_id[target][4]).get("yields_business_value")
+    ]
 
 
 def derive_all(model: AlignmentModel) -> EvaluationItemSet:
@@ -192,11 +200,16 @@ def attach(model: AlignmentModel, itemset: EvaluationItemSet) -> AlignmentModel:
         )
     slug = slugify(model.system_name)  # the model's Open Exchange identifier is id-<slug>
     clash = f"derived id {slug!r} repeats the Open Exchange identifier of the system name"
+    risk = Rule.R2_RISK
+    risk_items = itemset.by_rule(risk)
+    principles = {f"principle_{item.category}" for item in risk_items}
     for item in itemset.items:
         if item.rule not in RULE_TABLE:
             raise ModelError("E201", f"item {item.id!r} has unknown rule {item.rule!r}")
         if item.id in model:
             raise ModelError("E201", f"item {item.id!r} is already materialized")
+        if item.id in principles:
+            raise ModelError("E201", f"item {item.id!r} has the id of a derived Principle element")
         if item.id == slug:
             raise ModelError("E014", clash)
         for source in item.sources:
@@ -204,17 +217,15 @@ def attach(model: AlignmentModel, itemset: EvaluationItemSet) -> AlignmentModel:
                 raise ModelError(
                     "E201", f"item {item.id!r} references unknown source {source!r}"
                 )
-    risk = Rule.R2_RISK
-    risk_items = itemset.by_rule(risk)
     for item in risk_items:
         if item.category not in RISK_LEAVES:
             raise ModelError(
                 "E201", f"risk item {item.id!r} has category {item.category!r}, not a risk leaf"
             )
         pid = f"principle_{item.category}"
-        if pid in model and model.element(pid).kind is not ElementKind.PRINCIPLE:
-            kind = model.element(pid).kind
-            raise ModelError("E201", f"derived id {pid!r} is already used by a {kind} element")
+        row = model._by_id.get(pid)
+        if row is not None and row[1] is not ElementKind.PRINCIPLE:
+            raise ModelError("E201", f"derived id {pid!r} is already used by a {row[1]} element")
         if pid == slug:
             raise ModelError("E014", clash)
 
@@ -222,25 +233,20 @@ def attach(model: AlignmentModel, itemset: EvaluationItemSet) -> AlignmentModel:
     # every item kind's allowlist: of ``add_element``'s checks, only E005 remains.
     out = model.copy()
     add_element, add_relation = out._add_element, out._add_relation
-    # Items with equal attrs share one read-only view, but only for str values:
-    # 1 == True, yet each must read back as itself.
-    views: dict[tuple, MappingProxyType] = {}
     for item in itemset.items:
         if not is_valid_id(item.id):
             raise ModelError("E005", f"invalid identifier {item.id!r}")
         values = (item.category, item.severity) if item.rule == risk else (item.category,)
         try:
-            view = views[values]
-        except (KeyError, TypeError):  # new values, or unhashable ones
-            view = MappingProxyType(dict(zip(("category", "severity"), values)))
-            if all(value.__class__ is str for value in values):
-                views[values] = view
-        add_element(RULE_TABLE[item.rule][0], item.id, item.description, None, view)
+            attrs = _ITEM_ATTRS[values]
+        except (KeyError, TypeError):  # values that are no taxonomy words, or unhashable
+            attrs = tuple(zip(("category", "severity"), values))
+        add_element(RULE_TABLE[item.rule][0], item.id, item.description, None, attrs)
 
     for category in dict.fromkeys(item.category for item in risk_items):
         pid = f"principle_{category}"
         if pid not in out:
-            add_element(ElementKind.PRINCIPLE, pid, PRINCIPLE_NAMES[category], None, {})
+            add_element(ElementKind.PRINCIPLE, pid, PRINCIPLE_NAMES[category], None, ())
 
     for item in itemset.items:
         edge = RULE_TABLE[item.rule][1]

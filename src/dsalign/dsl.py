@@ -452,7 +452,7 @@ class _Parser:
         self.error(code, f"unknown {what} {tok!r} (expected one of: {expected})", i)
         return None
 
-    def add_element(self, kind: ElementKind, i: int, name: str, attrs: dict) -> bool:
+    def add_element(self, kind: ElementKind, i: int, name: str, attrs: tuple) -> bool:
         """Declare the element whose id is token ``i``; the parser checked its id and attrs."""
         id = self.toks[i]
         try:
@@ -498,12 +498,12 @@ class _Parser:
         for key, value in attrs.items():  # the model keeps each list attr as a tuple
             if value.__class__ is list:
                 attrs[key] = tuple(value)
-        self.add_element(kind, ident, name, attrs)
+        self.add_element(kind, ident, name, tuple(attrs.items()))
         element_id = toks[ident]
         # Relations are queued in entry order; nested elements follow their owner.
         for key, entry in entries.items():
             for ref, ref_name in refs.get(key, ()):
-                if entry.nested and not self.add_element(entry.nested, ref, ref_name, {}):
+                if entry.nested and not self.add_element(entry.nested, ref, ref_name, ()):
                     continue
                 if entry.owner_is_source:
                     self.rel_specs += (entry.relation, element_id, toks[ref], ref)
@@ -690,10 +690,10 @@ def format_model(model: AlignmentModel) -> str:
     by_id = model._by_id
     for _, kind, source, target in model._relations:
         owner, other = source, target
-        found = _ENTRY_OF_RELATION.get((kind, by_id[owner].kind, True))
+        found = _ENTRY_OF_RELATION.get((kind, by_id[owner][1], True))
         if found is None:
             owner, other = other, owner
-            found = _ENTRY_OF_RELATION.get((kind, by_id[owner].kind, False))
+            found = _ENTRY_OF_RELATION.get((kind, by_id[owner][1], False))
         if found is None:
             raise ModelError(
                 "E140", f"{kind} from {source!r} to {target!r} is not expressible in the DSL"
@@ -713,29 +713,29 @@ def format_model(model: AlignmentModel) -> str:
     # keyword, "" after a block, None before the first statement.
     out: list[str] = [""]  # the system line, quoted after every element
     last: str | None = None
-    for e in by_id.values():
-        id, attrs = e.id, e.attrs
+    for id, kind, name, description, attrs in by_id.values():
         if id in KEYWORDS:
             raise ModelError("E140", f"reserved word {id!r} is not expressible as an id")
-        if e.description is not None:
+        if description is not None:
             raise ModelError("E140", f"the description of {id!r} is not expressible")
-        if e.kind in _NESTED:
+        if kind in _NESTED:
             if id not in nested:
-                key, owner = _NESTED[e.kind]
+                key, owner = _NESTED[kind]
                 raise ModelError("E140", f"{key} {id!r} has no owning {owner}")
             continue
-        statement = STATEMENTS.get(e.kind)
+        statement = STATEMENTS.get(kind)
         if statement is None:
-            raise ModelError("E140", f"{e.kind} elements are not expressible in the DSL")
+            raise ModelError("E140", f"{kind} elements are not expressible in the DSL")
         keyword = statement.keyword
         role = f"{statement.role} " if statement.role else ""
-        header = f"  {keyword} {role}{id} {_quote(e.name)}"
+        header = f"  {keyword} {role}{id} {_quote(name)}"
         keyed = refs.get(id, {})
+        attrs = dict(attrs)
         body: list[str] = []
         for key, entry in statement.entries.items():
             if key in keyed:  # a relation entry
                 if entry.nested:
-                    body += [f"    {key} {ref} {_quote(by_id[ref].name)};" for ref in keyed[key]]
+                    body += [f"    {key} {ref} {_quote(by_id[ref][2])};" for ref in keyed[key]]
                 else:
                     body.append(f"    {key}: {', '.join(keyed[key])};")
             elif key in attrs:

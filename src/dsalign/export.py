@@ -10,7 +10,6 @@ from __future__ import annotations
 from .model import (
     BRANCHES,
     AlignmentModel,
-    Element,
     ElementKind,
     ModelError,
     RelationKind,
@@ -93,18 +92,17 @@ def to_open_exchange(model: AlignmentModel) -> str:
     # Identifiers come from ids and slugs, which hold only [a-z0-9_], so
     # they need no escaping.
     elements: list[str] = []
-    for e in model._by_id.values():
-        kind, attrs = e.kind, e.attrs
+    for id, kind, name, doc, attrs in model._by_id.values():
+        attrs = dict(attrs)
         key = (kind, attrs.get("category"), attrs.get("severity"))
         props = blocks.get(key)
         if props is None:
             props = blocks[key] = _properties(*key, used_propdefs)
-        doc = e.description
         if doc:
             doc = f'      <documentation xml:lang="en">{_xml_text(doc)}</documentation>\n'
         elements.append(
-            f'    <element identifier="id-{e.id}" xsi:type="{XSI_TYPES[kind]}">\n'
-            f'      <name xml:lang="en">{_xml_text(e.name)}</name>\n'
+            f'    <element identifier="id-{id}" xsi:type="{XSI_TYPES[kind]}">\n'
+            f'      <name xml:lang="en">{_xml_text(name)}</name>\n'
             f"{doc or ''}{props}    </element>"
         )
     relationships = [
@@ -145,16 +143,16 @@ def to_dot(model: AlignmentModel) -> str:
     """
     _check_exportable(model)
 
-    plain: list[Element] = []
-    clusters: dict[str, list[Element]] = {branch: [] for branch in _CLUSTERS.values()}
+    plain: list[tuple] = []  # element rows
+    clusters: dict[str, list[tuple]] = {branch: [] for branch in _CLUSTERS.values()}
     groups = {kind: clusters[branch] for kind, branch in _CLUSTERS.items()}
     principles = groups[ElementKind.PRINCIPLE] = []
-    for e in model._by_id.values():
-        groups.get(e.kind, plain).append(e)
+    for row in model._by_id.values():
+        groups.get(row[1], plain).append(row)
 
-    def nodes(members: list[Element], indent: str) -> list[str]:
-        # Kinds are fixed words, so only names need escaping.
-        return [f'{indent}"{e.id}" [label="{e.kind}\\n{_dot_escape(e.name)}"];' for e in members]
+    def nodes(members: list[tuple], indent: str) -> list[str]:
+        # Kinds are fixed words, so only names (``e[2]``) need escaping.
+        return [f'{indent}"{e[0]}" [label="{e[1]}\\n{_dot_escape(e[2])}"];' for e in members]
 
     graph_id = slugify(model.system_name)
     if graph_id in _DOT_KEYWORDS:

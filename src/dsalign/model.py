@@ -400,13 +400,11 @@ class ModelError(Exception):
 
 
 class Element(_Record):
-    """One element record.
+    """One element record, built on each read from the model's stored row.
 
-    Records belong to the model that made them and to its copies.  Their
-    fields must not be reassigned, because ``validate`` caches its findings
-    per model state; ``attrs`` is read-only all the way down, a view of a
-    dict whose list values are tuples of entry tuples.  Elements with equal
-    attrs may share one view.
+    A record is the caller's own: editing it leaves the model unchanged.
+    ``attrs`` is a read-only view of a new dict whose list values are tuples
+    of entry tuples.
     """
 
     __slots__ = ("id", "kind", "name", "description", "attrs")
@@ -424,8 +422,10 @@ class Element(_Record):
 
 Relation = namedtuple("Relation", "id kind source target")
 
-# The attrs of every element that has none: read-only, so one view serves all.
-_NO_ATTRS = MappingProxyType({})
+
+def _element(row: tuple) -> Element:
+    """The record of a stored ``(id, kind, name, description, attrs)`` row."""
+    return Element(*row[:4], MappingProxyType(dict(row[4])))
 
 
 class AlignmentModel:
@@ -447,9 +447,11 @@ class AlignmentModel:
         if not system_name:
             raise ModelError("E000", "system name must not be empty")
         self._system_name = system_name
-        self._by_id: dict[str, Element] = {}  # every element, in insertion order
-        # (id, kind, source, target) per relation: exact tuples of strings,
-        # which the cycle collector stops tracking.
+        # Every element in insertion order, as an exact (id, kind, name,
+        # description, attrs) tuple whose attrs are (key, value) pairs; and
+        # (id, kind, source, target) per relation.  The cycle collector stops
+        # tracking tuples that hold only strings and such tuples.
+        self._by_id: dict[str, tuple] = {}
         self._relations: list[tuple[str, str, str, str]] = []
         self._frozen = False
         self._diagnostics: list[Diagnostic] | None = None  # last rule pass
@@ -479,23 +481,17 @@ class AlignmentModel:
                 raise ModelError("E002", f"attr {key!r} is not allowed on {kind}")
             if isinstance(value, (list, tuple)):  # the model's own copy, immutable
                 attrs[key] = tuple(tuple(e) if isinstance(e, list) else e for e in value)
-        return self._add_element(kind, id, name, description, attrs)
+        return self._add_element(kind, id, name, description, tuple(attrs.items()))
 
     def _add_element(
-        self, kind: ElementKind, id: str, name: str, description: str | None, attrs: Mapping
+        self, kind: ElementKind, id: str, name: str, description: str | None, attrs: tuple
     ) -> str:
-        """``add_element`` after its checks.
-
-        A dict ``attrs``, lists made tuples, becomes the model's behind a
-        read-only view; a read-only view over a dict no caller holds is kept.
-        """
+        """``add_element`` after its checks; ``attrs`` is (key, value) pairs, lists made tuples."""
         if id in self._by_id:
             raise ModelError("E001", f"duplicate element id {id!r}")
-        if kind in _ONE_PER_MODEL and any(e.kind is kind for e in self._by_id.values()):
+        if kind in _ONE_PER_MODEL and any(row[1] is kind for row in self._by_id.values()):
             raise ModelError("E007", f"model already has an element of kind {kind}")
-        if attrs.__class__ is dict:
-            attrs = MappingProxyType(attrs) if attrs else _NO_ATTRS
-        self._by_id[id] = Element(id, kind, name, description, attrs)
+        self._by_id[id] = (id, kind, name, description, attrs)
         self._diagnostics = None
         return id
 
@@ -507,8 +503,8 @@ class AlignmentModel:
         """``add_relation`` on a model known to be mutable."""
         by_id = self._by_id
         try:
-            source_kind = by_id[source].kind
-            target_kind = by_id[target].kind
+            source_kind = by_id[source][1]
+            target_kind = by_id[target][1]
         except KeyError as err:
             raise ModelError("E003", f"unknown element id {err.args[0]!r}") from None
         if (source_kind, kind, target_kind) not in _PERMITTED_TRIPLES:
@@ -535,7 +531,8 @@ class AlignmentModel:
 
     @property
     def elements(self) -> list[Element]:
-        return list(self._by_id.values())
+        """The elements in insertion order, as records made on each call."""
+        return list(map(_element, self._by_id.values()))
 
     @property
     def relations(self) -> list[Relation]:
@@ -548,13 +545,13 @@ class AlignmentModel:
     def element(self, id: str) -> Element:
         if id not in self._by_id:
             raise ModelError("E003", f"unknown element id {id!r}")
-        return self._by_id[id]
+        return _element(self._by_id[id])
 
     def elements_of_kind(self, kind: ElementKind) -> list[Element]:
-        return [e for e in self._by_id.values() if e.kind == kind]
+        return [_element(row) for row in self._by_id.values() if row[1] == kind]
 
     def copy(self) -> AlignmentModel:
-        """Unfrozen copy that shares the (read-only) element and relation records."""
+        """Unfrozen copy that shares the (immutable) element and relation rows."""
         dup = AlignmentModel(self.system_name)
         dup._by_id = dict(self._by_id)
         dup._relations = list(self._relations)
@@ -583,16 +580,16 @@ class AlignmentModel:
         linked: set[str] = set()  # ids of elements that have their V1-V6 link
         unusual: list[Diagnostic] = []
         for rid, kind, source, target in self._relations:
-            skind = by_id[source].kind
-            tkind = by_id[target].kind
+            skind = by_id[source][1]
+            tkind = by_id[target][1]
             if (kind, tkind) in _LINKS.get(skind, ()):
                 linked.add(source)
             if (kind, skind) in _LINKS.get(tkind, ()):
                 linked.add(target)
             if kind is association:
                 _check_association(rid, skind, tkind, unusual)
-        for e in by_id.values():
-            _check_element(e, e.id in linked, slug, out)
+        for row in by_id.values():
+            _check_element(row, row[0] in linked, slug, out)
         out.extend(unusual)
         self._diagnostics = out
         return list(out)
@@ -610,36 +607,36 @@ class AlignmentModel:
         by_id = self._by_id
         out = [d for d in found if d.code != "W105"]
         slug = slugify(self._system_name)
-        for e in list(by_id.values())[len(parent._by_id):]:
-            _check_element(e, False, slug, out)
+        for row in list(by_id.values())[len(parent._by_id):]:
+            _check_element(row, False, slug, out)
         out += [d for d in found if d.code == "W105"]
         association = RelationKind.ASSOCIATION
         for rid, kind, source, target in self._relations[len(parent._relations):]:
             if kind is association:
-                _check_association(rid, by_id[source].kind, by_id[target].kind, out)
+                _check_association(rid, by_id[source][1], by_id[target][1], out)
         self._diagnostics = out
 
 
-def _check_element(e: Element, linked: bool, slug: str, out: list[Diagnostic]) -> None:
-    """One element's findings: V10 on its id, V9 on its texts, its kind's V1-V6 rows, V7.
+def _check_element(row: tuple, linked: bool, slug: str, out: list[Diagnostic]) -> None:
+    """One element row's findings: V10 on its id, V9 on its texts, its kind's V1-V6 rows, V7.
 
     ``linked`` says whether the element has the relation its kind's row needs;
     ``slug`` is the system name's, whose Open Exchange identifier no id may take.
     """
-    id = e.id
+    id, kind, name, description, attrs = row
     if id == slug:
         message = f"{id!r}: element id repeats the Open Exchange identifier of the system name"
         out.append(_error("E014", message, id))
     elif _is_relation_id(id):
         out.append(_error("E014", f"{id!r}: element id has the form {_OF_RELATION}", id))
-    _check_text(e.name, "its name", id, out)
-    if e.description is not None:
-        _check_text(e.description, "its description", id, out)
-    for code, severity, message, attrs, link in _ELEMENT_RULES.get(e.kind, ()):
-        if not (linked if link else any(map(e.attrs.get, attrs))):
+    _check_text(name, "its name", id, out)
+    if description is not None:
+        _check_text(description, "its description", id, out)
+    for code, severity, message, keys, link in _ELEMENT_RULES.get(kind, ()):
+        if not (linked if link else any(value for key, value in attrs if key in keys)):
             out.append(Diagnostic(code, severity, message.format(id), subject=id))
-    if e.attrs:
-        _check_attrs(e, out)
+    if attrs:
+        _check_attrs(id, kind, attrs, out)
 
 
 def _check_association(
@@ -652,17 +649,16 @@ def _check_association(
         out.append(Diagnostic("W105", Severity.WARNING, message, subject=rid))
 
 
-def _check_attrs(e: Element, out: list[Diagnostic]) -> None:
+def _check_attrs(id: str, kind: ElementKind, attrs: tuple, out: list[Diagnostic]) -> None:
     """V7: attr values well-formed (``add_element`` keeps keys on the allowlist)."""
-    id = e.id
-    for key, value in e.attrs.items():
+    for key, value in attrs:
         if key == "category":
-            _check_leaf(value, BRANCHES[e.kind][1], "category", id, out)
+            _check_leaf(value, BRANCHES[kind][1], "category", id, out)
         elif key == "severity":
             if value not in SEVERITY_LEVELS:
                 out.append(_error("E122", f"{id!r}: unknown severity level {value!r}", id))
         else:
-            spec = STATEMENTS[e.kind].entries[key]
+            spec = STATEMENTS[kind].entries[key]
             if spec.form == "word":
                 if value not in spec.leaves:
                     out.append(_error("E123", f"{id!r}: unknown runtime target {value!r}", id))

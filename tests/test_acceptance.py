@@ -61,7 +61,7 @@ def test_acceptance_faq_golden_derivation(fixture_models):
         by_cat.setdefault(item.category, []).append(item)
 
     for comp in model.elements_of_kind(ElementKind.SYSTEM_COMPONENT):
-        descs = [i.description for i in by_cat["human_resources"] if i.sources == [comp.id]]
+        descs = [i.description for i in by_cat["human_resources"] if i.sources == (comp.id,)]
         assert f"develop and test {comp.name}" in descs
         assert f"operate and maintain {comp.name}" in descs
     info_sources = {i.sources[0] for i in by_cat["information_resources"]}
@@ -96,7 +96,7 @@ def test_acceptance_corpus_health(fixture_models):
 
     job = [i for i in itemsets["job_interview"].items if i.category == "non_maleficence"]
     assert len(job) == 1
-    assert job[0].sources == ["llm_generation"]
+    assert job[0].sources == ("llm_generation",)
     assert job[0].severity == "low"
     assert "pre-checked" in job[0].description
 

@@ -106,7 +106,7 @@ def test_cost_counts_match_recount(name, fixture_models):
 def test_development_and_operation_items_per_component(faq_model):
     human = [i for i in derive_rule(faq_model, Rule.R1_COST) if i.category == "human_resources"]
     for comp in faq_model.elements_of_kind(K.SYSTEM_COMPONENT):
-        descs = [i.description for i in human if i.sources == [comp.id]]
+        descs = [i.description for i in human if i.sources == (comp.id,)]
         assert descs == [
             f"develop and test {comp.name}",
             f"operate and maintain {comp.name}",
@@ -121,7 +121,7 @@ def test_faq_privacy_risk(faq_model):
     risks = derive_rule(faq_model, Rule.R2_RISK)
     privacy = [i for i in risks if i.category == "privacy"]
     assert len(privacy) == 1
-    assert privacy[0].sources == ["pii_in_utterances"]
+    assert privacy[0].sources == ("pii_in_utterances",)
     assert privacy[0].severity == "medium"
 
 
@@ -158,7 +158,7 @@ def test_two_hinders_entries_two_items():
 def test_faq_business_values(faq_model):
     items = derive_rule(faq_model, Rule.R3_BUSINESS)
     assert [i.category for i in items] == ["cost_reduction", "new_revenue"]
-    assert items[0].sources == ["provide_info"]
+    assert items[0].sources == ("provide_info",)
 
 
 def test_business_values_empty_without_activities():
@@ -494,6 +494,23 @@ def test_attach_refuses_a_principle_id_held_by_another_kind():
     )
 
 
+def test_attach_refuses_an_item_that_takes_a_derived_principle_id(faq_model):
+    itemset = derive_all(faq_model)
+    risks = {item.category for item in itemset.by_rule(Rule.R2_RISK)}
+    assert "responsibility" in risks
+    before = faq_model.validate()
+    item = EvaluationItem(
+        "principle_responsibility", "it_resources", "x", ["needs_faq_set"], Rule.R1_COST
+    )
+    with pytest.raises(ModelError) as err:
+        attach(faq_model, EvaluationItemSet(itemset.system_name, itemset.items + [item]))
+    assert err.value.code == "E201"
+    assert err.value.message == (
+        "item 'principle_responsibility' has the id of a derived Principle element"
+    )
+    assert "principle_responsibility" not in faq_model and faq_model.validate() == before
+
+
 def _influence_model(activities: int):
     """User activities u1..uN, each influencing operator activity o(i % 3 + 1)."""
     model = AlignmentModel("Influences")
@@ -578,9 +595,9 @@ def test_pipeline_runs_the_rules_once_per_model_state(monkeypatch):
     checked = []
     plain = model_module._check_element
 
-    def counting(e, *args):
-        checked.append(e.id)
-        return plain(e, *args)
+    def counting(row, *args):
+        checked.append(row[0])  # the stored row's id
+        return plain(row, *args)
 
     monkeypatch.setattr(model_module, "_check_element", counting)
     model = parse((FIXTURES / "faq_chatbot.dsa").read_text(), "faq_chatbot").model

@@ -182,7 +182,7 @@ def _assert_items_follow_the_rules(m, itemset, attached):
                 f"item_{rule.lower()}_{n}",
                 entry[0],
                 f"{entry[-1]} ({e.name})",
-                [e.id],
+                (e.id,),
                 entry[1] if rule is Rule.R2_RISK else None,
             )
             for n, (e, entry) in enumerate(entries, start=1)

@@ -1,9 +1,10 @@
 """How a model and a parse store their records, and that the public views hide it.
 
-Relations are held as exact ``(id, kind, source, target)`` tuples and elements
-without attrs, or derived items with equal attrs, share one read-only view.
-A parse keeps each element's token index, sums the token offsets on the
-first lookup, and builds its ``SourceSpan`` on lookup.  These records are
+Relations are held as exact ``(id, kind, source, target)`` tuples and
+elements as exact ``(id, kind, name, description, attrs)`` tuples whose attrs
+are ``(key, value)`` pairs; the public readers build records from them on
+each call.  A parse keeps each element's token index, sums the token offsets
+on the first lookup, and builds its ``SourceSpan`` on lookup.  These records are
 what the cycle collector would otherwise walk on every collection, so tests
 pin how many objects a large model leaves tracked.
 """
@@ -27,6 +28,7 @@ from dsalign.model import (
     STATEMENTS,
     AlignmentModel,
     Diagnostic,
+    Element,
     ElementKind,
     ModelError,
     Relation,
@@ -67,21 +69,36 @@ def test_editing_the_relations_list_leaves_the_model_unchanged(faq_model):
     assert faq_model.validate() == found
 
 
-def test_attached_items_share_one_read_only_attrs_view(attached_models):
-    model = attached_models["faq_chatbot"]
-    by_attrs = {}
-    for e in model.elements:
-        by_attrs.setdefault(tuple(e.attrs.items()), []).append(e)
-    shared = [group for group in by_attrs.values() if len(group) > 1 and group[0].attrs]
-    assert shared, "no two attached items with equal attrs"
-    for first, second, *_ in shared:
-        assert first.attrs is second.attrs
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_element_rows_hold_the_record_fields_in_slot_order(name, attached_models):
+    model = attached_models[name]
+    rows = list(model._by_id.values())
+    assert len(rows) == len(model.elements)
+    for row, element in zip(rows, model.elements):
+        assert row.__class__ is tuple and len(row) == 5 and row[4].__class__ is tuple
+        assert row[:4] == tuple(getattr(element, field) for field in Element.__slots__[:4])
+        assert Element.__slots__[4] == "attrs" and dict(row[4]) == element.attrs
+        assert all(pair.__class__ is tuple and len(pair) == 2 for pair in row[4])
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_element_reads_are_new_records_that_edits_leave_the_model_unchanged(
+    name, attached_models
+):
+    model = attached_models[name]
+    rows = dict(model._by_id)
+    found = model.validate()
+    for first, second in zip(model.elements, model.elements):
+        assert first == second and first is not second
+        assert first.attrs == second.attrs and first.attrs is not second.attrs
+        assert model.element(first.id) == first
         with pytest.raises(TypeError):
             first.attrs["category"] = "privacy"
-        with pytest.raises(TypeError):
-            second.attrs["severity"] = "high"
-    empty = [e for e in model.elements if not e.attrs]
-    assert len({id(e.attrs) for e in empty}) == 1
+        first.kind, first.name, first.description = K.DATA_MODEL, "edited", "edited"
+        first.attrs = {"runs_on": "nowhere"}
+        assert model.element(second.id) == second
+    assert model._by_id == rows
+    assert model.validate() == found == model.copy().validate()
 
 
 def test_only_alike_values_share_a_view(faq_model):
@@ -91,8 +108,7 @@ def test_only_alike_values_share_a_view(faq_model):
         for n, category in enumerate(["it_resources", "it_resources", 1, True, ["a"]], 1)
     ]
     attached = attach(faq_model, EvaluationItemSet(faq_model.system_name, items))
-    first, second, one, true, listed = (attached.element(item.id).attrs for item in items)
-    assert first is second
+    _, _, one, true, listed = (attached.element(item.id).attrs for item in items)
     assert one["category"] == 1 and one["category"] is not True
     assert true["category"] is True and listed["category"] == ["a"]
 
@@ -128,8 +144,8 @@ def test_add_relation_and_the_parser_path_agree_on_every_triple():
 
 
 def test_a_large_attached_model_leaves_few_objects_for_the_collector():
-    # Relations as exact tuples of strings and shared attrs views let the
-    # collector skip most records: about 14,500 stay tracked at 800 blocks.
+    # Relations and elements as exact tuples of strings and tuples let the
+    # collector skip most records; this pin drops the ``ParseResult``.
     text, _ = synth.generate(800, 1)
     gc.collect()
     before = len(gc.get_objects())
@@ -140,6 +156,27 @@ def test_a_large_attached_model_leaves_few_objects_for_the_collector():
     tracked = len(gc.get_objects()) - before
     assert len(attached.elements) == 11_207
     assert tracked <= 20_000, tracked
+
+
+def test_a_large_attached_model_with_its_parse_alive_leaves_few_tracked_objects():
+    text, _ = synth.generate(800, 1)
+    gc.collect()
+    before = len(gc.get_objects())
+    result = parse(text, "synthetic.dsa")
+    attached = attach(result.model, derive_all(result.model))
+    # A collection untracks a tuple only if nothing it holds is tracked, and
+    # it looks at a tuple before the tuples it holds, so nested tuples are
+    # untracked one level per collection.  An element row is nested three
+    # deep (row, attr pairs, one pair), an event's five (the pair's entries
+    # tuple and each entry).  The collections that run during the pass
+    # untrack most of the deeper levels; after one more, the pairs tuples
+    # and the rows above them stay tracked, and it takes three to untrack
+    # nearly all rows (about 130 objects stay).
+    for _ in range(3):
+        gc.collect()
+    tracked = len(gc.get_objects()) - before
+    assert result.model is not None and len(attached.elements) == 11_207
+    assert tracked <= 2_000, tracked
 
 
 def test_a_parse_kept_alive_holds_no_span_objects():
