@@ -22,7 +22,9 @@ import sys
 from types import SimpleNamespace
 
 from . import dsl
-from .model import REPORT_FORMATS, AlignmentModel, Diagnostic, ModelError, Severity, SourceSpan
+from .model import (
+    REPORT_FORMATS, AlignmentModel, Diagnostic, ModelError, Severity, SourceSpan, _LINE_BREAKS,
+)
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:
@@ -110,6 +112,11 @@ def _load_derived(
     return loaded.model, itemset
 
 
+def _print_error(line: str) -> None:
+    """Print ``line`` to stderr with a path's line breaks escaped, as diagnostics are."""
+    print(line.translate(_LINE_BREAKS), file=sys.stderr)
+
+
 def _write_artifact(text: str, out: str | None) -> int:
     if out is None or out == "-":
         sys.stdout.write(text)
@@ -118,7 +125,7 @@ def _write_artifact(text: str, out: str | None) -> int:
         with open(out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
     except OSError as err:
-        print(f"cannot write {out}: {err.strerror}", file=sys.stderr)
+        _print_error(f"cannot write {out}: {err.strerror}")
         return EXIT_IO
     return EXIT_OK
 
@@ -215,7 +222,7 @@ def _cmd_fmt(args: SimpleNamespace) -> int:
                 with open(path, "r", encoding="utf-8", newline="") as handle:
                     current = handle.read()
             except OSError as err:
-                print(f"cannot read {path}: {err.strerror}", file=sys.stderr)
+                _print_error(f"cannot read {path}: {err.strerror}")
                 return EXIT_IO
             if current != canonical:
                 dirty.append(path)
@@ -229,7 +236,7 @@ def _cmd_fmt(args: SimpleNamespace) -> int:
     if code != EXIT_OK:
         return code
     for path in dirty:
-        print(f"{path}: not in canonical form", file=sys.stderr)
+        _print_error(f"{path}: not in canonical form")
     return EXIT_DIAGNOSTICS if dirty else EXIT_OK
 
 

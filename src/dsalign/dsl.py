@@ -111,7 +111,8 @@ class _Spans(Mapping):
 
     ``index`` maps each id to its token index.  The token start offsets are
     summed from ``_lex``'s tokens and trails once, by the first lookup or
-    parser diagnostic that reads one, unless the lexer had summed them.
+    parser diagnostic that reads one, unless the lexer had summed them.  The
+    two lists are held only until the offsets are summed.
     """
 
     __slots__ = ("text", "file", "index", "toks", "trails", "starts", "lines")
@@ -120,12 +121,14 @@ class _Spans(Mapping):
         self, text: str, file: str, toks: list[str], trails: list[str], starts: list[int] | None
     ) -> None:
         self.text, self.file, self.index, self.lines = text, file, {}, None
-        self.toks, self.trails, self.starts = toks, trails, starts
+        self.starts = starts
+        self.toks, self.trails = (toks, trails) if starts is None else (None, None)
 
     def start(self, i: int) -> int:
         """The start offset of token ``i``."""
         if self.starts is None:
             self.starts = _starts(self.toks, self.trails)
+            self.toks = self.trails = None
         return self.starts[i]
 
     def at(self, start: int, length: int) -> SourceSpan:
@@ -138,6 +141,9 @@ class _Spans(Mapping):
 
     def __getitem__(self, id: str) -> SourceSpan:
         return self.at(self.start(self.index[id]), len(id))
+
+    def __contains__(self, id: object) -> bool:  # without building the span
+        return id in self.index
 
     def __iter__(self):
         return iter(self.index)
@@ -259,14 +265,23 @@ def _lex(text: str) -> tuple[list[str], list[str], list[int] | None, list[_Findi
 # Taxonomy-leaf suggestions (plain Levenshtein over the 19 leaves)
 
 
-def _edit_distance(a: str, b: str) -> int:
+def _edit_distance(a: str, b: str, limit: int) -> int:
+    """The edit distance of ``a`` and ``b`` if it is below ``limit``, else ``limit``.
+
+    The distance is at least the length difference and at least the minimum
+    of any table row, as row minima never decrease, so either stops the scan.
+    """
+    if abs(len(a) - len(b)) >= limit:
+        return limit
     prev = list(range(len(b) + 1))
     for i, ca in enumerate(a, start=1):
         cur = [i]
         for j, cb in enumerate(b, start=1):
             cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
+        if min(cur) >= limit:
+            return limit
         prev = cur
-    return prev[-1]
+    return min(prev[-1], limit)
 
 
 def suggest_leaf(word: str) -> str | None:
@@ -274,7 +289,7 @@ def suggest_leaf(word: str) -> str | None:
     best: str | None = None
     best_d = 3  # one more than the farthest suggestion
     for leaf in ALL_LEAVES:
-        d = _edit_distance(word, leaf)
+        d = _edit_distance(word, leaf, best_d)
         if d < best_d:
             best, best_d = leaf, d
     return best

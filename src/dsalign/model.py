@@ -374,6 +374,11 @@ class SourceSpan(_Record):
         self.length = length
 
 
+# Each character at which ``str.splitlines`` breaks, written as ``repr`` writes
+# it.  Messages ``repr`` their tokens, so only a file name can carry one.
+_LINE_BREAKS = {ord(ch): repr(ch)[1:-1] for ch in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+
+
 class Diagnostic(
     namedtuple("Diagnostic", "code severity message location subject", defaults=(None, None))
 ):
@@ -387,7 +392,7 @@ class Diagnostic(
             prefix = f"{file}: "
         else:
             prefix = ""
-        return f"{prefix}{self.severity} {self.code}: {self.message}"
+        return f"{prefix}{self.severity} {self.code}: {self.message}".translate(_LINE_BREAKS)
 
 
 class ModelError(Exception):

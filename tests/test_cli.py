@@ -59,6 +59,21 @@ def test_check_missing_file_is_io_error(tmp_path):
     assert "E190" in proc.stderr
 
 
+def test_a_line_break_in_a_path_is_escaped_on_stderr(tmp_path, capsys):
+    from dsalign import cli
+
+    missing = tmp_path / "missing\nfile.dsa"
+    assert cli.main(["check", str(missing)]) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines() == [err[:-1]]
+    assert "missing\\nfile.dsa" in err and "E190" in err
+    unformatted = tmp_path / "a\u2028b.dsa"
+    unformatted.write_text((FIXTURES / "faq_chatbot.dsa").read_text() + "\n")
+    assert cli.main(["fmt", "--check", str(unformatted)]) == 1
+    err = capsys.readouterr().err
+    assert err == str(unformatted).replace("\u2028", "\\u2028") + ": not in canonical form\n"
+
+
 def test_check_invalid_utf8_is_io_error(tmp_path):
     p = tmp_path / "bin.dsa"
     p.write_bytes(b"\xff\xfe\x00")

@@ -3,12 +3,13 @@ from __future__ import annotations
 import gc
 import random
 import re
+import time
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from dsalign.dsl import KEYWORDS, _lex, _Parser, format_model, load_file, parse
+from dsalign.dsl import KEYWORDS, _lex, _Parser, format_model, load_file, parse, suggest_leaf
 from dsalign.model import (
     ALL_LEAVES,
     AlignmentModel,
@@ -131,32 +132,33 @@ def test_unknown_leaf_suggestion():
 
 
 def _reference_distance(a: str, b: str) -> int:
-    # Straight recurrence on a full matrix; independent of the implementation.
-    rows = len(a) + 1
-    cols = len(b) + 1
-    d = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        d[i][0] = i
-    for j in range(cols):
-        d[0][j] = j
-    for i in range(1, rows):
-        for j in range(1, cols):
-            cost = 0 if a[i - 1] == b[j - 1] else 1
-            d[i][j] = min(d[i - 1][j] + 1, d[i][j - 1] + 1, d[i - 1][j - 1] + cost)
-    return d[-1][-1]
+    # The unbounded two-row Levenshtein table the parser used before its scans
+    # stopped early.
+    prev = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        cur = [i]
+        for j, cb in enumerate(b, start=1):
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
+        prev = cur
+    return prev[-1]
+
+
+def _reference_suggestion(word: str) -> str | None:
+    # Nearest leaf over all 19 by edit distance, ties by tree order, nothing
+    # suggested past distance 2.
+    best, best_d = None, 3
+    for leaf in ALL_LEAVES:
+        dist = _reference_distance(word, leaf)
+        if dist < best_d:
+            best, best_d = leaf, dist
+    return best
 
 
 @pytest.mark.parametrize(
     "typo", ["funktional", "must_bee", "privvacy", "emotionl", "it_resource", "zzzzzz"]
 )
 def test_suggestions_match_brute_force(typo):
-    # Oracle: nearest leaf over all 19 by edit distance, ties by tree order,
-    # nothing suggested past distance 2.
-    best, best_d = None, 3
-    for leaf in ALL_LEAVES:
-        dist = _reference_distance(typo, leaf)
-        if dist < best_d:
-            best, best_d = leaf, dist
+    best = _reference_suggestion(typo)
     result = parse(
         f'system "X" {{ user_activity a "A" {{ yields_user_value: {typo} "x"; }} }}'
     )
@@ -167,6 +169,43 @@ def test_suggestions_match_brute_force(typo):
         assert found is None
     else:
         assert found and found.group(1) == best
+
+
+def test_suggest_leaf_matches_the_reference_on_every_single_edit_of_a_leaf():
+    # Each deletion, and each insertion and substitution of a letter or "_",
+    # one of the two per position: the reference takes about 1.6 ms a word.
+    words = set()
+    for leaf in ALL_LEAVES:
+        for k in range(len(leaf) + 1):
+            head, ch = leaf[:k], "e_"[k % 2]
+            words.update((head + leaf[k + 1 :], head + ch + leaf[k:], head + ch + leaf[k + 1 :]))
+    for word in sorted(words):
+        assert suggest_leaf(word) == _reference_suggestion(word), word
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@seed(20261019)
+@given(
+    st.sampled_from(ALL_LEAVES),
+    st.integers(0, 22),
+    st.integers(0, 4),
+    st.text(st.sampled_from("aeinorstu_") | st.characters(), max_size=4),
+)
+def test_suggest_leaf_matches_the_reference_on_drawn_words(leaf, at, cut, text):
+    # ``text`` replaces ``cut`` characters of a leaf, so most words land near
+    # the two-edit edge where the scans stop early.
+    word = leaf[:at] + text + leaf[at + cut :]
+    assert suggest_leaf(word) == _reference_suggestion(word)
+
+
+def test_a_long_unknown_leaf_parses_fast_without_a_suggestion():
+    word = "functional" * 5_000
+    text = f'system "X" {{ user_activity a "A" {{ yields_user_value: {word} "x"; }} }}'
+    began = time.process_time()
+    result = parse(text)
+    spent = time.process_time() - began
+    assert [d.message for d in result.diagnostics] == [f"unknown taxonomy leaf {word!r}"]
+    assert spent < 0.5, spent
 
 
 def test_hinders_severity_defaults_to_medium():
@@ -291,17 +330,19 @@ def test_tokens_are_not_tracked_by_the_cycle_collector():
 
 def test_attrs_are_not_tracked_by_the_cycle_collector():
     model = parse((FIXTURES / "faq_chatbot.dsa").read_text()).model
-    gc.collect()
-    gc.collect()  # a tuple is untracked once the tuples it holds are
-    entries = 0
-    for e in model.elements:
-        (attrs,) = gc.get_referents(e.attrs)  # the dict behind the read-only view
-        assert not gc.is_tracked(attrs)
-        for value in attrs.values():
-            if isinstance(value, tuple):
-                assert not any(gc.is_tracked(entry) for entry in value)
-                entries += len(value)
-    assert entries > 0
+    # A collection untracks a tuple only once the tuples it holds are, one
+    # level per collection, and a row nests five: the row, its attr pairs, a
+    # pair, a list value's entries and one entry.
+    for _ in range(5):
+        gc.collect()
+    tuples, pending = [], list(model._by_id.values())
+    while pending:
+        value = pending.pop()
+        if isinstance(value, tuple):
+            tuples.append(value)
+            pending += value
+    assert len(tuples) > len(model._by_id) * 2
+    assert not [t for t in tuples if gc.is_tracked(t)]
 
 
 def test_parsed_attr_entries_cannot_be_edited():
@@ -737,11 +778,16 @@ def test_parse_never_raises_on_random_text():
 @settings(max_examples=400, deadline=None, database=None)
 @seed(20261018)
 # Lexer-significant characters are drawn about as often as all others together.
-@given(st.text(st.sampled_from('"\\\n\r#{}; d') | st.characters(), min_size=10))
-def test_parse_is_total_and_diagnostics_render_on_one_line(text):
-    result = parse(text)
+@given(
+    st.text(st.sampled_from('"\\\n\r#{}; d') | st.characters(), min_size=10),
+    # A file name may hold any character at which ``str.splitlines`` breaks.
+    st.text(st.sampled_from("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029a") | st.characters()),
+)
+def test_parse_is_total_and_diagnostics_render_on_one_line(text, file):
+    result = parse(text, file)
     for d in result.diagnostics:
-        assert d.render().splitlines() == [d.render()]
+        for line in (d.render(), d.render(file)):
+            assert line.splitlines() == [line]
 
 
 def test_parse_never_raises_on_mangled_fixture():

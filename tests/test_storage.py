@@ -195,11 +195,13 @@ def test_a_parse_sums_token_offsets_only_when_a_span_is_read(monkeypatch):
     monkeypatch.setattr(dsl, "_starts", lambda *args: sums.append(1) or summed(*args))
     result = parse(text, "synthetic.dsa")
     assert result.model is not None and not sums
-    assert "no_such_id" not in result.spans and len(list(result.spans)) == 5_602
-    assert not sums
     first, *_, last = result.spans
+    assert first in result.spans and "no_such_id" not in result.spans
+    assert len(list(result.spans)) == 5_602
+    assert not sums
     assert result.spans[last].line > result.spans[first].line
     assert len(sums) == 1
+    assert result.spans.toks is None and result.spans.trails is None  # summed, so released
     assert len(dict(result.spans)) == 5_602 and len(sums) == 1
 
 
