@@ -1,8 +1,9 @@
 """Command-line driver: parse, validate, derive, attach, export, report.
 
 Exit codes: 0 success, 1 error-level diagnostics (warnings too with
-``--strict``), 2 usage error, 3 I/O error.  Diagnostics go to stderr;
-artifacts go to stdout or the path given by ``--out``/``--items``.
+``--strict``), 2 usage error, 3 I/O error, a failed write to stdout
+included.  Diagnostics go to stderr; artifacts go to stdout or the path
+given by ``--out``/``--items``.
 
 ``COMMANDS`` is the one declaration of the CLI.  ``_read`` takes each
 well-formed run straight from it; help, usage errors and every form it does
@@ -12,11 +13,12 @@ table, so each help and usage text is argparse's own.
 A run is mostly interpreter start-up and import, so it imports only what it
 uses: argparse, whose parser loads ``gettext`` and ``locale``, only for help
 and usage errors, and ``derive``, ``export`` and ``report`` only in the
-handlers that call them.
+handlers that call them, and ``run`` skips interpreter teardown.
 """
 
 from __future__ import annotations
 
+import atexit
 import os
 import sys
 from types import SimpleNamespace
@@ -30,6 +32,7 @@ TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:
     import argparse
     from collections.abc import Mapping
+    from typing import NoReturn
 
     from .derive import EvaluationItemSet
 
@@ -118,14 +121,17 @@ def _print_error(line: str) -> None:
 
 
 def _write_artifact(text: str, out: str | None) -> int:
-    if out is None or out == "-":
-        sys.stdout.write(text)
-        return EXIT_OK
+    # Stdout when ``out`` is None or "-".  Each command writes stdout at most
+    # once, so a failed write leaves nothing buffered for ``run`` to flush.
+    to_stdout = out is None or out == "-"
     try:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    except OSError as err:
-        _print_error(f"cannot write {out}: {err.strerror}")
+        if to_stdout:
+            sys.stdout.write(text)
+        else:
+            with open(out, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+    except OSError as err:  # BrokenPipeError included
+        _print_error(f"cannot write {'<stdout>' if to_stdout else out}: {err.strerror}")
         return EXIT_IO
     return EXIT_OK
 
@@ -151,7 +157,7 @@ def _cmd_derive(args: SimpleNamespace) -> int:
         if code != EXIT_OK:
             return code
     if args.items != "-":
-        print(summary_line(itemset))
+        return _write_artifact(summary_line(itemset) + "\n", None)
     return EXIT_OK
 
 
@@ -212,6 +218,7 @@ def _cmd_report(args: SimpleNamespace) -> int:
 def _cmd_fmt(args: SimpleNamespace) -> int:
     reporter = _Reporter()
     dirty: list[str] = []
+    texts: list[str] = []
     for path in args.inputs:
         loaded = _load_validated(path, reporter)
         if loaded is None:
@@ -231,7 +238,9 @@ def _cmd_fmt(args: SimpleNamespace) -> int:
             if code != EXIT_OK:
                 return code
         else:
-            sys.stdout.write(canonical)
+            texts.append(canonical)
+    if _write_artifact("".join(texts), None) != EXIT_OK:
+        return EXIT_IO
     code = reporter.exit_code(strict=False)
     if code != EXIT_OK:
         return code
@@ -339,5 +348,27 @@ def main(argv: list[str] | None = None) -> int:
     return args.func(args)
 
 
+def run() -> NoReturn:
+    """Run ``main``, then end the process without interpreter teardown.
+
+    Runs the ``atexit`` handlers and flushes stdout and stderr, in the order
+    Python's finalization does; dsalign closes its files and starts no threads.
+    """
+    code = main()
+    atexit._run_exitfuncs()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as err:
+        _print_error(f"cannot write <stdout>: {err.strerror}")
+        code = EXIT_IO
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except OSError:
+        sys.exit(code)  # Python's own handling of a broken stderr
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -186,11 +186,10 @@ ASSOCIATION_CORE: frozenset[frozenset[ElementKind]] = frozenset(
     }
 )
 
-# Every (source kind, relation kind, target kind) triple ``add_relation``
-# accepts: the directed table's, and Association between any two kinds.
+# Every directed (source kind, relation kind, target kind) triple
+# ``add_relation`` accepts; it accepts Association between any two kinds.
 _PERMITTED_TRIPLES = frozenset(
-    [(s, kind, t) for kind, pairs in PERMITTED_RELATIONS.items() for s, t in pairs]
-    + [(s, RelationKind.ASSOCIATION, t) for s in ELEMENT_KINDS for t in ELEMENT_KINDS]
+    (s, kind, t) for kind, pairs in PERMITTED_RELATIONS.items() for s, t in pairs
 )
 
 # ---------------------------------------------------------------------------
@@ -512,7 +511,10 @@ class AlignmentModel:
             target_kind = by_id[target][1]
         except KeyError as err:
             raise ModelError("E003", f"unknown element id {err.args[0]!r}") from None
-        if (source_kind, kind, target_kind) not in _PERMITTED_TRIPLES:
+        if (
+            kind is not RelationKind.ASSOCIATION
+            and (source_kind, kind, target_kind) not in _PERMITTED_TRIPLES
+        ):
             raise ModelError(
                 "E004", f"{kind} from {source_kind} to {target_kind} is not permitted"
             )

@@ -4,9 +4,14 @@ For each interpreter path given, every command of the ``corpus_cli`` cycle
 (``check``, ``derive --items -``, ``export`` in both formats and
 ``fmt --check`` per fixture, then ``report --matrix`` over all five) runs as
 ``<interpreter> -m dsalign ...`` from the root of the checkout, importing
-dsalign from ``src``.  Each run must exit 0 and write exactly the bytes of its
-file in ``fixtures/golden`` to stdout (nothing for ``check`` and ``fmt``).
-Standard library only; pytest does not collect this file.
+dsalign from ``src``, with stdout buffered as in the benchmark.  Each run must
+exit 0, write exactly the bytes of its file in ``fixtures/golden`` to stdout
+(nothing for ``check`` and ``fmt``) and nothing to stderr.  Four more runs
+check the exit codes the CLI's ending must carry: an invalid model (1), a
+missing file (3), a usage error (2) and ``--help`` (0); each must write to
+stderr exactly when it fails.  Standard library only; pytest does not collect
+this file, but ``tests/test_cli.py`` calls ``check`` on the interpreter that
+runs the tests.
 
     python3 tests/interpreters.py /path/to/python3.10 /path/to/python3.13
 
@@ -20,6 +25,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -27,21 +33,43 @@ sys.path.insert(0, str(REPO / "perfbench"))
 from workloads import GOLDEN, cli_commands  # noqa: E402
 
 FIXTURE_NAMES = sorted(path.stem for path in (REPO / "fixtures").glob("*.dsa"))
+INVALID_MODEL = 'system "Bad" {\n  component c "C" {\n    runs_on: server;\n  }\n}\n'  # E010
+
+
+def runs(invalid: str) -> list[tuple[list[str], int, bytes | None, bool]]:
+    """Each run as (arguments, exit code, stdout or None for any, whether it
+    writes to stderr); ``invalid`` is the path of a model with an error."""
+    cycle = [
+        (args, 0, (GOLDEN / golden).read_bytes() if golden else b"", False)
+        for args, golden in cli_commands(FIXTURE_NAMES)
+    ]
+    return cycle + [
+        (["-m", "dsalign", "check", invalid], 1, b"", True),
+        (["-m", "dsalign", "check", "fixtures/absent.dsa"], 3, b"", True),  # E190
+        (["-m", "dsalign", "check"], 2, b"", True),  # a usage error
+        (["-m", "dsalign", "--help"], 0, None, False),
+    ]
 
 
 def check(interpreter: str) -> list[str]:
-    """One line per command whose exit code or stdout differs from the golden run."""
+    """One line per run whose exit code, stdout or stderr differs from the expected."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     env.update(PYTHONPATH=str(REPO / "src"), PYTHONDONTWRITEBYTECODE="1", DSALIGN_NO_COLOR="1")
     failures = []
-    for args, golden in cli_commands(FIXTURE_NAMES):
-        proc = subprocess.run([interpreter, *args], capture_output=True, cwd=REPO, env=env)
-        expected = b"" if golden is None else (GOLDEN / golden).read_bytes()
-        command = " ".join(args[2:])
-        if proc.returncode != 0:
-            failures.append(f"{command}: exit {proc.returncode}: {proc.stderr.decode()[-300:]}")
-        elif proc.stdout != expected:
-            failures.append(f"{command}: stdout differs from {golden or 'nothing'}")
+    with tempfile.TemporaryDirectory() as tmp:
+        invalid = Path(tmp) / "invalid.dsa"
+        invalid.write_text(INVALID_MODEL, encoding="utf-8")
+        for args, code, stdout, errors in runs(str(invalid)):
+            proc = subprocess.run([interpreter, *args], capture_output=True, cwd=REPO, env=env)
+            command = " ".join(args[2:])
+            stderr = proc.stderr.decode(errors="replace")
+            if proc.returncode != code:
+                failures.append(f"{command}: exit {proc.returncode}, not {code}: {stderr[-300:]}")
+            elif bool(stderr) != errors:
+                failures.append(f"{command}: stderr {stderr[-300:]!r}")
+            elif stdout is not None and proc.stdout != stdout:
+                got = len(proc.stdout)
+                failures.append(f"{command}: stdout differs ({got} bytes, not {len(stdout)})")
     return failures
 
 
@@ -60,8 +88,8 @@ def main(interpreters: list[str]) -> int:
             capture_output=True, text=True,
         ).stdout.strip()
         failures = check(interpreter)
-        runs = len(cli_commands(FIXTURE_NAMES))
-        print(f"{interpreter} ({version}): {runs - len(failures)} of {runs} runs match")
+        total = len(runs("invalid.dsa"))
+        print(f"{interpreter} ({version}): {total - len(failures)} of {total} runs match")
         for line in failures:
             print(f"  {line}")
         if failures:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import os
 import subprocess
 import sys
@@ -298,6 +299,82 @@ def test_derive_items_to_an_unwritable_path_is_io_error(tmp_path):
     assert proc.returncode == 3
     assert proc.stderr.startswith(f"cannot write {out}: ")
     assert proc.stdout == ""
+
+
+def _child_env(buffered: bool) -> dict:
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(REPO / "src")
+    return env if buffered else {**env, "PYTHONUNBUFFERED": "1"}
+
+
+STDOUT_WRITERS = (
+    ["derive", FAQ],
+    ["derive", FAQ, "--items", "-"],
+    ["export", FAQ, "--format", "open_exchange"],
+    ["report", FAQ, "--matrix"],
+    ["fmt", FAQ],
+)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_a_failed_write_to_stdout_is_an_io_error(buffered, tmp_path):
+    # Buffered, the write succeeds and the final flush fails; unbuffered, the
+    # write itself fails.  Either way the run reports it once and exits 3.
+    # A small text and then one larger than the buffer would leave the first
+    # buffered after the failed write, and the final flush would fail again.
+    big = tmp_path / "big.dsa"
+    big.write_text((FIXTURES / "faq_chatbot.dsa").read_text().replace('"FAQ', '"' + "x" * 10_000))
+    expected = f"cannot write <stdout>: {os.strerror(errno.ENOSPC)}\n"
+    for argv in (*STDOUT_WRITERS, ["fmt", FAQ, str(big)]):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "dsalign", *argv], stdout=full,
+                stderr=subprocess.PIPE, text=True, cwd=REPO, env=_child_env(buffered),
+            )
+        assert (proc.returncode, proc.stderr) == (3, expected), argv
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_a_closed_pipe_on_stdout_is_an_io_error(buffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "dsalign", "derive", FAQ], stdout=write_end,
+            stderr=subprocess.PIPE, text=True, cwd=REPO, env=_child_env(buffered),
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 3
+    assert proc.stderr == f"cannot write <stdout>: {os.strerror(errno.EPIPE)}\n"
+
+
+def test_atexit_handlers_run_once_after_the_cli_output(tmp_path):
+    bad = tmp_path / "bad.dsa"
+    bad.write_text('system "Bad" {\n  component c "C" {\n    runs_on: server;\n  }\n}\n')
+    wrapper = (
+        "import atexit, runpy\n"
+        "atexit.register(print, 'atexit ran')\n"
+        "runpy.run_module('dsalign', run_name='__main__')\n"
+    )
+    text = (FIXTURES / "faq_chatbot.dsa").read_text()
+    for extra, code in (([], 0), ([str(bad)], 1), ([str(tmp_path / "absent.dsa")], 3)):
+        for buffered in (True, False):
+            proc = subprocess.run(
+                [sys.executable, "-c", wrapper, "fmt", FAQ, *extra],
+                capture_output=True, text=True, cwd=REPO, env=_child_env(buffered),
+            )
+            assert proc.returncode == code, proc.stderr
+            assert proc.stdout == text + "atexit ran\n"
+
+
+def test_the_corpus_cycle_matches_the_goldens_with_stdout_buffered():
+    # The benchmark's children run with no PYTHON* variables, so their stdout
+    # is block-buffered and reaches the file only at the final flush.
+    import interpreters
+
+    assert interpreters.check(sys.executable) == []
 
 
 def test_fmt_prints_the_valid_files_and_fails_on_an_invalid_one(tmp_path):

@@ -140,7 +140,9 @@ def test_add_relation_and_the_parser_path_agree_on_every_triple():
         assert added(AlignmentModel.add_relation, *triple) == stored, triple
         if stored is not None:
             accepted.add(triple)
-    assert accepted == _PERMITTED_TRIPLES
+    # The table holds the directed triples; Association joins any two kinds.
+    associations = {(s, R.ASSOCIATION, t) for s in ELEMENT_KINDS for t in ELEMENT_KINDS}
+    assert accepted == _PERMITTED_TRIPLES | associations
 
 
 def test_a_large_attached_model_leaves_few_objects_for_the_collector():
