@@ -33,7 +33,6 @@ from .model import (
     RelationKind,
     SEVERITY_LEVELS,
     DEFAULT_RISK_SEVERITY,
-    Entry,
     Severity,
     SourceSpan,
     XML_FORBIDDEN,
@@ -109,26 +108,21 @@ class ParseResult(_Record):
 class _Spans(Mapping):
     """Element id -> the ``SourceSpan`` of its id token, built on lookup.
 
-    ``index`` maps each id to its token index.  The token start offsets are
-    summed from ``_lex``'s tokens and trails once, by the first lookup or
-    parser diagnostic that reads one, unless the lexer had summed them.  The
-    two lists are held only until the offsets are summed.
+    ``index`` maps each id to its token index.  ``starts`` holds the token
+    start offsets once a parser diagnostic or the lexer has summed them;
+    otherwise the first lookup lexes the text again and sums them, so a
+    parse keeps no token list.
     """
 
-    __slots__ = ("text", "file", "index", "toks", "trails", "starts", "lines")
+    __slots__ = ("text", "file", "index", "starts", "lines")
 
-    def __init__(
-        self, text: str, file: str, toks: list[str], trails: list[str], starts: list[int] | None
-    ) -> None:
-        self.text, self.file, self.index, self.lines = text, file, {}, None
-        self.starts = starts
-        self.toks, self.trails = (toks, trails) if starts is None else (None, None)
+    def __init__(self, text: str, file: str, starts: list[int] | None) -> None:
+        self.text, self.file, self.index, self.starts, self.lines = text, file, {}, starts, None
 
     def start(self, i: int) -> int:
         """The start offset of token ``i``."""
         if self.starts is None:
-            self.starts = _starts(self.toks, self.trails)
-            self.toks = self.trails = None
+            self.starts = _starts(*_lex(self.text)[:2])
         return self.starts[i]
 
     def at(self, start: int, length: int) -> SourceSpan:
@@ -237,12 +231,14 @@ def _lex(text: str) -> tuple[list[str], list[str], list[int] | None, list[_Findi
     if not any(odd):
         toks.append("")
         return toks, trails, None, []
-    toks = [o or p for p, o in zip(toks, odd)]
+    at = list(compress(range(len(odd)), odd))
+    for k in at:  # an odd lexeme's plain group is None
+        toks[k] = odd[k]
     toks.append("")
     starts = _starts(toks, trails)
     found: list[_Finding] = []
     dropped = False
-    for k in compress(range(len(odd)), odd):
+    for k in at:
         lexeme, start = toks[k], starts[k]
         if lexeme[0] != '"':
             found.append((start, 1, "E103", f"invalid character {lexeme!r}"))
@@ -299,18 +295,33 @@ def suggest_leaf(word: str) -> str | None:
 # Parser
 
 
+# The parser's reading plan per statement kind, from the statement table:
+# entry key -> (relation, single, form, leaves).  A nested declaration's form
+# is "name"; a cost entry's leaves are ``COST_WORDS``.
+_PLANS = {
+    kind: {
+        key: (e.relation, e.single, "name" if e.nested else e.form,
+              COST_WORDS if e.form == "cost" else e.leaves)
+        for key, e in s.entries.items()
+    }
+    for kind, s in STATEMENTS.items()
+}
+
+
 class _Parser:
     """Recursive descent over ``_lex``'s tokens; ``i`` is the current token.
 
     ``i`` never moves past the EOF token.  Tokens are strings, so each kind
     test reads the token's text: "" is EOF, a string starts with a quote,
-    and a word starts with none of ``_NON_WORD``.
+    and a word starts with none of ``_NON_WORD``.  A statement is read in
+    one loop over a local index; the ``*_error`` helpers report a token that
+    is not the one expected and return the index to read on from.
     """
 
     def __init__(self, text: str, file: str):
-        self.toks, trails, starts, found = _lex(text)
+        self.toks, self.trails, starts, found = _lex(text)
         self.i = 0
-        self.spans = _Spans(text, file, self.toks, trails, starts)
+        self.spans = _Spans(text, file, starts)
         self.diags = [
             Diagnostic(code, Severity.ERROR, message, location=self.spans.at(start, length))
             for start, length, code, message in found
@@ -324,12 +335,15 @@ class _Parser:
     # -- locations and errors ----------------------------------------------
 
     def span(self, i: int) -> SourceSpan:
-        tok, start = self.toks[i], self.spans.start(i)
+        spans = self.spans
+        if spans.starts is None:
+            spans.starts = _starts(self.toks, self.trails)
+        tok, start = self.toks[i], spans.starts[i]
         length = len(tok)
         if tok[:1] == '"':  # an escaped or unterminated string is longer in the source
-            m = _TOKEN_RE.match(self.spans.text, start)
+            m = _TOKEN_RE.match(spans.text, start)
             length = len(m[1] or m[2])
-        return self.spans.at(start, length)
+        return spans.at(start, length)
 
     def error(self, code: str, message: str, i: int) -> None:
         self.diags.append(Diagnostic(code, Severity.ERROR, message, location=self.span(i)))
@@ -348,29 +362,56 @@ class _Parser:
         self.expected(repr(punct), i)
         return False
 
-    def expect_string(self, what: str) -> str | None:
-        """The value of the current token if it is a string, else report E101."""
-        i = self.i
+    def id_error(self, i: int) -> int:
+        """Report why token ``i`` is not a valid identifier."""
         tok = self.toks[i]
-        if tok[:1] == '"':
-            self.i = i + 1
-            return tok[1:-1]
-        self.expected(what, i)
-        return None
+        if tok in KEYWORDS:
+            self.error("E104", f"reserved word {tok!r} used as identifier", i)
+        elif tok[:1] in _NON_WORD:
+            self.expected("identifier", i)
+            return i
+        else:
+            self.error("E005", f"invalid identifier {tok!r}", i)
+        return i + 1
 
-    def sync_entry(self) -> None:
-        """Skip to the end of the current entry (past ';', before '}')."""
+    def choice_error(self, i: int, choices: Collection[str], code: str, what: str) -> int:
+        """Report ``code``: token ``i`` is not one of ``choices``."""
+        tok = self.toks[i]
+        expected = ", ".join(choices)
+        self.error(code, f"unknown {what} {tok!r} (expected one of: {expected})", i)
+        return i + 1 if tok else i
+
+    def leaf_error(self, i: int, expected: tuple[str, ...], what: str) -> int:
+        """Report why token ``i`` is not one of the leaves ``expected``."""
+        word = self.toks[i]
+        if word[:1] in _NON_WORD:
+            self.expected("a taxonomy leaf", i)
+            return i
+        if is_leaf(word):
+            self.error(
+                "E125",
+                f"leaf {word!r} is from the wrong branch for {what} "
+                f"(expected one of: {', '.join(expected)})",
+                i,
+            )
+        else:
+            suggestion = suggest_leaf(word)
+            hint = f" (did you mean {suggestion!r}?)" if suggestion else ""
+            self.error("E120", f"unknown taxonomy leaf {word!r}{hint}", i)
+        return i + 1
+
+    def skip_entry(self, i: int) -> int:
+        """The index past the entry at ``i``: after its ';', or at '}' or a statement."""
         toks = self.toks
-        i = self.i
         while (tok := toks[i]) and tok != "}" and tok not in STATEMENT_KEYWORDS:
             i += 1
             if tok == ";":
                 break
-        self.i = i
+        return i
 
-    def sync_statement(self) -> None:
+    def skip_statement(self, i: int) -> int:
+        """The index of the next statement or '}' at the depth of token ``i``."""
         toks = self.toks
-        i = self.i
         depth = 0
         while tok := toks[i]:
             if depth == 0 and (tok in STATEMENT_KEYWORDS or tok == "}"):
@@ -380,7 +421,7 @@ class _Parser:
             elif tok == "}":
                 depth -= 1
             i += 1
-        self.i = i
+        return i
 
     # -- grammar -----------------------------------------------------------
 
@@ -394,10 +435,16 @@ class _Parser:
             # Look for a system block further in; everything before is noise.
             if "system" not in toks:
                 return
-        self.i = toks.index("system") + 1
-        name = self.expect_string("system name string")
-        if name == "":
-            self.error("E000", "system name must not be empty", self.i - 1)
+        i = toks.index("system") + 1
+        name = None
+        if (tok := toks[i])[:1] == '"':
+            name = tok[1:-1]
+            i += 1
+            if not name:
+                self.error("E000", "system name must not be empty", i - 1)
+        else:
+            self.expected("system name string", i)
+        self.i = i
         # "?" keeps parsing alive on a missing name; finish() drops the model.
         self.model = AlignmentModel(name or "?")
         self.expect("{")
@@ -414,59 +461,6 @@ class _Parser:
             else:
                 self.expected("end of file", self.i)
 
-    def parse_statement(self) -> None:
-        toks = self.toks
-        i = self.i
-        keyword = toks[i]
-        if keyword not in _STATEMENT_KINDS:
-            self.expected("a statement", i)
-            self.i = i + 1 if keyword else i
-            self.sync_statement()
-            return
-        i += 1
-        kind = _STATEMENT_KINDS[keyword]
-        if kind is None:
-            role = toks[i]
-            kind = _ROLE_KINDS.get(role)
-            if kind is None:
-                roles = " or ".join(map(repr, _ROLE_KINDS))
-                self.error("E101", f"expected {roles}, found {role!r}", i)
-                self.i = i
-                self.sync_statement()
-                return
-            i += 1
-        self.i = i
-        self.parse_element(kind, keyword)
-
-    def parse_id(self) -> int | None:
-        """The index of a valid identifier token; the current token moves past it."""
-        i = self.i
-        tok = self.toks[i]
-        if tok in KEYWORDS:
-            self.error("E104", f"reserved word {tok!r} used as identifier", i)
-            self.i = i + 1
-            return None
-        if tok[:1] in _NON_WORD:
-            self.expected("identifier", i)
-            return None
-        self.i = i + 1
-        if not is_valid_id(tok):
-            self.error("E005", f"invalid identifier {tok!r}", i)
-            return None
-        return i
-
-    def choice(self, choices: Collection[str], code: str, what: str) -> str | None:
-        """Read one word of ``choices``, or report ``code`` at it and return None."""
-        i = self.i
-        tok = self.toks[i]
-        if tok:
-            self.i = i + 1
-        if tok in choices:
-            return tok
-        expected = ", ".join(choices)
-        self.error(code, f"unknown {what} {tok!r} (expected one of: {expected})", i)
-        return None
-
     def add_element(self, kind: ElementKind, i: int, name: str, attrs: tuple) -> bool:
         """Declare the element whose id is token ``i``; the parser checked its id and attrs."""
         id = self.toks[i]
@@ -478,35 +472,134 @@ class _Parser:
         self.spans.index[id] = i
         return True
 
-    def parse_element(self, kind: ElementKind, keyword: str) -> None:
+    def parse_statement(self) -> None:
+        """Read one statement: its keyword, id and name, then each entry by its plan."""
         toks = self.toks
-        entries = STATEMENTS[kind].entries
-        ident = self.parse_id()
         i = self.i
-        tok = toks[i]
-        if tok[:1] == '"':
+        keyword = toks[i]
+        if keyword not in _STATEMENT_KINDS:
+            self.expected("a statement", i)
+            self.i = self.skip_statement(i + 1)
+            return
+        i += 1
+        kind = _STATEMENT_KINDS[keyword]
+        if kind is None:
+            kind = _ROLE_KINDS.get(toks[i])
+            if kind is None:
+                roles = " or ".join(map(repr, _ROLE_KINDS))
+                self.error("E101", f"expected {roles}, found {toks[i]!r}", i)
+                self.i = self.skip_statement(i)
+                return
+            i += 1
+        ident = i
+        if (tok := toks[i]) not in KEYWORDS and is_valid_id(tok):
+            i += 1
+        else:
+            ident, i = None, self.id_error(i)
+        if (tok := toks[i])[:1] == '"':
             name = tok[1:-1]
             i += 1
         else:
             self.expected(f"{keyword} name string", i)
             name = ""
+        plans = _PLANS[kind]
         attrs: dict[str, object] = {}
-        # Entry key -> (id token index, name) per reference; only a nested
-        # declaration has a name.
-        refs: dict[str, list[tuple[int, str]]] = {}
+        refs: dict[str, list[int]] = {}  # entry key -> the id token of each reference
         seen_single: set[str] = set()
-        if entries and toks[i] == "{":
+        if plans and toks[i] == "{":
             i += 1
-            while (tok := toks[i]) and tok != "}":
-                if tok in STATEMENT_KEYWORDS:
-                    self.error("E101", "expected an entry or '}'", i)
-                    break
-                self.i = i
-                self.parse_entry(kind, entries, attrs, refs, seen_single)
-                # Defensive: never loop without progress.
-                i = self.i if self.i != i else i + 1
-            if tok == "}":
-                i += 1
+            while True:
+                key = toks[i]
+                plan = plans.get(key)
+                if plan is None:  # the end of the block, or an entry that is not this kind's
+                    if key == "}":
+                        i += 1
+                        break
+                    if not key:
+                        break
+                    if key in STATEMENT_KEYWORDS:
+                        self.error("E101", "expected an entry or '}'", i)
+                        break
+                    if key in _NESTED_OWNER:
+                        where = f"only allowed inside {_NESTED_OWNER[key]} blocks"
+                        self.error("E101", f"{key} declarations are {where}", i)
+                    elif key[:1] in _NON_WORD:
+                        self.expected("an entry or '}'", i)
+                    else:
+                        if toks[i + 1] != ":":
+                            self.expected("':'", i + 1)
+                        self.error("E002", f"attr {key!r} is not allowed on {kind}", i)
+                    i = self.skip_entry(i)
+                    continue
+                relation, single, form, leaves = plan
+                at, i = i, i + 1
+                if form != "name":  # a nested declaration has no ':'
+                    if toks[i] == ":":
+                        i += 1
+                    else:
+                        self.expected("':'", i)
+                if single:
+                    if key in seen_single:
+                        self.error("E130", f"repeated entry {key!r}", at)
+                    seen_single.add(key)
+                if relation is not None:
+                    ids = refs.setdefault(key, [])
+                    while True:
+                        if (tok := toks[i]) not in KEYWORDS and is_valid_id(tok):
+                            ids.append(i)
+                            i += 1
+                        else:
+                            i = self.id_error(i)
+                        # A nested declaration takes one id, then its name.
+                        if single or form or toks[i] != ",":
+                            break
+                        i += 1
+                    if form:
+                        if toks[i][:1] == '"':
+                            i += 1
+                        else:
+                            self.expected(f"{key} name string", i)
+                elif form == "word":
+                    if (tok := toks[i]) in leaves:
+                        attrs[key] = tok
+                        i += 1
+                    else:
+                        i = self.choice_error(i, leaves, "E123", "runtime target")
+                else:
+                    if form == "cost":
+                        leaf = leaves.get(toks[i])
+                        i = i + 1 if leaf else self.choice_error(i, leaves, "E124", "cost kind")
+                    elif (leaf := toks[i]) in leaves:
+                        i += 1
+                    else:
+                        leaf, i = None, self.leaf_error(i, leaves, key)
+                    severity = None
+                    if form == "hinders":
+                        severity = DEFAULT_RISK_SEVERITY
+                        if toks[i] == "severity":
+                            i += 1
+                            if toks[i] == ":":
+                                i += 1
+                            else:
+                                self.expected("':'", i)
+                            if (tok := toks[i]) in SEVERITY_LEVELS:
+                                severity = tok
+                                i += 1
+                            else:
+                                i = self.choice_error(i, SEVERITY_LEVELS, "E122", "severity level")
+                    if (tok := toks[i])[:1] == '"':
+                        desc = tok[1:-1]
+                        i += 1
+                    else:
+                        self.expected("description string", i)
+                        desc = ""
+                    if leaf:
+                        value = (leaf, desc) if severity is None else (leaf, severity, desc)
+                        attrs.setdefault(key, []).append(value)
+                if toks[i] == ";":
+                    i += 1
+                else:
+                    self.expected("';'", i)
         self.i = i
         if ident is None:
             return
@@ -514,116 +607,20 @@ class _Parser:
             if value.__class__ is list:
                 attrs[key] = tuple(value)
         self.add_element(kind, ident, name, tuple(attrs.items()))
+        if not refs:
+            return
         element_id = toks[ident]
         # Relations are queued in entry order; nested elements follow their owner.
-        for key, entry in entries.items():
-            for ref, ref_name in refs.get(key, ()):
-                if entry.nested and not self.add_element(entry.nested, ref, ref_name, ()):
-                    continue
-                if entry.owner_is_source:
-                    self.rel_specs += (entry.relation, element_id, toks[ref], ref)
-                else:
-                    self.rel_specs += (entry.relation, toks[ref], element_id, ref)
-
-    def parse_entry(
-        self,
-        kind: ElementKind,
-        entries: dict[str, Entry],
-        attrs: dict[str, object],
-        refs: dict[str, list[tuple[int, str]]],
-        seen_single: set[str],
-    ) -> None:
-        toks = self.toks
-        i = self.i
-        key = toks[i]
-        if key in _NESTED_OWNER:
-            if key not in entries:
-                owner = _NESTED_OWNER[key]
-                self.error("E101", f"{key} declarations are only allowed inside {owner} blocks", i)
-                self.i = i + 1
-                self.sync_entry()
-                return
-            self.i = i + 1
-            ident = self.parse_id()
-            name = self.expect_string(f"{key} name string")
-            if ident is not None:
-                refs.setdefault(key, []).append((ident, name or ""))
-            self.expect(";")
-            return
-        if key[:1] in _NON_WORD:
-            self.expected("an entry or '}'", i)
-            self.sync_entry()
-            return
-        if toks[i + 1] == ":":
-            self.i = i + 2
-        else:
-            self.i = i + 1
-            self.expected("':'", i + 1)
-        entry = entries.get(key)
-        if entry is None:
-            self.error("E002", f"attr {key!r} is not allowed on {kind}", i)
-            self.sync_entry()
-            return
-        if entry.single:
-            if key in seen_single:
-                self.error("E130", f"repeated entry {key!r}", i)
-            seen_single.add(key)
-        if entry.relation is not None:
-            ids = refs.setdefault(key, [])
-            while True:
-                ident = self.parse_id()
-                if ident is not None:
-                    ids.append((ident, ""))
-                if entry.single or toks[self.i] != ",":
-                    break
-                self.i += 1
-        elif entry.form == "word":
-            word = self.choice(entry.leaves, "E123", "runtime target")
-            if word:
-                attrs[key] = word
-        else:
-            if entry.form == "cost":
-                leaf = COST_WORDS.get(self.choice(COST_WORDS, "E124", "cost kind"))
-            else:
-                leaf = self.parse_leaf(entry.leaves, key)
-            severity: tuple[str, ...] = ()
-            if entry.form == "hinders":
-                severity = (DEFAULT_RISK_SEVERITY,)
-                if toks[self.i] == "severity":
-                    self.i += 1
-                    self.expect(":")
-                    word = self.choice(SEVERITY_LEVELS, "E122", "severity level")
-                    severity = (word or DEFAULT_RISK_SEVERITY,)
-            desc = self.expect_string("description string")
-            if leaf:
-                attrs.setdefault(key, []).append((leaf, *severity, desc or ""))
-        i = self.i
-        if toks[i] == ";":
-            self.i = i + 1
-        else:
-            self.expected("';'", i)
-
-    def parse_leaf(self, expected: tuple[str, ...], what: str) -> str | None:
-        i = self.i
-        word = self.toks[i]
-        if word[:1] in _NON_WORD:
-            self.expected("a taxonomy leaf", i)
-            return None
-        self.i = i + 1
-        if word in expected:
-            return word
-        if is_leaf(word):
-            self.error(
-                "E125",
-                f"leaf {word!r} is from the wrong branch for {what} "
-                f"(expected one of: {', '.join(expected)})",
-                i,
-            )
-            return None
-        suggestion = suggest_leaf(word)
-        hint = f" (did you mean {suggestion!r}?)" if suggestion else ""
-        self.error("E120", f"unknown taxonomy leaf {word!r}{hint}", i)
-        return None
+        for key, entry in STATEMENTS[kind].entries.items():
+            for ref in refs.get(key, ()):
+                other = toks[ref]
+                if entry.nested:
+                    name = toks[ref + 1]  # the declaration's name, if it has one
+                    name = name[1:-1] if name[:1] == '"' else ""
+                    if not self.add_element(entry.nested, ref, name, ()):
+                        continue
+                ends = (element_id, other) if entry.owner_is_source else (other, element_id)
+                self.rel_specs += (entry.relation, *ends, ref)
 
     # -- phase 2 -------------------------------------------------------------
 
@@ -772,5 +769,5 @@ def format_model(model: AlignmentModel) -> str:
         out += (f"{header} {{", *body, "  }") if body else (header,)
         last = "" if body else keyword
     out[0] = f"system {_quote(model.system_name)} {{"
-    out.append("}")
-    return "\n".join(out) + "\n"
+    out += ("}", "")  # the last line ends in a line feed too
+    return "\n".join(out)

@@ -127,8 +127,8 @@ def to_open_exchange(model: AlignmentModel) -> str:
     ):
         if rows:
             out += (f"  <{tag}>", *rows, f"  </{tag}>")
-    out.append("</model>")
-    return "\n".join(out) + "\n"
+    out += ("</model>", "")  # the last line ends in a line feed too
+    return "\n".join(out)
 
 
 def _dot_escape(value: str) -> str:
@@ -171,5 +171,5 @@ def to_dot(model: AlignmentModel) -> str:
         f'[label="{kind}"{", dir=none" if kind is association else ""}];'
         for _, kind, source, target in model._relations
     ]
-    out.append("}")
-    return "\n".join(out) + "\n"
+    out += ("}", "")
+    return "\n".join(out)

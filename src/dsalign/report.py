@@ -88,7 +88,7 @@ def item_table(itemset: EvaluationItemSet, format: str = "markdown") -> str:
     ]
     if format == "csv":
         return _csv_table(_ITEM_HEADER, rows)
-    return "\n".join(_md_table(_ITEM_HEADER, rows)) + "\n"
+    return "\n".join((*_md_table(_ITEM_HEADER, rows), ""))
 
 
 def matrix(itemsets: list[EvaluationItemSet], format: str = "markdown") -> str:
@@ -117,8 +117,8 @@ def matrix(itemsets: list[EvaluationItemSet], format: str = "markdown") -> str:
         [leaf_path(leaf)] + ["; ".join(c) for c in row]
         for leaf, row in zip(m.rows, m.cells)
     ]
-    out.extend(_md_table(["category"] + m.columns, rows))
-    return "\n".join(out) + "\n"
+    out += (*_md_table(["category"] + m.columns, rows), "")
+    return "\n".join(out)
 
 
 def _check_format(format: str) -> None:

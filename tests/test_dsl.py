@@ -297,6 +297,78 @@ def test_parse_diagnostics_at_end_of_file_are_pinned(text, expected):
     ] == expected
 
 
+def _recovered(statement, *entries):
+    """One statement's block after ``data d``: the rendered diagnostics, and
+    the rows and relations the parser kept after them."""
+    body = "".join(f"\n    {entry}" for entry in entries)
+    parser = _Parser(f'system "X" {{\n  data d "D"\n  {statement} {{{body}\n  }}\n}}', "m.dsa")
+    parser.parse_file()
+    assert parser.finish() is None
+    rows = [(id, kind, attrs) for id, kind, _, _, attrs in parser.model._by_id.values()]
+    return [d.render() for d in parser.diags], rows, parser.model._relations
+
+
+_D_C_F = [("d", "DataModel", ()), ("c", "SystemComponent", ()), ("f", "ComponentFunction", ())]
+
+
+@pytest.mark.parametrize(
+    "entries,rendered,rows,relations",
+    [
+        # A known key without ':' reads on as if it were there.
+        (
+            ('function f "F";', "runs_on server;", "uses: d;"),
+            ["m.dsa:5:13: error E101: expected ':', found 'server'"],
+            [_D_C_F[0], ("c", "SystemComponent", (("runs_on", "server"),)), _D_C_F[2]],
+            [("r001", "Realization", "c", "f"), ("r002", "Access", "c", "d")],
+        ),
+        # An unknown key without ':' is reported twice and skipped past its ';'.
+        (
+            ('function f "F";', "color red;", "uses: d;"),
+            [
+                "m.dsa:5:11: error E101: expected ':', found 'red'",
+                "m.dsa:5:5: error E002: attr 'color' is not allowed on SystemComponent",
+            ],
+            _D_C_F,
+            [("r001", "Realization", "c", "f"), ("r002", "Access", "c", "d")],
+        ),
+        # A statement keyword ends the block and is read as the next statement;
+        # the component's '}' then closes the system.
+        (
+            ('function f "F";', 'data e "E"', "uses: d;"),
+            [
+                "m.dsa:5:5: error E101: expected an entry or '}'",
+                "m.dsa:6:5: error E101: expected a statement, found 'uses'",
+                "m.dsa:8:1: error E101: expected end of file, found '}'",
+            ],
+            [*_D_C_F, ("e", "DataModel", ())],
+            [("r001", "Realization", "c", "f")],
+        ),
+        # A punctuation mark where a key should be skips past the next ';'.
+        (
+            ('function f "F";', ", uses: d;", "runs_on: device;"),
+            ["m.dsa:5:5: error E101: expected an entry or '}', found ','"],
+            [_D_C_F[0], ("c", "SystemComponent", (("runs_on", "device"),)), _D_C_F[2]],
+            [("r001", "Realization", "c", "f")],
+        ),
+    ],
+)
+def test_entry_recovery_is_pinned(entries, rendered, rows, relations):
+    assert _recovered('component c "C"', *entries) == (rendered, rows, relations)
+
+
+def test_a_nested_declaration_outside_its_owner_is_skipped_past_its_semicolon():
+    entries = ('function f "F";', 'yields_user_value: functional "x";', 'function g "G" by: d;')
+    assert _recovered('user_activity a "A"', *entries) == (
+        [
+            "m.dsa:4:5: error E101: function declarations are only allowed inside component blocks",
+            "m.dsa:6:5: error E101: function declarations are only allowed inside component blocks",
+        ],
+        [("d", "DataModel", ()),
+         ("a", "UserActivity", (("yields_user_value", (("functional", "x"),)),))],
+        [],
+    )
+
+
 def test_declaration_spans_count_code_points():
     text = 'system "X" {\r\tdata a "\U0001f600"\tdata b "B"\n  # c\n\tdata c "\\"C"\n}'
     result = parse(text, "m.dsa")

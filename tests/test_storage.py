@@ -3,8 +3,8 @@
 Relations are held as exact ``(id, kind, source, target)`` tuples and
 elements as exact ``(id, kind, name, description, attrs)`` tuples whose attrs
 are ``(key, value)`` pairs; the public readers build records from them on
-each call.  A parse keeps each element's token index, sums the token offsets
-on the first lookup, and builds its ``SourceSpan`` on lookup.  These records are
+each call.  A parse keeps each element's token index but no token list, sums
+the token offsets on the first lookup, and builds its ``SourceSpan`` on lookup.  These records are
 what the cycle collector would otherwise walk on every collection, so tests
 pin how many objects a large model leaves tracked.
 """
@@ -14,6 +14,7 @@ from __future__ import annotations
 import gc
 import itertools
 import sys
+import tracemalloc
 
 import pytest
 
@@ -192,19 +193,37 @@ def test_a_parse_kept_alive_holds_no_span_objects():
 
 def test_a_parse_sums_token_offsets_only_when_a_span_is_read(monkeypatch):
     text, _ = synth.generate(800, 1)
-    sums = []
-    summed = dsl._starts
+    lexes, sums = [], []
+    lexed, summed = dsl._lex, dsl._starts
+    monkeypatch.setattr(dsl, "_lex", lambda *args: lexes.append(1) or lexed(*args))
     monkeypatch.setattr(dsl, "_starts", lambda *args: sums.append(1) or summed(*args))
     result = parse(text, "synthetic.dsa")
-    assert result.model is not None and not sums
+    assert result.model is not None and len(lexes) == 1 and not sums
+    # The parse keeps no token or trail list: only the id -> token index map.
+    assert [o for o in gc.get_referents(result.spans) if o.__class__ is list] == []
     first, *_, last = result.spans
     assert first in result.spans and "no_such_id" not in result.spans
     assert len(list(result.spans)) == 5_602
-    assert not sums
+    assert len(lexes) == 1 and not sums
+    # The first span read lexes the text again and sums the offsets once.
     assert result.spans[last].line > result.spans[first].line
-    assert len(sums) == 1
-    assert result.spans.toks is None and result.spans.trails is None  # summed, so released
-    assert len(dict(result.spans)) == 5_602 and len(sums) == 1
+    assert len(lexes) == 2 and len(sums) == 1
+    assert len(dict(result.spans)) == 5_602 and len(lexes) == 2 and len(sums) == 1
+
+
+def test_a_parse_kept_alive_holds_at_most_6_kib_per_block():
+    text, _ = synth.generate(800, 1)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = parse(text, "synthetic.dsa")
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert result.model is not None
+    assert held / 800 <= 6 * 1024, held / 800
 
 
 # Words after which the parser reads a declared id: each statement keyword
