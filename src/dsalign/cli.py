@@ -10,10 +10,14 @@ well-formed run straight from it; help, usage errors and every form it does
 not name go to the argparse parser that ``build_parser`` makes from the same
 table, so each help and usage text is argparse's own.
 
+``_load`` runs every command's stages in one order, parse and validate,
+derive, attach, and stops at the one the command needs.
+
 A run is mostly interpreter start-up and import, so it imports only what it
 uses: argparse, whose parser loads ``gettext`` and ``locale``, only for help
-and usage errors, and ``derive``, ``export`` and ``report`` only in the
-handlers that call them, and ``run`` skips interpreter teardown.
+and usage errors, ``derive`` only past validation, and ``export`` and
+``report`` only in the handlers that call them.  ``run`` skips interpreter
+teardown.
 """
 
 from __future__ import annotations
@@ -45,11 +49,12 @@ _IO_CODES = ("E190", "E191")
 
 
 class _Reporter:
-    """Prints diagnostics to stderr, resolving subjects to source spans."""
+    """Prints diagnostics to stderr, resolving subjects to source spans; counts them."""
 
-    def __init__(self) -> None:
+    def __init__(self, strict: bool = False) -> None:
         no_color = os.environ.get("DSALIGN_NO_COLOR")
         self.color = sys.stderr.isatty() and not no_color
+        self.strict = strict
         self.errors = 0
         self.warnings = 0
         self.io_failure = False
@@ -75,44 +80,47 @@ class _Reporter:
             if d.code in _IO_CODES:
                 self.io_failure = True
 
-    def exit_code(self, strict: bool) -> int:
+    def exit_code(self) -> int:
         if self.io_failure:
             return EXIT_IO
-        if self.errors or (strict and self.warnings):
+        if self.errors or (self.strict and self.warnings):
             return EXIT_DIAGNOSTICS
         return EXIT_OK
 
 
-def _load_validated(path: str, reporter: _Reporter) -> dsl.ParseResult | None:
-    """Parse and validate one file, reporting each finding at its source span.
+def _load(path: str, reporter: _Reporter, upto: str) -> AlignmentModel | EvaluationItemSet | None:
+    """Run the stages for one file up to ``upto`` and return that stage's product.
 
-    Returns None after an error-level finding.
+    The stages are "validate" (parse and validate; the model), "derive" (the
+    itemset) and "attach" (the attached model).  Each finding goes through
+    ``reporter`` at its source span.  Returns None after an error, and before
+    attach once the run has failed (a warning under ``--strict``).
     """
     result = dsl.load_file(path)
     reporter.emit(result.diagnostics, path)
-    if result.model is None:
+    model = result.model
+    if model is None:
         return None
-    diagnostics = result.model.validate()
-    reporter.emit(diagnostics, path, result.spans)
-    if any(d.severity is Severity.ERROR for d in diagnostics):
+    found = model.validate()
+    reporter.emit(found, path, result.spans)
+    if any(d.severity is Severity.ERROR for d in found):
         return None
-    return result
+    if upto == "validate":
+        return model
+    from .derive import attach, derive_all
 
-
-def _load_derived(
-    path: str, reporter: _Reporter
-) -> tuple[AlignmentModel, EvaluationItemSet] | None:
-    """Load a valid model and derive its items; None only after a reported error."""
-    from .derive import derive_all
-
-    loaded = _load_validated(path, reporter)
-    if loaded is None:
-        return None
-    itemset = derive_all(loaded.model)
+    itemset = derive_all(model)
     # The itemset's warnings open with the validation warnings reported above.
-    reported = sum(d.severity is Severity.WARNING for d in loaded.model.validate())
-    reporter.emit(itemset.warnings[reported:], path, loaded.spans)
-    return loaded.model, itemset
+    reporter.emit(itemset.warnings[len(found):], path, result.spans)
+    if upto == "derive":
+        return itemset
+    if reporter.exit_code() != EXIT_OK:
+        return None
+    try:
+        return attach(model, itemset)
+    except ModelError as err:  # a model element holds an id that attach derives
+        reporter.emit([Diagnostic(err.code, Severity.ERROR, err.message)], path)
+        return None
 
 
 def _print_error(line: str) -> None:
@@ -137,21 +145,20 @@ def _write_artifact(text: str, out: str | None) -> int:
 
 
 def _cmd_check(args: SimpleNamespace) -> int:
-    reporter = _Reporter()
+    reporter = _Reporter(args.strict)
     for path in args.inputs:
-        _load_validated(path, reporter)
-    return reporter.exit_code(args.strict)
+        _load(path, reporter, "validate")
+    return reporter.exit_code()
 
 
 def _cmd_derive(args: SimpleNamespace) -> int:
     from .derive import serialize_itemset, summary_line
 
-    reporter = _Reporter()
-    loaded = _load_derived(args.input, reporter)
-    code = reporter.exit_code(args.strict)
+    reporter = _Reporter(args.strict)
+    itemset = _load(args.input, reporter, "derive")
+    code = reporter.exit_code()
     if code != EXIT_OK:
         return code
-    _, itemset = loaded
     if args.items:
         code = _write_artifact(serialize_itemset(itemset), args.items)
         if code != EXIT_OK:
@@ -164,24 +171,12 @@ def _cmd_derive(args: SimpleNamespace) -> int:
 def _cmd_export(args: SimpleNamespace) -> int:
     from . import export
 
-    reporter = _Reporter()
+    reporter = _Reporter(args.strict)
     # ``--no-derived`` exports the model as parsed, so it derives nothing.
-    loaded = (_load_validated if args.no_derived else _load_derived)(args.input, reporter)
-    code = reporter.exit_code(args.strict)
+    target = _load(args.input, reporter, "validate" if args.no_derived else "attach")
+    code = reporter.exit_code()
     if code != EXIT_OK:
         return code
-    if args.no_derived:
-        target = loaded.model
-        target.freeze()
-    else:
-        from .derive import attach
-
-        model, itemset = loaded
-        try:
-            target = attach(model, itemset)
-        except ModelError as err:  # a model element holds an id that attach derives
-            reporter.emit([Diagnostic(err.code, Severity.ERROR, err.message)], args.input)
-            return reporter.exit_code(args.strict)
     exporter = {"open_exchange": export.to_open_exchange, "dot": export.to_dot}[args.format]
     return _write_artifact(exporter(target), args.out)
 
@@ -189,14 +184,10 @@ def _cmd_export(args: SimpleNamespace) -> int:
 def _cmd_report(args: SimpleNamespace) -> int:
     from .report import item_table, matrix
 
-    reporter = _Reporter()
-    itemsets = []
-    for path in args.inputs:
-        loaded = _load_derived(path, reporter)
-        if loaded is not None:
-            itemsets.append(loaded[1])
-    code = reporter.exit_code(args.strict)
-    if code != EXIT_OK or len(itemsets) != len(args.inputs):
+    reporter = _Reporter(args.strict)
+    itemsets = [_load(path, reporter, "derive") for path in args.inputs]
+    code = reporter.exit_code()
+    if code != EXIT_OK or None in itemsets:
         return max(code, EXIT_DIAGNOSTICS)
     if args.matrix:
         try:
@@ -220,10 +211,10 @@ def _cmd_fmt(args: SimpleNamespace) -> int:
     dirty: list[str] = []
     texts: list[str] = []
     for path in args.inputs:
-        loaded = _load_validated(path, reporter)
-        if loaded is None:
+        model = _load(path, reporter, "validate")
+        if model is None:
             continue
-        canonical = dsl.format_model(loaded.model)
+        canonical = dsl.format_model(model)
         if args.check:
             try:
                 with open(path, "r", encoding="utf-8", newline="") as handle:
@@ -241,7 +232,7 @@ def _cmd_fmt(args: SimpleNamespace) -> int:
             texts.append(canonical)
     if _write_artifact("".join(texts), None) != EXIT_OK:
         return EXIT_IO
-    code = reporter.exit_code(strict=False)
+    code = reporter.exit_code()
     if code != EXIT_OK:
         return code
     for path in dirty:

@@ -526,10 +526,6 @@ class AlignmentModel:
     def freeze(self) -> None:
         self._frozen = True
 
-    @property
-    def frozen(self) -> bool:
-        return self._frozen
-
     def _check_mutable(self) -> None:
         if self._frozen:
             raise ModelError("E006", "model is frozen")
@@ -548,14 +544,6 @@ class AlignmentModel:
 
     def __contains__(self, id: str) -> bool:
         return id in self._by_id
-
-    def element(self, id: str) -> Element:
-        if id not in self._by_id:
-            raise ModelError("E003", f"unknown element id {id!r}")
-        return _element(self._by_id[id])
-
-    def elements_of_kind(self, kind: ElementKind) -> list[Element]:
-        return [_element(row) for row in self._by_id.values() if row[1] == kind]
 
     def copy(self) -> AlignmentModel:
         """Unfrozen copy that shares the (immutable) element and relation rows."""

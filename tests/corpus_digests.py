@@ -10,15 +10,26 @@ synthetic models; one more line pins a digest of the input texts
 themselves, so that a changed generator reads as a changed corpus and not
 as changed output.
 
-A change that alters an output on purpose regenerates the file:
+``fixtures/golden/cli.sha256`` pins what the CLI itself prints: for each of
+the five fixtures and the first mutants of the same pool, a prefix of the
+digest of the exit code, stdout and stderr of each run in ``CLI_FORMS``,
+made in-process through ``cli.main`` on the input written to a file.  It
+covers what the library pass does not: the order of stderr lines, the
+warnings each command reports and where ``--strict`` stops a command.
+
+A change that alters an output on purpose regenerates both files:
 
     PYTHONPATH=src python tests/corpus_digests.py
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -28,6 +39,16 @@ FIXTURE_NAMES = ["conv_recommender", "faq_chatbot", "job_interview", "speech_ass
 MUTANTS, MUTANT_SEED = 4000, 1
 SYNTH_BLOCKS, SYNTH_SEED = (1, 20, 100), 1
 PREFIX = 16  # hex digits kept of each output digest
+CLI_DIGESTS = FIXTURES / "golden" / "cli.sha256"
+CLI_MUTANTS = 600  # the first mutants of the seed-1 pool
+CLI_FORMS = (  # each run is ``dsalign <command> <input> <options>``
+    ("check", "--strict"),
+    ("derive", "--items", "-"),
+    ("export", "--format", "dot", "--strict"),
+    ("export", "--format", "open_exchange", "--no-derived"),
+    ("report",),
+    ("fmt",),
+)
 
 sys.path.insert(0, str(REPO / "perfbench"))
 import mutants  # noqa: E402
@@ -36,6 +57,11 @@ import synth  # noqa: E402
 
 HEADER = (
     "# dsalign output digests: <sha256 prefix> <input>; the inputs line hashes the inputs.\n"
+    "# Regenerate with: PYTHONPATH=src python tests/corpus_digests.py\n"
+)
+CLI_HEADER = (
+    "# dsalign CLI run digests: <sha256 prefix> <input>; the inputs line hashes the inputs"
+    " and the command forms.\n"
     "# Regenerate with: PYTHONPATH=src python tests/corpus_digests.py\n"
 )
 
@@ -94,6 +120,56 @@ def render(corpus: list[tuple[str, str]]) -> str:
     return HEADER + "".join(lines)
 
 
+def cli_inputs() -> list[tuple[str, str]]:
+    """(file name, text) of every CLI input: the fixtures, then the first mutants."""
+    bases = {n: (FIXTURES / f"{n}.dsa").read_text(encoding="utf-8") for n in FIXTURE_NAMES}
+    return [(f"{n}.dsa", text) for n, text in bases.items()] + mutants.generate(
+        bases, CLI_MUTANTS, MUTANT_SEED
+    )
+
+
+def cli_forms_digest(corpus: list[tuple[str, str]]) -> str:
+    """Digest of the CLI inputs and of the command forms run on each."""
+    h = hashlib.sha256(inputs_digest(corpus).encode())
+    h.update(repr(CLI_FORMS).encode())
+    return h.hexdigest()
+
+
+def cli_digests(corpus: list[tuple[str, str]]) -> dict[str, str]:
+    """Input name -> prefix of the digest of every ``CLI_FORMS`` run on it.
+
+    Each input is written to a file of its own name in a fresh directory,
+    which is the working directory while the runs are made, so a diagnostic
+    shows the name as the user gave it.
+    """
+    from dsalign import cli
+
+    out = {}
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for name, text in corpus:
+                Path(name).write_bytes(text.encode("utf-8"))
+                h = hashlib.sha256()
+                for command, *options in CLI_FORMS:
+                    stdout, stderr = io.StringIO(), io.StringIO()
+                    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                        code = cli.main([command, name, *options])
+                    run = (command, *options, code, stdout.getvalue(), stderr.getvalue())
+                    h.update("\0".join(map(str, run)).encode("utf-8", "surrogatepass") + b"\0")
+                out[name] = h.hexdigest()[:PREFIX]
+        finally:
+            os.chdir(cwd)
+    return out
+
+
+def render_cli(corpus: list[tuple[str, str]]) -> str:
+    lines = [f"inputs {cli_forms_digest(corpus)}\n"]
+    lines += [f"{digest} {name}\n" for name, digest in cli_digests(corpus).items()]
+    return CLI_HEADER + "".join(lines)
+
+
 def read(path: Path = DIGESTS) -> tuple[str, dict[str, str]]:
     """The pinned inputs digest and the pinned digest of each input."""
     pinned: dict[str, str] = {}
@@ -111,4 +187,5 @@ def read(path: Path = DIGESTS) -> tuple[str, dict[str, str]]:
 
 if __name__ == "__main__":
     DIGESTS.write_text(render(inputs()), encoding="utf-8", newline="\n")
-    print(f"wrote {DIGESTS.relative_to(REPO)}")
+    CLI_DIGESTS.write_text(render_cli(cli_inputs()), encoding="utf-8", newline="\n")
+    print(f"wrote {DIGESTS.relative_to(REPO)} and {CLI_DIGESTS.relative_to(REPO)}")

@@ -60,7 +60,7 @@ def test_acceptance_faq_golden_derivation(fixture_models):
     for item in items:
         by_cat.setdefault(item.category, []).append(item)
 
-    for comp in model.elements_of_kind(ElementKind.SYSTEM_COMPONENT):
+    for comp in [e for e in model.elements if e.kind is ElementKind.SYSTEM_COMPONENT]:
         descs = [i.description for i in by_cat["human_resources"] if i.sources == (comp.id,)]
         assert f"develop and test {comp.name}" in descs
         assert f"operate and maintain {comp.name}" in descs

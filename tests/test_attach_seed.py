@@ -104,7 +104,7 @@ def _item(rule, n, category, sources, description="x", severity=None):
 
 def test_seed_reports_the_findings_of_added_records(fixture_models):
     model = fixture_models["faq_chatbot"]
-    event = model.elements_of_kind(K.OBSERVED_EVENT)[0].id
+    event = next(e.id for e in model.elements if e.kind is K.OBSERVED_EVENT)
     items = [
         # A user value sourced at a component, in the wrong branch.
         _item(Rule.R4_USER, 1, "revenue_increase", ["web_server"]),

@@ -173,31 +173,40 @@ def test_export_unknown_format_is_usage_error():
 
 
 @pytest.mark.parametrize(
-    "data_id, event, message",
+    "data_id, more, strict, finding",
     [
-        ("item_r1_cost_1", "", "item 'item_r1_cost_1' is already materialized"),
+        ("item_r1_cost_1", "", False, ": error E201: item 'item_r1_cost_1' is already materialized"),
         (
             "principle_privacy",
             '  event e "E" {\n    about: principle_privacy;\n'
             '    hinders: privacy severity: low "leaks";\n  }\n',
-            "derived id 'principle_privacy' is already used by a DataModel element",
+            False,
+            ": error E201: derived id 'principle_privacy' is already used by a DataModel element",
+        ),
+        # With --strict a warning stops export before attach, so the clash
+        # that attach would report never shows.
+        (
+            "item_r1_cost_1",
+            '  data unused "Unused"\n',
+            True,
+            ":7:8: warning W104: data model 'unused' is not accessed by any component",
         ),
     ],
-    ids=["item_id", "principle_id"],
+    ids=["item_id", "principle_id", "strict_warning_first"],
 )
-def test_export_reports_a_derived_id_collision(tmp_path, data_id, event, message):
+def test_export_reports_a_derived_id_collision(tmp_path, data_id, more, strict, finding):
     # A valid model whose data element takes an id that attach would create.
     src = tmp_path / "collide.dsa"
     src.write_text(
         'system "Collide" {\n  component c "C" {\n    function f "F";\n'
-        f'    uses: {data_id};\n  }}\n  data {data_id} "X"\n{event}}}\n'
+        f'    uses: {data_id};\n  }}\n  data {data_id} "X"\n{more}}}\n'
     )
     check = run_cli("check", str(src))
-    assert (check.returncode, check.stderr) == (0, "")
-    proc = run_cli("export", str(src), "--format", "dot")
+    assert (check.returncode, check.stderr) == (0, f"{src}{finding}\n" if strict else "")
+    proc = run_cli("export", str(src), "--format", "dot", *(["--strict"] if strict else []))
     assert proc.returncode == 1
     assert proc.stdout == ""
-    assert proc.stderr == f"{src}: error E201: {message}\n"
+    assert proc.stderr == f"{src}{finding}\n"
 
 
 def test_clashing_open_exchange_identifiers_are_errors(tmp_path):

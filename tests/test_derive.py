@@ -40,8 +40,8 @@ def item_key(item):
 
 def expected_cost_count(model) -> int:
     # Independent recount straight from the model contents, rule by rule.
-    components = model.elements_of_kind(K.SYSTEM_COMPONENT)
-    events = model.elements_of_kind(K.OBSERVED_EVENT)
+    components = [e for e in model.elements if e.kind is K.SYSTEM_COMPONENT]
+    events = [e for e in model.elements if e.kind is K.OBSERVED_EVENT]
     per_component = 2 * len(components)
     fees = sum(1 for c in components if c.attrs.get("runs_on") in ("server", "external_api"))
     notes = sum(len(e.attrs.get("implies_cost", [])) for e in events)
@@ -105,7 +105,7 @@ def test_cost_counts_match_recount(name, fixture_models):
 
 def test_development_and_operation_items_per_component(faq_model):
     human = [i for i in derive_rule(faq_model, Rule.R1_COST) if i.category == "human_resources"]
-    for comp in faq_model.elements_of_kind(K.SYSTEM_COMPONENT):
+    for comp in [e for e in faq_model.elements if e.kind is K.SYSTEM_COMPONENT]:
         descs = [i.description for i in human if i.sources == (comp.id,)]
         assert descs == [
             f"develop and test {comp.name}",
@@ -313,10 +313,11 @@ def test_provenance_and_rule_partition(name, fixture_models):
         Rule.R4_USER: "value/user",
         Rule.R5_QUALITY: "value/quality",
     }
+    kinds = {e.id: e.kind for e in model.elements}
     for item in derive_all(model).items:
         assert item.sources
         for source in item.sources:
-            assert model.element(source).kind in source_kinds[item.rule]
+            assert kinds[source] in source_kinds[item.rule]
         assert item.category_path.startswith(branches[item.rule] + "/")
 
 
@@ -326,7 +327,7 @@ def test_every_event_contributes_or_warns(name, fixture_models):
     itemset = derive_all(model)
     sourced = {s for item in itemset.items for s in item.sources}
     warned = {d.subject for d in itemset.warnings if d.code == "W101"}
-    for event in model.elements_of_kind(K.OBSERVED_EVENT):
+    for event in [e for e in model.elements if e.kind is K.OBSERVED_EVENT]:
         assert event.id in sourced or event.id in warned
 
 
@@ -360,7 +361,9 @@ def test_attach_faq_counts(faq_model):
     ]
     added_edges = len(attached.relations) - len(faq_model.relations)
     assert added_edges >= 15
-    assert attached.frozen
+    with pytest.raises(ModelError) as err:
+        attached.add_element(K.DATA_MODEL, "extra", "Extra")
+    assert err.value.code == "E006"
 
 
 def test_attach_kind_per_rule(faq_model):
@@ -373,8 +376,9 @@ def test_attach_kind_per_rule(faq_model):
         Rule.R4_USER: K.USER_VALUE,
         Rule.R5_QUALITY: K.QUALITY_VALUE,
     }
+    elements = {e.id: e for e in attached.elements}
     for item in itemset.items:
-        element = attached.element(item.id)
+        element = elements[item.id]
         assert element.kind is expected[item.rule]
         assert element.attrs["category"] == item.category
 
@@ -393,11 +397,11 @@ def test_attach_links_every_item_to_its_sources(faq_model):
 
 def test_attach_records_influence_lift(faq_model):
     attached = attach(faq_model, derive_all(faq_model))
+    kinds = {e.id: e.kind for e in attached.elements}
     lifts = [
         r
         for r in attached.relations
-        if r.kind is RelationKind.INFLUENCE
-        and attached.element(r.source).kind is K.USER_VALUE
+        if r.kind is RelationKind.INFLUENCE and kinds[r.source] is K.USER_VALUE
     ]
     assert [(r.source, r.target) for r in lifts] == [("item_r4_user_1", "item_r3_business_1")]
 
@@ -415,7 +419,10 @@ def test_attach_empty_itemset_is_identity(faq_model):
     attached = attach(faq_model, empty)
     assert len(attached.elements) == len(faq_model.elements)
     assert len(attached.relations) == len(faq_model.relations)
-    assert attached.frozen and not faq_model.frozen
+    with pytest.raises(ModelError) as err:
+        attached.add_element(K.DATA_MODEL, "extra", "Extra")
+    assert err.value.code == "E006"
+    faq_model.add_element(K.DATA_MODEL, "extra", "Extra")  # the input stays unfrozen
 
 
 def test_attach_twice_rejected(faq_model):
@@ -454,7 +461,7 @@ def test_attach_unknown_source_rejected(faq_model):
 
 
 def test_attach_refuses_an_invalid_item_id(faq_model):
-    source = faq_model.elements_of_kind(K.SYSTEM_COMPONENT)[0].id
+    source = next(e.id for e in faq_model.elements if e.kind is K.SYSTEM_COMPONENT)
     for bad, shown in (("Item-1", "'Item-1'"), (5, "5")):
         item = EvaluationItem(bad, "it_resources", "fees", [source], Rule.R1_COST)
         with pytest.raises(ModelError) as err:
@@ -464,7 +471,7 @@ def test_attach_refuses_an_invalid_item_id(faq_model):
 
 
 def test_attach_refuses_a_risk_item_outside_the_risk_branch(faq_model):
-    event = faq_model.elements_of_kind(K.OBSERVED_EVENT)[0].id
+    event = next(e.id for e in faq_model.elements if e.kind is K.OBSERVED_EVENT)
     item = EvaluationItem("item_r2_risk_1", "functional", "x", [event], Rule.R2_RISK, "low")
     with pytest.raises(ModelError) as err:
         attach(faq_model, EvaluationItemSet(system_name=faq_model.system_name, items=[item]))

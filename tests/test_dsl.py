@@ -56,11 +56,11 @@ MINIMAL = """system "Tiny" {
 def test_parse_faq_fixture_counts():
     result = load_file(FIXTURES / "faq_chatbot.dsa")
     assert result.model is not None
-    m = result.model
-    assert len(m.elements_of_kind(ElementKind.SYSTEM_COMPONENT)) == 3
-    assert len(m.elements_of_kind(ElementKind.DATA_MODEL)) == 4
-    assert len(m.elements_of_kind(ElementKind.DIALOGUE_SERVICE)) == 1
-    assert len(m.elements_of_kind(ElementKind.OPERATOR_ACTIVITY)) == 2
+    kinds = [e.kind for e in result.model.elements]
+    assert kinds.count(ElementKind.SYSTEM_COMPONENT) == 3
+    assert kinds.count(ElementKind.DATA_MODEL) == 4
+    assert kinds.count(ElementKind.DIALOGUE_SERVICE) == 1
+    assert kinds.count(ElementKind.OPERATOR_ACTIVITY) == 2
 
 
 def test_parse_empty_input():
@@ -215,7 +215,8 @@ def test_hinders_severity_defaults_to_medium():
     )
     result = parse(text)
     assert result.model is not None
-    assert result.model.element("e").attrs["hinders"] == (("privacy", "medium", "leaks"),)
+    event = next(e for e in result.model.elements if e.id == "e")
+    assert event.attrs["hinders"] == (("privacy", "medium", "leaks"),)
 
 
 def test_error_locality_spans():

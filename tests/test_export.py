@@ -126,7 +126,7 @@ def test_equal_values_of_other_types_never_reach_a_properties_block(
     rule, category, attr, faq_model
 ):
     # 1 == True, so a block keyed on them could be shared; validate refuses both.
-    event = faq_model.elements_of_kind(ElementKind.OBSERVED_EVENT)[0].id
+    event = next(e.id for e in faq_model.elements if e.kind is ElementKind.OBSERVED_EVENT)
     items = [
         EvaluationItem(f"item_{rule.lower()}_{n}", category, "x", [event], rule, "high")
         for n in (1, 2)
@@ -194,7 +194,7 @@ def test_model_text_that_is_not_a_string_never_reaches_a_writer(name, descriptio
 
 
 def test_a_derived_item_whose_description_is_not_a_string_is_not_exported(faq_model):
-    source = faq_model.elements_of_kind(ElementKind.SYSTEM_COMPONENT)[0].id
+    source = next(e.id for e in faq_model.elements if e.kind is ElementKind.SYSTEM_COMPONENT)
     item = EvaluationItem("item_r1_cost_9", "it_resources", 7, [source], Rule.R1_COST)
     attached = attach(faq_model, EvaluationItemSet(faq_model.system_name, [item]))
     assert [d.message for d in attached.validate() if d.code == "E015"] == [

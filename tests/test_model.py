@@ -60,7 +60,8 @@ def test_model_other_name():
 def test_add_element_basic():
     m = AlignmentModel("x")
     m.add_element(K.SYSTEM_COMPONENT, "faq_search", "FAQ search module")
-    assert m.element("faq_search").kind is K.SYSTEM_COMPONENT
+    [element] = m.elements
+    assert element.id == "faq_search" and element.kind is K.SYSTEM_COMPONENT
 
 
 def test_add_element_duplicate_id():
@@ -79,7 +80,7 @@ def test_add_element_event_with_hinders_attr():
         "personal information in utterances",
         attrs={"hinders": [("privacy", "medium", "may leak")]},
     )
-    assert m.element("pii").attrs["hinders"][0][0] == "privacy"
+    assert m.elements[0].attrs["hinders"][0][0] == "privacy"
 
 
 def test_add_element_keeps_its_own_attr_entries():
@@ -90,7 +91,7 @@ def test_add_element_keeps_its_own_attr_entries():
     found = m.validate()
     entries.append(("bogus_leaf", "extreme", "x"))
     entries[0][0] = "bogus_leaf"
-    assert m.element("pii").attrs["hinders"] == (("privacy", "medium", "may leak"),)
+    assert m.elements[0].attrs["hinders"] == (("privacy", "medium", "may leak"),)
     assert m.validate() == found == m.copy().validate()
 
 
@@ -137,7 +138,7 @@ def test_a_kind_built_at_run_time_is_stored_as_its_constant():
     assert user == K.USER and user is not K.USER
     m = AlignmentModel("x")
     m.add_element(user, "u", "Alice")
-    assert m.element("u").kind is K.USER
+    assert m.elements[0].kind is K.USER
     assert '"u" [label="User\\nAlice"];' in to_dot(m)
     with pytest.raises(ModelError) as err:
         m.add_element("".join(["Us", "er"]), "u2", "Second user")
@@ -146,7 +147,7 @@ def test_a_kind_built_at_run_time_is_stored_as_its_constant():
     m.add_element(K.DATA_MODEL, "d", "D")
     m.add_relation(access, "c", "d")
     assert m.relations[0].kind is R.ACCESS
-    assert m.elements_of_kind(user) == [m.element("u")]
+    assert [e.id for e in m.elements if e.kind == user] == ["u"]
 
 
 def test_frozen_model_rejects_mutation():
@@ -234,9 +235,9 @@ def test_permitted_connections_exhaustive():
 
 
 def test_relation_closure_over_fixture(faq_model):
+    kinds = {e.id: e.kind for e in faq_model.elements}
     for rel in faq_model.relations:
-        skind = faq_model.element(rel.source).kind
-        tkind = faq_model.element(rel.target).kind
+        skind, tkind = kinds[rel.source], kinds[rel.target]
         if rel.kind is not R.ASSOCIATION:
             assert (rel.kind, skind, tkind) in EXPECTED_DIRECTED
 
@@ -505,16 +506,16 @@ def test_taxonomy_arity():
 
 
 def test_elements_of_kind_order(faq_model):
-    ids = [e.id for e in faq_model.elements_of_kind(K.SYSTEM_COMPONENT)]
+    ids = [e.id for e in faq_model.elements if e.kind is K.SYSTEM_COMPONENT]
     assert ids == ["web_server", "dialogue_manager", "faq_search"]
 
 
 def test_elements_of_kind_empty_model():
-    assert AlignmentModel("x").elements_of_kind(K.DATA_MODEL) == []
+    assert [e for e in AlignmentModel("x").elements if e.kind is K.DATA_MODEL] == []
 
 
 def test_elements_of_kind_data_models(faq_model):
-    ids = [e.id for e in faq_model.elements_of_kind(K.DATA_MODEL)]
+    ids = [e.id for e in faq_model.elements if e.kind is K.DATA_MODEL]
     assert ids == [
         "request_utterances",
         "system_responses",
@@ -524,8 +525,8 @@ def test_elements_of_kind_data_models(faq_model):
 
 
 def test_queries_are_deterministic(faq_model):
-    first = [e.id for e in faq_model.elements_of_kind(K.DATA_MODEL)]
-    second = [e.id for e in faq_model.elements_of_kind(K.DATA_MODEL)]
+    first = [e.id for e in faq_model.elements if e.kind is K.DATA_MODEL]
+    second = [e.id for e in faq_model.elements if e.kind is K.DATA_MODEL]
     assert first == second
 
 

@@ -122,7 +122,7 @@ def models(draw):
     elements = m.elements
     # Most events are about a part of the system (V2 refuses the rest).
     anchors = [e.id for e in elements if e.kind in EVENT_ANCHORS]
-    for event in m.elements_of_kind(ElementKind.OBSERVED_EVENT):
+    for event in [e for e in elements if e.kind is ElementKind.OBSERVED_EVENT]:
         if anchors and not draw(RARELY):
             m.add_relation(RelationKind.ASSOCIATION, event.id, draw(st.sampled_from(anchors)))
     candidates = [
@@ -176,7 +176,7 @@ def _braces_balance(dot: str) -> bool:
 def _assert_items_follow_the_rules(m, itemset, attached):
     """R2-R5 give one item per attr entry; every item attaches as its rule says."""
     for rule, (kind, attr) in ENTRY_SOURCES.items():
-        entries = [(e, entry) for e in m.elements_of_kind(kind) for entry in e.attrs.get(attr, ())]
+        entries = [(e, x) for e in m.elements if e.kind is kind for x in e.attrs.get(attr, ())]
         expected = [
             (
                 f"item_{rule.lower()}_{n}",
@@ -190,9 +190,10 @@ def _assert_items_follow_the_rules(m, itemset, attached):
         got = [(i.id, i.category, i.description, i.sources, i.severity) for i in itemset.by_rule(rule)]
         assert got == expected
     edges = Counter((r.source, r.target, r.kind) for r in attached.relations)
+    kinds = {e.id: e.kind for e in attached.elements}
     for item in itemset.items:
         item_kind, edge = ITEM_SHAPES[item.rule]
-        assert attached.element(item.id).kind is item_kind
+        assert kinds[item.id] is item_kind
         assert edges[(item.sources[0], item.id, edge)] == 1
 
 

@@ -89,27 +89,28 @@ def test_element_reads_are_new_records_that_edits_leave_the_model_unchanged(
     model = attached_models[name]
     rows = dict(model._by_id)
     found = model.validate()
+    unedited = model.elements
     for first, second in zip(model.elements, model.elements):
         assert first == second and first is not second
         assert first.attrs == second.attrs and first.attrs is not second.attrs
-        assert model.element(first.id) == first
         with pytest.raises(TypeError):
             first.attrs["category"] = "privacy"
         first.kind, first.name, first.description = K.DATA_MODEL, "edited", "edited"
         first.attrs = {"runs_on": "nowhere"}
-        assert model.element(second.id) == second
+    assert model.elements == unedited
     assert model._by_id == rows
     assert model.validate() == found == model.copy().validate()
 
 
 def test_only_alike_values_share_a_view(faq_model):
-    event = faq_model.elements_of_kind(K.OBSERVED_EVENT)[0].id
+    event = next(e.id for e in faq_model.elements if e.kind is K.OBSERVED_EVENT)
     items = [
         EvaluationItem(f"item_r1_cost_{n}", category, "x", [event], Rule.R1_COST)
         for n, category in enumerate(["it_resources", "it_resources", 1, True, ["a"]], 1)
     ]
     attached = attach(faq_model, EvaluationItemSet(faq_model.system_name, items))
-    _, _, one, true, listed = (attached.element(item.id).attrs for item in items)
+    by_id = {e.id: e for e in attached.elements}
+    _, _, one, true, listed = (by_id[item.id].attrs for item in items)
     assert one["category"] == 1 and one["category"] is not True
     assert true["category"] is True and listed["category"] == ["a"]
 
