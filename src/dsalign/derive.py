@@ -187,10 +187,9 @@ def attach(model: AlignmentModel, itemset: EvaluationItemSet) -> AlignmentModel:
     leaf referenced, then provenance edges: influence from each source to its
     cost/risk item, association between each activity and its value item,
     influence from events to the principles they hinder, and the declared
-    user-value to business-value influences.  The new model's findings are
-    seeded from ``model``'s, so only the added records are checked.  An id
-    it would add that repeats the system name's Open Exchange identifier
-    raises E014.
+    user-value to business-value influences.  The new model's rule pass
+    extends ``model``'s with the added records only.  An id it would add
+    that repeats the system name's Open Exchange identifier raises E014.
     """
     if itemset.system_name != model.system_name:
         raise ModelError(
@@ -243,11 +242,6 @@ def attach(model: AlignmentModel, itemset: EvaluationItemSet) -> AlignmentModel:
             attrs = tuple(zip(("category", "severity"), values))
         add_element(RULE_TABLE[item.rule][0], item.id, item.description, None, attrs)
 
-    for category in dict.fromkeys(item.category for item in risk_items):
-        pid = f"principle_{category}"
-        if pid not in out:
-            add_element(ElementKind.PRINCIPLE, pid, PRINCIPLE_NAMES[category], None, ())
-
     for item in itemset.items:
         edge = RULE_TABLE[item.rule][1]
         for source in item.sources:
@@ -257,6 +251,8 @@ def attach(model: AlignmentModel, itemset: EvaluationItemSet) -> AlignmentModel:
     hindered: set[tuple[str, str]] = set()
     for item in risk_items:
         principle = f"principle_{item.category}"
+        if principle not in out:
+            add_element(ElementKind.PRINCIPLE, principle, PRINCIPLE_NAMES[item.category], None, ())
         for source in item.sources:
             if (source, principle) not in hindered:
                 add_relation(influence, source, principle)
@@ -280,7 +276,7 @@ def attach(model: AlignmentModel, itemset: EvaluationItemSet) -> AlignmentModel:
             for business_id in business_by_activity.get(target, []):
                 add_relation(influence, item.id, business_id)
 
-    out._seed_findings(model)
+    out._diagnostics = out._rule_pass(model)
     out.freeze()
     return out
 

@@ -186,12 +186,6 @@ ASSOCIATION_CORE: frozenset[frozenset[ElementKind]] = frozenset(
     }
 )
 
-# Every directed (source kind, relation kind, target kind) triple
-# ``add_relation`` accepts; it accepts Association between any two kinds.
-_PERMITTED_TRIPLES = frozenset(
-    (s, kind, t) for kind, pairs in PERMITTED_RELATIONS.items() for s, t in pairs
-)
-
 # ---------------------------------------------------------------------------
 # The ``.dsa`` statement table: each surface kind's statement keyword and its
 # entries in canonical order.  The lexer, the parser, the printer and V7 all
@@ -439,9 +433,9 @@ class AlignmentModel:
     order for formatting, derivation, and export.  Models are mutable while
     being built and should be frozen before they are shared.  Only
     ``add_element`` and ``add_relation`` change a model, so ``validate``
-    runs its rules once per model state.  ``attach`` seeds its model's
-    findings from those of the model it extends, so a pipeline checks each
-    element once.
+    runs its rules once per model state.  ``attach`` extends the rule pass
+    of the model it copies with the records it adds, so a pipeline checks
+    each element once.
     """
 
     def __init__(self, system_name: str):
@@ -458,7 +452,7 @@ class AlignmentModel:
         self._by_id: dict[str, tuple] = {}
         self._relations: list[tuple[str, str, str, str]] = []
         self._frozen = False
-        self._diagnostics: list[Diagnostic] | None = None  # last rule pass
+        self._diagnostics: tuple[list, list] | None = None  # last rule pass
 
     @property
     def system_name(self) -> str:
@@ -513,7 +507,7 @@ class AlignmentModel:
             raise ModelError("E003", f"unknown element id {err.args[0]!r}") from None
         if (
             kind is not RelationKind.ASSOCIATION
-            and (source_kind, kind, target_kind) not in _PERMITTED_TRIPLES
+            and (source_kind, target_kind) not in PERMITTED_RELATIONS[kind]
         ):
             raise ModelError(
                 "E004", f"{kind} from {source_kind} to {target_kind} is not permitted"
@@ -561,55 +555,55 @@ class AlignmentModel:
         error-level findings make it unsuitable for derivation and export.
         The rules run once per model state; every call returns a new list.
         """
-        if self._diagnostics is not None:
-            return list(self._diagnostics)
-        out: list[Diagnostic] = []
-        _check_text(self._system_name, "the system name", None, out)
-        slug = slugify(self._system_name)
-        if _is_relation_id(slug):
-            name = self._system_name
-            message = f"system name {name!r} gives id {slug!r}, which has the form {_OF_RELATION}"
-            out.append(_error("E014", message, None))
+        if self._diagnostics is None:
+            self._diagnostics = self._rule_pass()
+        found, unusual = self._diagnostics
+        return found + unusual
+
+    def _rule_pass(self, base: AlignmentModel | None = None) -> tuple[list, list]:
+        """The findings in report order, as two lists: V9 and V10 on the system
+        name and each element's findings, then V8's W105 per association.
+
+        Given ``base``, a model this one copied and then only added records
+        to, it extends ``base``'s lists with the findings of the added
+        records.  That equals a full pass only if no added relation gives an
+        element its V1-V6 link: each needs an end of a kind that no
+        ``_LINKS`` row names, as the records ``attach`` adds have.
+        """
         by_id = self._by_id
+        slug = slugify(self._system_name)
+        if base is None:
+            found: list[Diagnostic] = []
+            unusual: list[Diagnostic] = []
+            _check_text(self._system_name, "the system name", None, found)
+            if _is_relation_id(slug):
+                name = self._system_name
+                message = f"system name {name!r} gives id {slug!r}, which has the form "
+                found.append(_error("E014", message + _OF_RELATION, None))
+            rows, relations, links = by_id.values(), self._relations, _LINKS
+        else:
+            base.validate()  # sets ``base._diagnostics`` if nothing has validated it
+            found, unusual = map(list, base._diagnostics)
+            rows = list(by_id.values())[len(base._by_id):]
+            relations = self._relations[len(base._relations):]
+            links = {}  # no added relation gives an element its link
         association = RelationKind.ASSOCIATION
         linked: set[str] = set()  # ids of elements that have their V1-V6 link
-        unusual: list[Diagnostic] = []
-        for rid, kind, source, target in self._relations:
+        for rid, kind, source, target in relations:
             skind = by_id[source][1]
             tkind = by_id[target][1]
-            if (kind, tkind) in _LINKS.get(skind, ()):
+            if (kind, tkind) in links.get(skind, ()):
                 linked.add(source)
-            if (kind, skind) in _LINKS.get(tkind, ()):
+            if (kind, skind) in links.get(tkind, ()):
                 linked.add(target)
-            if kind is association:
-                _check_association(rid, skind, tkind, unusual)
-        for row in by_id.values():
-            _check_element(row, row[0] in linked, slug, out)
-        out.extend(unusual)
-        self._diagnostics = out
-        return list(out)
-
-    def _seed_findings(self, parent: AlignmentModel) -> None:
-        """Set the memo of a copy of ``parent`` that has only gained records.
-
-        This equals a full pass only if no added relation gives an element
-        its V1-V6 link: each needs an end of a kind that no ``_LINKS`` row
-        names, as the records ``attach`` adds have.
-        """
-        found = parent._diagnostics  # set unless nothing has validated ``parent``
-        if found is None:
-            found = parent.validate()
-        by_id = self._by_id
-        out = [d for d in found if d.code != "W105"]
-        slug = slugify(self._system_name)
-        for row in list(by_id.values())[len(parent._by_id):]:
-            _check_element(row, False, slug, out)
-        out += [d for d in found if d.code == "W105"]
-        association = RelationKind.ASSOCIATION
-        for rid, kind, source, target in self._relations[len(parent._relations):]:
-            if kind is association:
-                _check_association(rid, by_id[source][1], by_id[target][1], out)
-        self._diagnostics = out
+            # ``add_relation`` refuses unpermitted directed relations (E004);
+            # an association outside the core pairs only warns.
+            if kind is association and frozenset({skind, tkind}) not in ASSOCIATION_CORE:
+                message = f"unusual association between {skind} and {tkind}"
+                unusual.append(Diagnostic("W105", Severity.WARNING, message, subject=rid))
+        for row in rows:
+            _check_element(row, row[0] in linked, slug, found)
+        return found, unusual
 
 
 def _check_element(row: tuple, linked: bool, slug: str, out: list[Diagnostic]) -> None:
@@ -632,16 +626,6 @@ def _check_element(row: tuple, linked: bool, slug: str, out: list[Diagnostic]) -
             out.append(Diagnostic(code, severity, message.format(id), subject=id))
     if attrs:
         _check_attrs(id, kind, attrs, out)
-
-
-def _check_association(
-    rid: str, skind: ElementKind, tkind: ElementKind, out: list[Diagnostic]
-) -> None:
-    """V8 on the association ``rid``.  ``add_relation`` refuses unpermitted
-    directed relations (E004); an association outside the core pairs only warns."""
-    if frozenset({skind, tkind}) not in ASSOCIATION_CORE:
-        message = f"unusual association between {skind} and {tkind}"
-        out.append(Diagnostic("W105", Severity.WARNING, message, subject=rid))
 
 
 def _check_attrs(id: str, kind: ElementKind, attrs: tuple, out: list[Diagnostic]) -> None:

@@ -11,13 +11,15 @@ themselves, so that a changed generator reads as a changed corpus and not
 as changed output.
 
 ``fixtures/golden/cli.sha256`` pins what the CLI itself prints: for each of
-the five fixtures and the first mutants of the same pool, a prefix of the
-digest of the exit code, stdout and stderr of each run in ``CLI_FORMS``,
-made in-process through ``cli.main`` on the input written to a file.  It
-covers what the library pass does not: the order of stderr lines, the
-warnings each command reports and where ``--strict`` stops a command.
+the five fixtures, the hand-written models in ``HAND_WRITTEN`` and the first
+mutants of the same pool, a prefix of the digest of the exit code, stdout
+and stderr of each run in ``CLI_FORMS``, made in-process through
+``cli.main`` on the input written to a file.  It covers what the library
+pass does not: the order of stderr lines, the warnings each command reports
+and where ``--strict`` stops a command.
 
-A change that alters an output on purpose regenerates both files:
+A change that alters an output on purpose regenerates both files, and the
+script prints the inputs whose digest changed in each:
 
     PYTHONPATH=src python tests/corpus_digests.py
 """
@@ -49,6 +51,38 @@ CLI_FORMS = (  # each run is ``dsalign <command> <input> <options>``
     ("report",),
     ("fmt",),
 )
+
+
+def _collide(data_id: str, more: str = "") -> str:
+    """A valid model whose data element takes an id that ``attach`` would create."""
+    return (
+        'system "Collide" {\n  component c "C" {\n    function f "F";\n'
+        f'    uses: {data_id};\n  }}\n  data {data_id} "X"\n{more}}}\n'
+    )
+
+
+# Models the mutant pool never makes, which reach attach's E201 and E014,
+# W110 and a ``--strict`` stop before attach; ``test_cli.py`` checks what
+# the CLI prints for each.
+HAND_WRITTEN = {
+    "collide_item_id.dsa": _collide("item_r1_cost_1"),
+    "collide_principle_id.dsa": _collide(
+        "principle_privacy",
+        '  event e "E" {\n    about: principle_privacy;\n'
+        '    hinders: privacy severity: low "leaks";\n  }\n',
+    ),
+    "collide_strict_warning_first.dsa": _collide("item_r1_cost_1", '  data unused "Unused"\n'),
+    # The system name's slug is the id of the Principle that attach derives: E014.
+    "principle_privacy.dsa": (
+        'system "Principle Privacy" {\n  component c "C" {\n    function f "F";\n  }\n'
+        '  event e "E" {\n    about: c;\n    hinders: privacy severity: low "leaks";\n  }\n}\n'
+    ),
+    # An influence whose target declares no business value: W102, W103 and W110.
+    "unvalued_influence.dsa": (
+        'system "W" {\n  user_activity a "A" {\n    influences: b;\n  }\n'
+        '  operator_activity b "B"\n}\n'
+    ),
+}
 
 sys.path.insert(0, str(REPO / "perfbench"))
 import mutants  # noqa: E402
@@ -121,11 +155,11 @@ def render(corpus: list[tuple[str, str]]) -> str:
 
 
 def cli_inputs() -> list[tuple[str, str]]:
-    """(file name, text) of every CLI input: the fixtures, then the first mutants."""
+    """(file name, text) of every CLI input: the fixtures, the hand-written
+    models, then the first mutants."""
     bases = {n: (FIXTURES / f"{n}.dsa").read_text(encoding="utf-8") for n in FIXTURE_NAMES}
-    return [(f"{n}.dsa", text) for n, text in bases.items()] + mutants.generate(
-        bases, CLI_MUTANTS, MUTANT_SEED
-    )
+    out = [(f"{n}.dsa", text) for n, text in bases.items()] + list(HAND_WRITTEN.items())
+    return out + mutants.generate(bases, CLI_MUTANTS, MUTANT_SEED)
 
 
 def cli_forms_digest(corpus: list[tuple[str, str]]) -> str:
@@ -186,6 +220,13 @@ def read(path: Path = DIGESTS) -> tuple[str, dict[str, str]]:
 
 
 if __name__ == "__main__":
-    DIGESTS.write_text(render(inputs()), encoding="utf-8", newline="\n")
-    CLI_DIGESTS.write_text(render_cli(cli_inputs()), encoding="utf-8", newline="\n")
-    print(f"wrote {DIGESTS.relative_to(REPO)} and {CLI_DIGESTS.relative_to(REPO)}")
+    for path, corpus, make in ((DIGESTS, inputs, render), (CLI_DIGESTS, cli_inputs, render_cli)):
+        old_inputs, old = read(path) if path.exists() else ("", {})
+        path.write_text(make(corpus()), encoding="utf-8", newline="\n")
+        new_inputs, new = read(path)
+        changed = [name for name in {**new, **old} if old.get(name) != new.get(name)]
+        print(f"wrote {path.relative_to(REPO)}: {len(changed)} inputs changed")
+        if new_inputs != old_inputs:
+            print("  (the inputs line changed)")
+        for name in changed:
+            print(f"  {name}")

@@ -1,11 +1,13 @@
-"""``attach`` seeds its model's findings instead of running the rules again.
+"""``attach`` extends its input model's rule pass instead of running a new one.
 
-The seed must equal a full rule pass over the attached model, which these
-tests force by clearing the memo and validating again.  Deterministic inputs
-carry the check: the fixtures, synthetic models, the benchmark's mutant pool
-and hand-built itemsets whose new records draw findings.  A hypothesis test
-adds random models, but its draws change with any edit to the package's
-source, so it is not the only witness.
+The extended pass checks only the records ``attach`` adds, and must equal a
+full rule pass over the attached model, which these tests force by clearing
+the memo and validating again.  Deterministic inputs carry the check: the
+fixtures (validated, and freshly parsed so that ``attach`` runs the input's
+pass itself), synthetic models, the benchmark's mutant pool and hand-built
+itemsets whose new records draw findings.  A hypothesis test adds random
+models, but its draws change with any edit to the package's source, so it
+is not the only witness.
 """
 
 from __future__ import annotations
@@ -57,6 +59,13 @@ def test_no_structural_link_involves_a_kind_attach_creates():
 def test_seed_equals_a_full_pass_on_the_fixtures(name, fixture_models):
     model = fixture_models[name]
     assert_seeded(model, derive_all(model))
+    # A model nobody validated, with items from ``derive_rule``, which does not
+    # validate: ``attach`` runs the input's pass before it extends that pass.
+    fresh = parse((FIXTURES / f"{name}.dsa").read_text(encoding="utf-8"), f"{name}.dsa").model
+    items = all_items(fresh)
+    assert fresh._diagnostics is None
+    assert_seeded(fresh, items)
+    assert fresh._diagnostics is not None
 
 
 @pytest.mark.parametrize("blocks", [1, 3, 20, 100])

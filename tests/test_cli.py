@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from conftest import FIXTURES, GOLDEN, FIXTURE_NAMES, REPO, run_cli
+from corpus_digests import HAND_WRITTEN
 
 FAQ = str(FIXTURES / "faq_chatbot.dsa")
 
@@ -173,34 +174,32 @@ def test_export_unknown_format_is_usage_error():
 
 
 @pytest.mark.parametrize(
-    "data_id, more, strict, finding",
+    "name, strict, finding",
     [
-        ("item_r1_cost_1", "", False, ": error E201: item 'item_r1_cost_1' is already materialized"),
         (
-            "principle_privacy",
-            '  event e "E" {\n    about: principle_privacy;\n'
-            '    hinders: privacy severity: low "leaks";\n  }\n',
+            "collide_item_id.dsa",
+            False,
+            ": error E201: item 'item_r1_cost_1' is already materialized",
+        ),
+        (
+            "collide_principle_id.dsa",
             False,
             ": error E201: derived id 'principle_privacy' is already used by a DataModel element",
         ),
         # With --strict a warning stops export before attach, so the clash
         # that attach would report never shows.
         (
-            "item_r1_cost_1",
-            '  data unused "Unused"\n',
+            "collide_strict_warning_first.dsa",
             True,
             ":7:8: warning W104: data model 'unused' is not accessed by any component",
         ),
     ],
     ids=["item_id", "principle_id", "strict_warning_first"],
 )
-def test_export_reports_a_derived_id_collision(tmp_path, data_id, more, strict, finding):
+def test_export_reports_a_derived_id_collision(tmp_path, name, strict, finding):
     # A valid model whose data element takes an id that attach would create.
     src = tmp_path / "collide.dsa"
-    src.write_text(
-        'system "Collide" {\n  component c "C" {\n    function f "F";\n'
-        f'    uses: {data_id};\n  }}\n  data {data_id} "X"\n{more}}}\n'
-    )
+    src.write_text(HAND_WRITTEN[name])
     check = run_cli("check", str(src))
     assert (check.returncode, check.stderr) == (0, f"{src}{finding}\n" if strict else "")
     proc = run_cli("export", str(src), "--format", "dot", *(["--strict"] if strict else []))
@@ -215,10 +214,7 @@ def test_clashing_open_exchange_identifiers_are_errors(tmp_path):
     check = run_cli("check", str(src))
     assert check.returncode == 1
     assert check.stderr.startswith(f"{src}:2:8: error E014: 'faq': element id repeats")
-    src.write_text(
-        'system "Principle Privacy" {\n  component c "C" {\n    function f "F";\n  }\n'
-        '  event e "E" {\n    about: c;\n    hinders: privacy severity: low "leaks";\n  }\n}\n'
-    )
+    src.write_text(HAND_WRITTEN["principle_privacy.dsa"])
     assert run_cli("check", str(src)).returncode == 0
     proc = run_cli("export", str(src), "--format", "open_exchange")
     assert (proc.returncode, proc.stdout) == (1, "")
@@ -434,10 +430,7 @@ def test_derive_prints_each_warning_once(tmp_path):
 
 
 # An influence whose target declares no business value: W102, W103 and W110.
-UNVALUED_INFLUENCE = (
-    'system "W" {\n  user_activity a "A" {\n    influences: b;\n  }\n'
-    '  operator_activity b "B"\n}\n'
-)
+UNVALUED_INFLUENCE = HAND_WRITTEN["unvalued_influence.dsa"]
 
 
 def test_derive_reports_warnings_at_their_source(tmp_path):

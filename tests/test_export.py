@@ -10,6 +10,7 @@ from dsalign.export import to_dot, to_open_exchange
 from dsalign.model import AlignmentModel, ElementKind, ModelError, leaf_path
 
 from conftest import FIXTURE_NAMES
+from corpus_digests import HAND_WRITTEN
 
 NS = {"oe": "http://www.opengroup.org/xsd/archimate/3.0/"}
 
@@ -226,10 +227,7 @@ CLASHING_MODELS = {
     "function_r001": 'system "Faq" {\n  component c "C" {\n    function r001 "F";\n  }\n}\n',
     "data_faq": 'system "Faq" {\n  data faq "D"\n}\n',
     "system_r001": 'system "R001" {\n  component c "C" {\n    function f "F";\n  }\n}\n',
-    "principle_privacy": (
-        'system "Principle Privacy" {\n  component c "C" {\n    function f "F";\n  }\n'
-        '  event e "E" {\n    about: c;\n    hinders: privacy severity: low "leaks";\n  }\n}\n'
-    ),
+    "principle_privacy": HAND_WRITTEN["principle_privacy.dsa"],
 }
 
 

@@ -23,8 +23,8 @@ from dsalign.cli import _Reporter
 from dsalign.derive import EvaluationItem, EvaluationItemSet, Rule
 from dsalign.dsl import _TOKEN_RE, _lex
 from dsalign.model import (
-    _PERMITTED_TRIPLES,
     ELEMENT_KINDS,
+    PERMITTED_RELATIONS,
     RELATION_KINDS,
     STATEMENTS,
     AlignmentModel,
@@ -117,7 +117,7 @@ def test_only_alike_values_share_a_view(faq_model):
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_validate_on_a_copy_equals_a_fresh_full_pass(name, attached_models):
-    model = attached_models[name]  # its findings were seeded by ``attach``
+    model = attached_models[name]  # its findings extend its input's rule pass
     assert model.copy().validate() == model.validate()
 
 
@@ -144,7 +144,8 @@ def test_add_relation_and_the_parser_path_agree_on_every_triple():
             accepted.add(triple)
     # The table holds the directed triples; Association joins any two kinds.
     associations = {(s, R.ASSOCIATION, t) for s in ELEMENT_KINDS for t in ELEMENT_KINDS}
-    assert accepted == _PERMITTED_TRIPLES | associations
+    directed = {(s, kind, t) for kind, pairs in PERMITTED_RELATIONS.items() for s, t in pairs}
+    assert accepted == directed | associations
 
 
 def test_a_large_attached_model_leaves_few_objects_for_the_collector():
