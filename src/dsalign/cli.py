@@ -23,6 +23,7 @@ teardown.
 from __future__ import annotations
 
 import atexit
+import errno
 import os
 import sys
 from types import SimpleNamespace
@@ -131,13 +132,17 @@ def _print_error(line: str) -> None:
 def _write_artifact(text: str, out: str | None) -> int:
     # Stdout when ``out`` is None or "-".  Each command writes stdout at most
     # once, so a failed write leaves nothing buffered for ``run`` to flush.
+    # With file descriptor 1 closed, ``sys.stdout`` is None; an empty write
+    # to it is no write.
     to_stdout = out is None or out == "-"
     try:
-        if to_stdout:
-            sys.stdout.write(text)
-        else:
+        if not to_stdout:
             with open(out, "w", encoding="utf-8", newline="") as handle:
                 handle.write(text)
+        elif sys.stdout is not None:
+            sys.stdout.write(text)
+        elif text:
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
     except OSError as err:  # BrokenPipeError included
         _print_error(f"cannot write {'<stdout>' if to_stdout else out}: {err.strerror}")
         return EXIT_IO

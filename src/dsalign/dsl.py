@@ -45,9 +45,8 @@ from .model import (
 # role word after it picks the kind.
 _STATEMENT_KINDS = {s.keyword: None if s.role else kind for kind, s in STATEMENTS.items()}
 _ROLE_KINDS = {s.role: kind for kind, s in STATEMENTS.items() if s.role}
-STATEMENT_KEYWORDS = frozenset(_STATEMENT_KINDS)
 KEYWORDS = (
-    STATEMENT_KEYWORDS
+    frozenset(_STATEMENT_KINDS)
     | frozenset(_ROLE_KINDS)
     | {"system", "severity"}
     | {key for s in STATEMENTS.values() for key in s.entries}
@@ -108,10 +107,11 @@ class ParseResult(_Record):
 class _Spans(Mapping):
     """Element id -> the ``SourceSpan`` of its id token, built on lookup.
 
-    ``index`` maps each id to its token index.  ``starts`` holds the token
-    start offsets once a parser diagnostic or the lexer has summed them;
-    otherwise the first lookup lexes the text again and sums them, so a
-    parse keeps no token list.
+    ``token`` is the one place a token index becomes a ``SourceSpan``: the
+    parser's diagnostics and each lookup call it.  ``index`` maps each id to
+    its token index.  ``starts`` holds the token start offsets once the
+    lexer or a parser diagnostic has summed them; otherwise the first lookup
+    lexes the text again and sums them, so a parse keeps no token list.
     """
 
     __slots__ = ("text", "file", "index", "starts", "lines")
@@ -133,8 +133,17 @@ class _Spans(Mapping):
         line = bisect_right(self.lines, start)
         return SourceSpan(self.file, line, start - self.lines[line - 1] + 1, length)
 
+    def token(self, i: int, tok: str) -> SourceSpan:
+        """The span of token ``i``, whose text is ``tok``."""
+        start = self.start(i)
+        length = len(tok)
+        if tok[:1] == '"':  # an escaped or unterminated string is longer in the source
+            m = _TOKEN_RE.match(self.text, start)
+            length = len(m[1] or m[2])
+        return self.at(start, length)
+
     def __getitem__(self, id: str) -> SourceSpan:
-        return self.at(self.start(self.index[id]), len(id))
+        return self.token(self.index[id], id)
 
     def __contains__(self, id: object) -> bool:  # without building the span
         return id in self.index
@@ -295,32 +304,20 @@ def suggest_leaf(word: str) -> str | None:
 # Parser
 
 
-# The parser's reading plan per statement kind, from the statement table:
-# entry key -> (relation, single, form, leaves).  A nested declaration's form
-# is "name"; a cost entry's leaves are ``COST_WORDS``.
-_PLANS = {
-    kind: {
-        key: (e.relation, e.single, "name" if e.nested else e.form,
-              COST_WORDS if e.form == "cost" else e.leaves)
-        for key, e in s.entries.items()
-    }
-    for kind, s in STATEMENTS.items()
-}
-
-
 class _Parser:
-    """Recursive descent over ``_lex``'s tokens; ``i`` is the current token.
+    """Recursive descent over ``_lex``'s tokens, threading one token index.
 
-    ``i`` never moves past the EOF token.  Tokens are strings, so each kind
-    test reads the token's text: "" is EOF, a string starts with a quote,
-    and a word starts with none of ``_NON_WORD``.  A statement is read in
-    one loop over a local index; the ``*_error`` helpers report a token that
-    is not the one expected and return the index to read on from.
+    Each grammar method takes the index of its first token and returns the
+    index to read on from, which never moves past the EOF token.  Tokens are
+    strings, so each kind test reads the token's text: "" is EOF, a string
+    starts with a quote, and a word starts with none of ``_NON_WORD``.  A
+    statement is read in one loop that follows its ``model.STATEMENTS`` row;
+    the ``*_error`` helpers report a token that is not the one expected and
+    return the index to read on from.
     """
 
     def __init__(self, text: str, file: str):
         self.toks, self.trails, starts, found = _lex(text)
-        self.i = 0
         self.spans = _Spans(text, file, starts)
         self.diags = [
             Diagnostic(code, Severity.ERROR, message, location=self.spans.at(start, length))
@@ -335,15 +332,9 @@ class _Parser:
     # -- locations and errors ----------------------------------------------
 
     def span(self, i: int) -> SourceSpan:
-        spans = self.spans
-        if spans.starts is None:
-            spans.starts = _starts(self.toks, self.trails)
-        tok, start = self.toks[i], spans.starts[i]
-        length = len(tok)
-        if tok[:1] == '"':  # an escaped or unterminated string is longer in the source
-            m = _TOKEN_RE.match(spans.text, start)
-            length = len(m[1] or m[2])
-        return spans.at(start, length)
+        if self.spans.starts is None:  # sum the parser's own lists rather than lex again
+            self.spans.starts = _starts(self.toks, self.trails)
+        return self.spans.token(i, self.toks[i])
 
     def error(self, code: str, message: str, i: int) -> None:
         self.diags.append(Diagnostic(code, Severity.ERROR, message, location=self.span(i)))
@@ -353,14 +344,12 @@ class _Parser:
         shown = self.toks[i] or "end of file"
         self.error("E101", f"expected {what}, found {shown!r}", i)
 
-    def expect(self, punct: str) -> bool:
-        i = self.i
-        tok = self.toks[i]
-        if tok == punct:
-            self.i = i + 1
-            return True
+    def expect(self, punct: str, i: int) -> int:
+        """The index past token ``i`` if it is ``punct``; else report E101 and stay."""
+        if self.toks[i] == punct:
+            return i + 1
         self.expected(repr(punct), i)
-        return False
+        return i
 
     def id_error(self, i: int) -> int:
         """Report why token ``i`` is not a valid identifier."""
@@ -403,7 +392,7 @@ class _Parser:
     def skip_entry(self, i: int) -> int:
         """The index past the entry at ``i``: after its ';', or at '}' or a statement."""
         toks = self.toks
-        while (tok := toks[i]) and tok != "}" and tok not in STATEMENT_KEYWORDS:
+        while (tok := toks[i]) and tok != "}" and tok not in _STATEMENT_KINDS:
             i += 1
             if tok == ";":
                 break
@@ -414,7 +403,7 @@ class _Parser:
         toks = self.toks
         depth = 0
         while tok := toks[i]:
-            if depth == 0 and (tok in STATEMENT_KEYWORDS or tok == "}"):
+            if depth == 0 and (tok in _STATEMENT_KINDS or tok == "}"):
                 break
             if tok == "{":
                 depth += 1
@@ -444,22 +433,17 @@ class _Parser:
                 self.error("E000", "system name must not be empty", i - 1)
         else:
             self.expected("system name string", i)
-        self.i = i
         # "?" keeps parsing alive on a missing name; finish() drops the model.
         self.model = AlignmentModel(name or "?")
-        self.expect("{")
-        while (tok := toks[self.i]) and tok != "}":
-            before = self.i
-            self.parse_statement()
-            if self.i == before:
-                # Defensive: never loop without progress.
-                self.i += 1
-        self.expect("}")
-        if tok := toks[self.i]:
+        i = self.expect("{", i)
+        while (tok := toks[i]) and tok != "}":
+            i = max(self.parse_statement(i), i + 1)  # defensive: never loop without progress
+        i = self.expect("}", i)
+        if tok := toks[i]:
             if tok == "system":
-                self.error("E101", "only one system block is allowed per file", self.i)
+                self.error("E101", "only one system block is allowed per file", i)
             else:
-                self.expected("end of file", self.i)
+                self.expected("end of file", i)
 
     def add_element(self, kind: ElementKind, i: int, name: str, attrs: tuple) -> bool:
         """Declare the element whose id is token ``i``; the parser checked its id and attrs."""
@@ -472,15 +456,14 @@ class _Parser:
         self.spans.index[id] = i
         return True
 
-    def parse_statement(self) -> None:
-        """Read one statement: its keyword, id and name, then each entry by its plan."""
+    def parse_statement(self, i: int) -> int:
+        """Read the statement at token ``i``: its keyword, id and name, then
+        each entry by its row in ``model.STATEMENTS``; return the index after it."""
         toks = self.toks
-        i = self.i
         keyword = toks[i]
         if keyword not in _STATEMENT_KINDS:
             self.expected("a statement", i)
-            self.i = self.skip_statement(i + 1)
-            return
+            return self.skip_statement(i + 1)
         i += 1
         kind = _STATEMENT_KINDS[keyword]
         if kind is None:
@@ -488,8 +471,7 @@ class _Parser:
             if kind is None:
                 roles = " or ".join(map(repr, _ROLE_KINDS))
                 self.error("E101", f"expected {roles}, found {toks[i]!r}", i)
-                self.i = self.skip_statement(i)
-                return
+                return self.skip_statement(i)
             i += 1
         ident = i
         if (tok := toks[i]) not in KEYWORDS and is_valid_id(tok):
@@ -502,22 +484,22 @@ class _Parser:
         else:
             self.expected(f"{keyword} name string", i)
             name = ""
-        plans = _PLANS[kind]
+        entries = STATEMENTS[kind].entries
         attrs: dict[str, object] = {}
         refs: dict[str, list[int]] = {}  # entry key -> the id token of each reference
         seen_single: set[str] = set()
-        if plans and toks[i] == "{":
+        if entries and toks[i] == "{":
             i += 1
             while True:
                 key = toks[i]
-                plan = plans.get(key)
-                if plan is None:  # the end of the block, or an entry that is not this kind's
+                entry = entries.get(key)
+                if entry is None:  # the end of the block, or an entry that is not this kind's
                     if key == "}":
                         i += 1
                         break
                     if not key:
                         break
-                    if key in STATEMENT_KEYWORDS:
+                    if key in _STATEMENT_KINDS:
                         self.error("E101", "expected an entry or '}'", i)
                         break
                     if key in _NESTED_OWNER:
@@ -531,9 +513,9 @@ class _Parser:
                         self.error("E002", f"attr {key!r} is not allowed on {kind}", i)
                     i = self.skip_entry(i)
                     continue
-                relation, single, form, leaves = plan
+                relation, _, single, nested, form, leaves = entry
                 at, i = i, i + 1
-                if form != "name":  # a nested declaration has no ':'
+                if not nested:  # a nested declaration has no ':'
                     if toks[i] == ":":
                         i += 1
                     else:
@@ -551,10 +533,10 @@ class _Parser:
                         else:
                             i = self.id_error(i)
                         # A nested declaration takes one id, then its name.
-                        if single or form or toks[i] != ",":
+                        if single or nested or toks[i] != ",":
                             break
                         i += 1
-                    if form:
+                    if nested:
                         if toks[i][:1] == '"':
                             i += 1
                         else:
@@ -567,8 +549,8 @@ class _Parser:
                         i = self.choice_error(i, leaves, "E123", "runtime target")
                 else:
                     if form == "cost":
-                        leaf = leaves.get(toks[i])
-                        i = i + 1 if leaf else self.choice_error(i, leaves, "E124", "cost kind")
+                        leaf = COST_WORDS.get(toks[i])
+                        i = i + 1 if leaf else self.choice_error(i, COST_WORDS, "E124", "cost kind")
                     elif (leaf := toks[i]) in leaves:
                         i += 1
                     else:
@@ -600,18 +582,17 @@ class _Parser:
                     i += 1
                 else:
                     self.expected("';'", i)
-        self.i = i
         if ident is None:
-            return
+            return i
         for key, value in attrs.items():  # the model keeps each list attr as a tuple
             if value.__class__ is list:
                 attrs[key] = tuple(value)
         self.add_element(kind, ident, name, tuple(attrs.items()))
         if not refs:
-            return
+            return i
         element_id = toks[ident]
         # Relations are queued in entry order; nested elements follow their owner.
-        for key, entry in STATEMENTS[kind].entries.items():
+        for key, entry in entries.items():
             for ref in refs.get(key, ()):
                 other = toks[ref]
                 if entry.nested:
@@ -621,6 +602,7 @@ class _Parser:
                         continue
                 ends = (element_id, other) if entry.owner_is_source else (other, element_id)
                 self.rel_specs += (entry.relation, *ends, ref)
+        return i
 
     # -- phase 2 -------------------------------------------------------------
 

@@ -9,7 +9,10 @@ exit 0, write exactly the bytes of its file in ``fixtures/golden`` to stdout
 (nothing for ``check`` and ``fmt``) and nothing to stderr.  Four more runs
 check the exit codes the CLI's ending must carry: an invalid model (1), a
 missing file (3), a usage error (2) and ``--help`` (0); each must write to
-stderr exactly when it fails.  Standard library only; pytest does not collect
+stderr exactly when it fails.  On POSIX, two runs close the child's stdout:
+``export --format dot`` must exit 3 with one ``cannot write <stdout>`` line,
+and ``fmt --check``, which prints nothing, must exit 0 with an empty stderr.
+Standard library only; pytest does not collect
 this file, but ``tests/test_cli.py`` calls ``check`` on the interpreter that
 runs the tests.
 
@@ -22,6 +25,7 @@ usage error.
 
 from __future__ import annotations
 
+import errno
 import os
 import subprocess
 import sys
@@ -33,12 +37,15 @@ sys.path.insert(0, str(REPO / "perfbench"))
 from workloads import GOLDEN, cli_commands  # noqa: E402
 
 FIXTURE_NAMES = sorted(path.stem for path in (REPO / "fixtures").glob("*.dsa"))
+FAQ = "fixtures/faq_chatbot.dsa"
 INVALID_MODEL = 'system "Bad" {\n  component c "C" {\n    runs_on: server;\n  }\n}\n'  # E010
+CLOSED = "stdout closed"  # runs with file descriptor 1 closed, so it has no stdout
 
 
-def runs(invalid: str) -> list[tuple[list[str], int, bytes | None, bool]]:
-    """Each run as (arguments, exit code, stdout or None for any, whether it
-    writes to stderr); ``invalid`` is the path of a model with an error."""
+def runs(invalid: str) -> list[tuple[list[str], int, bytes | str | None, bool | str]]:
+    """Each run as (arguments, exit code, stdout, stderr); ``invalid`` is the
+    path of a model with an error.  Stdout is its bytes, None for any, or
+    ``CLOSED``; stderr is whether the run writes to it, or its exact text."""
     cycle = [
         (args, 0, (GOLDEN / golden).read_bytes() if golden else b"", False)
         for args, golden in cli_commands(FIXTURE_NAMES)
@@ -48,7 +55,11 @@ def runs(invalid: str) -> list[tuple[list[str], int, bytes | None, bool]]:
         (["-m", "dsalign", "check", "fixtures/absent.dsa"], 3, b"", True),  # E190
         (["-m", "dsalign", "check"], 2, b"", True),  # a usage error
         (["-m", "dsalign", "--help"], 0, None, False),
-    ]
+    ] + ([
+        (["-m", "dsalign", "export", FAQ, "--format", "dot"], 3, CLOSED,
+         f"cannot write <stdout>: {os.strerror(errno.EBADF)}\n"),
+        (["-m", "dsalign", "fmt", "--check", FAQ], 0, CLOSED, False),
+    ] if os.name == "posix" else [])
 
 
 def check(interpreter: str) -> list[str]:
@@ -60,14 +71,19 @@ def check(interpreter: str) -> list[str]:
         invalid = Path(tmp) / "invalid.dsa"
         invalid.write_text(INVALID_MODEL, encoding="utf-8")
         for args, code, stdout, errors in runs(str(invalid)):
-            proc = subprocess.run([interpreter, *args], capture_output=True, cwd=REPO, env=env)
+            closed = stdout is CLOSED
+            proc = subprocess.run(
+                [interpreter, *args], stdout=None if closed else subprocess.PIPE,
+                stderr=subprocess.PIPE, cwd=REPO, env=env,
+                preexec_fn=(lambda: os.close(1)) if closed else None,
+            )
             command = " ".join(args[2:])
             stderr = proc.stderr.decode(errors="replace")
             if proc.returncode != code:
                 failures.append(f"{command}: exit {proc.returncode}, not {code}: {stderr[-300:]}")
-            elif bool(stderr) != errors:
+            elif (stderr if isinstance(errors, str) else bool(stderr)) != errors:
                 failures.append(f"{command}: stderr {stderr[-300:]!r}")
-            elif stdout is not None and proc.stdout != stdout:
+            elif isinstance(stdout, bytes) and proc.stdout != stdout:
                 got = len(proc.stdout)
                 failures.append(f"{command}: stdout differs ({got} bytes, not {len(stdout)})")
     return failures

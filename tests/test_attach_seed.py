@@ -4,8 +4,9 @@ The extended pass checks only the records ``attach`` adds, and must equal a
 full rule pass over the attached model, which these tests force by clearing
 the memo and validating again.  Deterministic inputs carry the check: the
 fixtures (validated, and freshly parsed so that ``attach`` runs the input's
-pass itself), synthetic models, the benchmark's mutant pool and hand-built
-itemsets whose new records draw findings.  A hypothesis test adds random
+pass itself), an invalid model that nothing validates before ``attach``,
+synthetic models, the benchmark's mutant pool and hand-built itemsets whose
+new records draw findings.  A hypothesis test adds random
 models, but its draws change with any edit to the package's source, so it
 is not the only witness.
 """
@@ -140,3 +141,18 @@ def test_seed_keeps_the_errors_of_an_invalid_model_and_a_declared_principle():
     assert {"E010", "E011", "E013", "W103", "W105"} <= {d.code for d in found}
     seeded = assert_seeded(model, all_items(model))
     assert seeded[: len(found) - 1] == found[:-1]  # the parent's W105 tail moves last
+
+
+def test_seed_keeps_the_findings_of_an_invalid_model_nobody_validated():
+    # ``attach`` must run the pass of an input that has findings but was never
+    # validated, not take it as finding-free.
+    text = (
+        'system "Bad" {\n  component c "C" {\n    runs_on: server;\n  }\n  data d "D"\n'
+        '  user_activity a "A" {\n    yields_user_value: functional "Quick answers";\n  }\n}\n'
+    )
+    model = parse(text, "bad.dsa").model
+    items = all_items(model)
+    assert items.items and model._diagnostics is None
+    seeded = assert_seeded(model, items)
+    assert [d.code for d in model.validate()] == ["E010", "W104", "W103"]
+    assert {"E010", "W104", "W103"} <= {d.code for d in seeded}

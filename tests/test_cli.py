@@ -114,6 +114,44 @@ def test_no_color_env_respected(tmp_path):
     assert "\x1b[" not in proc.stderr
 
 
+def _stderr_on_a_terminal(argv: list[str], env: dict) -> list[str]:
+    """The lines a run writes to stderr when stderr is a pseudo-terminal."""
+    pty = pytest.importorskip("pty")
+    master, slave = pty.openpty()
+    try:
+        subprocess.run(
+            [sys.executable, "-m", "dsalign", *argv], stdout=subprocess.DEVNULL, stderr=slave,
+            cwd=REPO, env=env,
+        )
+    finally:
+        os.close(slave)
+    chunks = []
+    while True:
+        try:
+            chunk = os.read(master, 4096)
+        except OSError:  # EIO once the last writer has closed the terminal
+            break
+        if not chunk:
+            break
+        chunks.append(chunk)
+    os.close(master)
+    return b"".join(chunks).decode().splitlines()
+
+
+def test_color_on_a_terminal(tmp_path):
+    warned = tmp_path / "warned.dsa"
+    warned.write_text('system "W" {\n  data d "D"\n}\n')  # W104
+    invalid = tmp_path / "invalid.dsa"
+    invalid.write_text('system "Bad" {\n  component c "C" {\n    runs_on: server;\n  }\n}\n')  # E010
+    env = {k: v for k, v in _child_env(True).items() if k != "DSALIGN_NO_COLOR"}
+    argv = ["check", "--strict", str(warned), str(invalid)]
+    plain = _stderr_on_a_terminal(argv, {**env, "DSALIGN_NO_COLOR": "1"})
+    assert len(plain) == 2 and " warning W104: " in plain[0] and " error E010: " in plain[1]
+    assert not any("\x1b[" in line for line in plain)
+    tinted = [f"\x1b[33m{plain[0]}\x1b[0m", f"\x1b[31m{plain[1]}\x1b[0m"]
+    assert _stderr_on_a_terminal(argv, env) == tinted
+
+
 def test_derive_summary_line():
     proc = run_cli("derive", FAQ)
     assert proc.returncode == 0, proc.stderr
@@ -353,6 +391,34 @@ def test_a_closed_pipe_on_stdout_is_an_io_error(buffered):
         os.close(write_end)
     assert proc.returncode == 3
     assert proc.stderr == f"cannot write <stdout>: {os.strerror(errno.EPIPE)}\n"
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes a file descriptor in the child")
+def test_a_closed_stdout_is_an_io_error_only_for_a_write(tmp_path):
+    # With file descriptor 1 closed, ``sys.stdout`` is None.  A command that
+    # has text for stdout reports it once and exits 3; one that prints
+    # nothing exits as it does with stdout open.
+    copy = tmp_path / "faq.dsa"
+    copy.write_text((FIXTURES / "faq_chatbot.dsa").read_text())
+    failed = (3, f"cannot write <stdout>: {os.strerror(errno.EBADF)}\n")
+    runs = [
+        *((argv, failed) for argv in STDOUT_WRITERS),
+        (["derive", FAQ, "--items", str(tmp_path / "items.json")], failed),
+        (["export", FAQ, "--format", "dot"], failed),
+        (["report", FAQ], failed),
+        (["check", FAQ], (0, "")),
+        (["fmt", "--check", FAQ], (0, "")),
+        (["fmt", "--write", str(copy)], (0, "")),
+        (["export", FAQ, "--format", "dot", "--out", str(tmp_path / "m.dot")], (0, "")),
+    ]
+    for argv, expected in runs:
+        proc = subprocess.run(
+            [sys.executable, "-m", "dsalign", *argv], stderr=subprocess.PIPE, text=True,
+            cwd=REPO, env=_child_env(True), preexec_fn=lambda: os.close(1),
+        )
+        assert (proc.returncode, proc.stderr) == expected, argv
+    assert (tmp_path / "items.json").read_bytes() == (GOLDEN / "faq_chatbot.items.json").read_bytes()
+    assert (tmp_path / "m.dot").read_bytes() == (GOLDEN / "faq_chatbot.dot").read_bytes()
 
 
 def test_atexit_handlers_run_once_after_the_cli_output(tmp_path):

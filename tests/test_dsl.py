@@ -395,6 +395,20 @@ def test_declaration_spans_point_at_the_id(name):
         assert lines[span.line - 1][start : start + span.length] == ident
 
 
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_the_three_sources_of_token_offsets_give_equal_spans(name):
+    # The offsets come from a second lex after a clean parse, from the
+    # parser's own lists after a parser error (a word after the block), and
+    # from ``_lex`` after an odd lexeme (an '@', dropped from the tokens).
+    text = (FIXTURES / f"{name}.dsa").read_text(encoding="utf-8")
+    clean, word, odd = (parse(text + tail, "m.dsa") for tail in ("", "x", "@"))
+    assert (codes(clean), codes(word), codes(odd)) == ([], ["E101"], ["E103"])
+    ids = [e.id for e in clean.model.elements]
+    assert list(clean.spans) == list(word.spans) == list(odd.spans) == ids
+    for id in ids:
+        assert clean.spans[id] == word.spans[id] == odd.spans[id], id
+
+
 def test_tokens_are_not_tracked_by_the_cycle_collector():
     toks, *_ = _lex((FIXTURES / "faq_chatbot.dsa").read_text())
     gc.collect()
