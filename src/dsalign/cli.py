@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 error-level diagnostics (warnings too with
 ``--strict``), 2 usage error, 3 I/O error, a failed write to stdout
 included.  Diagnostics go to stderr; artifacts go to stdout or the path
-given by ``--out``/``--items``.
+given by ``--out``/``--items``.  A run that cannot write a line to stderr,
+closed or failing, exits 3 and writes nothing more.
 
 ``COMMANDS`` is the one declaration of the CLI.  ``_read`` takes each
 well-formed run straight from it; help, usage errors and every form it does
@@ -54,7 +55,7 @@ class _Reporter:
 
     def __init__(self, strict: bool = False) -> None:
         no_color = os.environ.get("DSALIGN_NO_COLOR")
-        self.color = sys.stderr.isatty() and not no_color
+        self.color = sys.stderr is not None and sys.stderr.isatty() and not no_color
         self.strict = strict
         self.errors = 0
         self.warnings = 0
@@ -73,7 +74,7 @@ class _Reporter:
             if self.color:
                 tint = "31" if d.severity is Severity.ERROR else "33"
                 line = f"\x1b[{tint}m{line}\x1b[0m"
-            print(line, file=sys.stderr)
+            _print_error(line)
             if d.severity is Severity.ERROR:
                 self.errors += 1
             else:
@@ -124,9 +125,21 @@ def _load(path: str, reporter: _Reporter, upto: str) -> AlignmentModel | Evaluat
         return None
 
 
+class _StderrLost(Exception):
+    """Stderr could not take a line; ``run`` ends the process with EXIT_IO."""
+
+
 def _print_error(line: str) -> None:
-    """Print ``line`` to stderr with a path's line breaks escaped, as diagnostics are."""
-    print(line.translate(_LINE_BREAKS), file=sys.stderr)
+    """Print ``line`` to stderr with a path's line breaks escaped, as diagnostics are.
+
+    Raises ``_StderrLost`` when stderr is closed or the write fails.
+    """
+    if sys.stderr is None:  # file descriptor 2 was closed; print would use stdout
+        raise _StderrLost
+    try:
+        print(line.translate(_LINE_BREAKS), file=sys.stderr)
+    except OSError as err:
+        raise _StderrLost from err
 
 
 def _write_artifact(text: str, out: str | None) -> int:
@@ -192,8 +205,8 @@ def _cmd_report(args: SimpleNamespace) -> int:
     reporter = _Reporter(args.strict)
     itemsets = [_load(path, reporter, "derive") for path in args.inputs]
     code = reporter.exit_code()
-    if code != EXIT_OK or None in itemsets:
-        return max(code, EXIT_DIAGNOSTICS)
+    if code != EXIT_OK:  # ``_load`` returns None only after reporting an error
+        return code
     if args.matrix:
         try:
             text = matrix(itemsets, args.format)
@@ -349,15 +362,20 @@ def run() -> NoReturn:
 
     Runs the ``atexit`` handlers and flushes stdout and stderr, in the order
     Python's finalization does; dsalign closes its files and starts no threads.
+    A run whose line stderr could not take ends at once with EXIT_IO, flushing
+    nothing, so no later output follows the lost line.
     """
-    code = main()
-    atexit._run_exitfuncs()
     try:
-        if sys.stdout is not None:
-            sys.stdout.flush()
-    except OSError as err:
-        _print_error(f"cannot write <stdout>: {err.strerror}")
-        code = EXIT_IO
+        code = main()
+        atexit._run_exitfuncs()
+        try:
+            if sys.stdout is not None:
+                sys.stdout.flush()
+        except OSError as err:
+            _print_error(f"cannot write <stdout>: {err.strerror}")
+            code = EXIT_IO
+    except _StderrLost:
+        os._exit(EXIT_IO)
     try:
         if sys.stderr is not None:
             sys.stderr.flush()

@@ -508,8 +508,7 @@ class _Parser:
                     elif key[:1] in _NON_WORD:
                         self.expected("an entry or '}'", i)
                     else:
-                        if toks[i + 1] != ":":
-                            self.expected("':'", i + 1)
+                        self.expect(":", i + 1)
                         self.error("E002", f"attr {key!r} is not allowed on {kind}", i)
                     i = self.skip_entry(i)
                     continue
@@ -559,11 +558,7 @@ class _Parser:
                     if form == "hinders":
                         severity = DEFAULT_RISK_SEVERITY
                         if toks[i] == "severity":
-                            i += 1
-                            if toks[i] == ":":
-                                i += 1
-                            else:
-                                self.expected("':'", i)
+                            i = self.expect(":", i + 1)
                             if (tok := toks[i]) in SEVERITY_LEVELS:
                                 severity = tok
                                 i += 1
@@ -636,24 +631,15 @@ def load_file(path) -> ParseResult:
     try:
         with open(path, "rb") as handle:
             data = handle.read()
-    except OSError as err:
-        return ParseResult(
-            model=None,
-            diagnostics=[
-                Diagnostic("E190", Severity.ERROR, f"cannot read {path}: {err.strerror}")
-            ],
-        )
-    try:
         # As the "utf-8-sig" codec would, whose first use imports a module.
         text = data.removeprefix(BOM_UTF8).decode("utf-8")
+    except OSError as err:
+        found = Diagnostic("E190", Severity.ERROR, f"cannot read {path}: {err.strerror}")
     except UnicodeDecodeError as err:
-        return ParseResult(
-            model=None,
-            diagnostics=[
-                Diagnostic("E191", Severity.ERROR, f"{path} is not valid UTF-8: {err.reason}")
-            ],
-        )
-    return parse(text.replace("\r\n", "\n"), file=str(path))
+        found = Diagnostic("E191", Severity.ERROR, f"{path} is not valid UTF-8: {err.reason}")
+    else:
+        return parse(text.replace("\r\n", "\n"), file=str(path))
+    return ParseResult(model=None, diagnostics=[found])
 
 
 # ---------------------------------------------------------------------------

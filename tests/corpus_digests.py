@@ -62,8 +62,8 @@ def _collide(data_id: str, more: str = "") -> str:
 
 
 # Models the mutant pool never makes, which reach attach's E201 and E014,
-# W110 and a ``--strict`` stop before attach; ``test_cli.py`` checks what
-# the CLI prints for each.
+# W110, a ``--strict`` stop before attach, E000, E125 and W105;
+# ``test_cli.py`` checks what the CLI prints for the first five.
 HAND_WRITTEN = {
     "collide_item_id.dsa": _collide("item_r1_cost_1"),
     "collide_principle_id.dsa": _collide(
@@ -81,6 +81,16 @@ HAND_WRITTEN = {
     "unvalued_influence.dsa": (
         'system "W" {\n  user_activity a "A" {\n    influences: b;\n  }\n'
         '  operator_activity b "B"\n}\n'
+    ),
+    # Three codes no other pinned input reaches: E000, E125 and W105.
+    "empty_system_name.dsa": 'system "" {}\n',
+    "wrong_branch_leaf.dsa": (
+        'system "Wrong Branch" {\n  user_activity a "A" {\n'
+        '    yields_user_value: privacy "x";\n  }\n}\n'
+    ),
+    "event_about_activity.dsa": (
+        'system "About" {\n  user_activity a "A"\n  data d "D"\n'
+        '  event e "E" {\n    about: a, d;\n  }\n}\n'
     ),
 }
 

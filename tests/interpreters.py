@@ -11,7 +11,9 @@ check the exit codes the CLI's ending must carry: an invalid model (1), a
 missing file (3), a usage error (2) and ``--help`` (0); each must write to
 stderr exactly when it fails.  On POSIX, two runs close the child's stdout:
 ``export --format dot`` must exit 3 with one ``cannot write <stdout>`` line,
-and ``fmt --check``, which prints nothing, must exit 0 with an empty stderr.
+and ``fmt --check``, which prints nothing, must exit 0 with an empty stderr;
+one run closes its stderr: ``check`` of the invalid model must exit 3 with an
+empty stdout.
 Standard library only; pytest does not collect
 this file, but ``tests/test_cli.py`` calls ``check`` on the interpreter that
 runs the tests.
@@ -39,13 +41,14 @@ from workloads import GOLDEN, cli_commands  # noqa: E402
 FIXTURE_NAMES = sorted(path.stem for path in (REPO / "fixtures").glob("*.dsa"))
 FAQ = "fixtures/faq_chatbot.dsa"
 INVALID_MODEL = 'system "Bad" {\n  component c "C" {\n    runs_on: server;\n  }\n}\n'  # E010
-CLOSED = "stdout closed"  # runs with file descriptor 1 closed, so it has no stdout
+CLOSED = "closed"  # the run's file descriptor 1 or 2 is closed, so it has no stdout or stderr
 
 
 def runs(invalid: str) -> list[tuple[list[str], int, bytes | str | None, bool | str]]:
     """Each run as (arguments, exit code, stdout, stderr); ``invalid`` is the
     path of a model with an error.  Stdout is its bytes, None for any, or
-    ``CLOSED``; stderr is whether the run writes to it, or its exact text."""
+    ``CLOSED``; stderr is whether the run writes to it, its exact text, or
+    ``CLOSED``."""
     cycle = [
         (args, 0, (GOLDEN / golden).read_bytes() if golden else b"", False)
         for args, golden in cli_commands(FIXTURE_NAMES)
@@ -59,6 +62,7 @@ def runs(invalid: str) -> list[tuple[list[str], int, bytes | str | None, bool | 
         (["-m", "dsalign", "export", FAQ, "--format", "dot"], 3, CLOSED,
          f"cannot write <stdout>: {os.strerror(errno.EBADF)}\n"),
         (["-m", "dsalign", "fmt", "--check", FAQ], 0, CLOSED, False),
+        (["-m", "dsalign", "check", invalid], 3, b"", CLOSED),
     ] if os.name == "posix" else [])
 
 
@@ -71,17 +75,19 @@ def check(interpreter: str) -> list[str]:
         invalid = Path(tmp) / "invalid.dsa"
         invalid.write_text(INVALID_MODEL, encoding="utf-8")
         for args, code, stdout, errors in runs(str(invalid)):
-            closed = stdout is CLOSED
+            closed = 1 if stdout is CLOSED else 2 if errors is CLOSED else None
             proc = subprocess.run(
-                [interpreter, *args], stdout=None if closed else subprocess.PIPE,
-                stderr=subprocess.PIPE, cwd=REPO, env=env,
-                preexec_fn=(lambda: os.close(1)) if closed else None,
+                [interpreter, *args], stdout=None if closed == 1 else subprocess.PIPE,
+                stderr=None if closed == 2 else subprocess.PIPE, cwd=REPO, env=env,
+                preexec_fn=(lambda: os.close(closed)) if closed else None,
             )
             command = " ".join(args[2:])
-            stderr = proc.stderr.decode(errors="replace")
+            stderr = (proc.stderr or b"").decode(errors="replace")
             if proc.returncode != code:
                 failures.append(f"{command}: exit {proc.returncode}, not {code}: {stderr[-300:]}")
-            elif (stderr if isinstance(errors, str) else bool(stderr)) != errors:
+            elif errors is not CLOSED and (
+                stderr if isinstance(errors, str) else bool(stderr)
+            ) != errors:
                 failures.append(f"{command}: stderr {stderr[-300:]!r}")
             elif isinstance(stdout, bytes) and proc.stdout != stdout:
                 got = len(proc.stdout)

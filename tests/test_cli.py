@@ -421,6 +421,48 @@ def test_a_closed_stdout_is_an_io_error_only_for_a_write(tmp_path):
     assert (tmp_path / "m.dot").read_bytes() == (GOLDEN / "faq_chatbot.dot").read_bytes()
 
 
+UNUSED_DATA = 'system "W" {\n  data d "D"\n}\n'  # W104 and nothing else
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes a file descriptor in the child")
+def test_a_closed_stderr_is_an_io_error_only_for_a_diagnostic(tmp_path):
+    # With file descriptor 2 closed, ``sys.stderr`` is None.  A run with
+    # nothing to report writes its artifact as it does with stderr open; a
+    # run with a line for stderr exits 3 and writes nothing, on stdout either.
+    unused = tmp_path / "unused.dsa"
+    unused.write_text(UNUSED_DATA)
+    fixtures = [str(FIXTURES / f"{n}.dsa") for n in sorted(FIXTURE_NAMES)]  # the golden's order
+    runs = [
+        (["check", FAQ], 0, None),
+        (["derive", FAQ, "--items", "-"], 0, "faq_chatbot.items.json"),
+        (["export", FAQ, "--format", "open_exchange"], 0, "faq_chatbot.open_exchange.xml"),
+        (["export", FAQ, "--format", "dot"], 0, "faq_chatbot.dot"),
+        (["report", *fixtures, "--matrix"], 0, "corpus_matrix.md"),
+        (["fmt", "--check", FAQ], 0, None),
+        (["check", str(unused)], 3, None),
+    ]
+    for argv, code, golden in runs:
+        proc = subprocess.run(
+            [sys.executable, "-m", "dsalign", *argv], stdout=subprocess.PIPE,
+            cwd=REPO, env=_child_env(True), preexec_fn=lambda: os.close(2),
+        )
+        stdout = (GOLDEN / golden).read_bytes() if golden else b""
+        assert (proc.returncode, proc.stdout) == (code, stdout), argv
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_failed_write_to_stderr_is_an_io_error(tmp_path):
+    unused = tmp_path / "unused.dsa"
+    unused.write_text(UNUSED_DATA)
+    for argv in (["check", str(unused)], ["derive", str(unused), "--items", "-"]):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "dsalign", *argv], stdout=subprocess.PIPE,
+                stderr=full, cwd=REPO, env=_child_env(True),
+            )
+        assert (proc.returncode, proc.stdout) == (3, b""), argv
+
+
 def test_atexit_handlers_run_once_after_the_cli_output(tmp_path):
     bad = tmp_path / "bad.dsa"
     bad.write_text('system "Bad" {\n  component c "C" {\n    runs_on: server;\n  }\n}\n')

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import pytest
+
+from conftest import REPO
 
 from dsalign.export import to_dot
 from dsalign.model import (
@@ -696,3 +699,18 @@ def test_record_hashability():
         if cls.__name__ not in ("Entry", "Diagnostic", "Relation"):
             with pytest.raises(TypeError):  # mutable, or holding a dict
                 hash(cls(**{name: a for name, _, a, _ in fields}))
+
+
+def test_the_readme_catalogue_lists_exactly_the_codes_under_src():
+    # README's "Diagnostic codes" table, with its W101-W105 row expanded, is
+    # the set of code literals in the source: no code undocumented, none stale.
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    table = readme.split("\n## Diagnostic codes\n", 1)[1].split("\n## ", 1)[0]
+    listed = set()
+    for first, last in re.findall(r"^\| ([EW]\d{3})(?:-([EW]\d{3}))? \|", table, re.M):
+        numbers = range(int(first[1:]), int((last or first)[1:]) + 1)
+        listed.update(f"{first[0]}{n:03}" for n in numbers)
+    in_src = set()
+    for path in (REPO / "src").rglob("*.py"):
+        in_src.update(re.findall(r'"([EW]\d{3})"', path.read_text(encoding="utf-8")))
+    assert listed == in_src
