@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 error-level diagnostics (warnings too with
 ``--strict``), 2 usage error, 3 I/O error, a failed write to stdout
 included.  Diagnostics go to stderr; artifacts go to stdout or the path
 given by ``--out``/``--items``.  A run that cannot write a line to stderr,
-closed or failing, exits 3 and writes nothing more.
+closed or failing, exits 3 and writes nothing more.  ``main`` puts a stand-in
+whose writes fail with EBADF in place of a stream that Python set to None
+(its descriptor closed at start-up), so a closed stream fails as a full one.
 
 ``COMMANDS`` is the one declaration of the CLI.  ``_read`` takes each
 well-formed run straight from it; help, usage errors and every form it does
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import atexit
 import errno
+import io
 import os
 import sys
 from types import SimpleNamespace
@@ -54,8 +57,7 @@ class _Reporter:
     """Prints diagnostics to stderr, resolving subjects to source spans; counts them."""
 
     def __init__(self, strict: bool = False) -> None:
-        no_color = os.environ.get("DSALIGN_NO_COLOR")
-        self.color = sys.stderr is not None and sys.stderr.isatty() and not no_color
+        self.color = sys.stderr.isatty() and not os.environ.get("DSALIGN_NO_COLOR")
         self.strict = strict
         self.errors = 0
         self.warnings = 0
@@ -134,8 +136,6 @@ def _print_error(line: str) -> None:
 
     Raises ``_StderrLost`` when stderr is closed or the write fails.
     """
-    if sys.stderr is None:  # file descriptor 2 was closed; print would use stdout
-        raise _StderrLost
     try:
         print(line.translate(_LINE_BREAKS), file=sys.stderr)
     except OSError as err:
@@ -145,17 +145,13 @@ def _print_error(line: str) -> None:
 def _write_artifact(text: str, out: str | None) -> int:
     # Stdout when ``out`` is None or "-".  Each command writes stdout at most
     # once, so a failed write leaves nothing buffered for ``run`` to flush.
-    # With file descriptor 1 closed, ``sys.stdout`` is None; an empty write
-    # to it is no write.
     to_stdout = out is None or out == "-"
     try:
         if not to_stdout:
             with open(out, "w", encoding="utf-8", newline="") as handle:
                 handle.write(text)
-        elif sys.stdout is not None:
+        else:
             sys.stdout.write(text)
-        elif text:
-            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
     except OSError as err:  # BrokenPipeError included
         _print_error(f"cannot write {'<stdout>' if to_stdout else out}: {err.strerror}")
         return EXIT_IO
@@ -177,7 +173,7 @@ def _cmd_derive(args: SimpleNamespace) -> int:
     code = reporter.exit_code()
     if code != EXIT_OK:
         return code
-    if args.items:
+    if args.items is not None:
         code = _write_artifact(serialize_itemset(itemset), args.items)
         if code != EXIT_OK:
             return code
@@ -248,7 +244,7 @@ def _cmd_fmt(args: SimpleNamespace) -> int:
                 return code
         else:
             texts.append(canonical)
-    if _write_artifact("".join(texts), None) != EXIT_OK:
+    if texts and _write_artifact("".join(texts), None) != EXIT_OK:
         return EXIT_IO
     code = reporter.exit_code()
     if code != EXIT_OK:
@@ -350,7 +346,16 @@ def _read(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(**values)
 
 
+class _ClosedStream(io.StringIO):
+    """Stands in for a stream that Python set to None because its descriptor was closed."""
+
+    def write(self, text: str) -> int:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+
+
 def main(argv: list[str] | None = None) -> int:
+    sys.stdout = sys.stdout or _ClosedStream()
+    sys.stderr = sys.stderr or _ClosedStream()
     if argv is None:
         argv = sys.argv[1:]
     args = _read(argv) or build_parser().parse_args(argv)
@@ -369,16 +374,14 @@ def run() -> NoReturn:
         code = main()
         atexit._run_exitfuncs()
         try:
-            if sys.stdout is not None:
-                sys.stdout.flush()
+            sys.stdout.flush()
         except OSError as err:
             _print_error(f"cannot write <stdout>: {err.strerror}")
             code = EXIT_IO
     except _StderrLost:
         os._exit(EXIT_IO)
     try:
-        if sys.stderr is not None:
-            sys.stderr.flush()
+        sys.stderr.flush()
     except OSError:
         sys.exit(code)  # Python's own handling of a broken stderr
     os._exit(code)

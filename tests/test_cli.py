@@ -337,11 +337,12 @@ def test_out_path_in_missing_directory_is_io_error(tmp_path):
 
 
 def test_derive_items_to_an_unwritable_path_is_io_error(tmp_path):
-    out = tmp_path / "no" / "such" / "items.json"
-    proc = run_cli("derive", FAQ, "--items", str(out))
-    assert proc.returncode == 3
-    assert proc.stderr.startswith(f"cannot write {out}: ")
-    assert proc.stdout == ""
+    # An empty path names no file, as with ``export --out ""``.
+    for out in (str(tmp_path / "no" / "such" / "items.json"), ""):
+        proc = run_cli("derive", FAQ, "--items", out)
+        assert proc.returncode == 3
+        assert proc.stderr == f"cannot write {out}: {os.strerror(errno.ENOENT)}\n"
+        assert proc.stdout == ""
 
 
 def _child_env(buffered: bool) -> dict:
@@ -395,11 +396,13 @@ def test_a_closed_pipe_on_stdout_is_an_io_error(buffered):
 
 @pytest.mark.skipif(os.name != "posix", reason="closes a file descriptor in the child")
 def test_a_closed_stdout_is_an_io_error_only_for_a_write(tmp_path):
-    # With file descriptor 1 closed, ``sys.stdout`` is None.  A command that
-    # has text for stdout reports it once and exits 3; one that prints
+    # With file descriptor 1 closed, Python starts with no stdout.  A command
+    # that has text for stdout reports it once and exits 3; one that prints
     # nothing exits as it does with stdout open.
     copy = tmp_path / "faq.dsa"
     copy.write_text((FIXTURES / "faq_chatbot.dsa").read_text())
+    bad = tmp_path / "bad.dsa"
+    bad.write_text('system "Bad" {\n  data 9bad "D"\n}\n')
     failed = (3, f"cannot write <stdout>: {os.strerror(errno.EBADF)}\n")
     runs = [
         *((argv, failed) for argv in STDOUT_WRITERS),
@@ -410,6 +413,7 @@ def test_a_closed_stdout_is_an_io_error_only_for_a_write(tmp_path):
         (["fmt", "--check", FAQ], (0, "")),
         (["fmt", "--write", str(copy)], (0, "")),
         (["export", FAQ, "--format", "dot", "--out", str(tmp_path / "m.dot")], (0, "")),
+        (["fmt", str(bad)], (1, f"{bad}:2:8: error E005: invalid identifier '9bad'\n")),
     ]
     for argv, expected in runs:
         proc = subprocess.run(
@@ -426,9 +430,11 @@ UNUSED_DATA = 'system "W" {\n  data d "D"\n}\n'  # W104 and nothing else
 
 @pytest.mark.skipif(os.name != "posix", reason="closes a file descriptor in the child")
 def test_a_closed_stderr_is_an_io_error_only_for_a_diagnostic(tmp_path):
-    # With file descriptor 2 closed, ``sys.stderr`` is None.  A run with
+    # With file descriptor 2 closed, Python starts with no stderr.  A run with
     # nothing to report writes its artifact as it does with stderr open; a
     # run with a line for stderr exits 3 and writes nothing, on stdout either.
+    # Argparse's usage error writes nothing and exits as it does with a full
+    # stderr; its help still goes to stdout.
     unused = tmp_path / "unused.dsa"
     unused.write_text(UNUSED_DATA)
     fixtures = [str(FIXTURES / f"{n}.dsa") for n in sorted(FIXTURE_NAMES)]  # the golden's order
@@ -448,6 +454,26 @@ def test_a_closed_stderr_is_an_io_error_only_for_a_diagnostic(tmp_path):
         )
         stdout = (GOLDEN / golden).read_bytes() if golden else b""
         assert (proc.returncode, proc.stdout) == (code, stdout), argv
+
+    def closed_stderr(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "dsalign", *argv], stdout=subprocess.PIPE,
+            cwd=REPO, env=_child_env(True), preexec_fn=lambda: os.close(2),
+        )
+
+    usage = closed_stderr("check")
+    assert usage.stdout == b""
+    if os.path.exists("/dev/full"):
+        # Unbuffered, as the closed stream's write fails at once: a buffered
+        # stderr keeps the usage text, and the interpreter's final flush fails.
+        with open("/dev/full", "w") as full:
+            code = subprocess.run(
+                [sys.executable, "-m", "dsalign", "check"], stdout=subprocess.PIPE,
+                stderr=full, cwd=REPO, env=_child_env(False),
+            ).returncode
+        assert usage.returncode == code
+    helped = closed_stderr("check", "--help")
+    assert (helped.returncode, helped.stdout) == (0, run_cli("check", "--help").stdout.encode())
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

@@ -414,6 +414,17 @@ def test_attach_soundness(name, fixture_models):
     assert errors == []
 
 
+def test_attach_shares_one_attrs_tuple_per_combination_of_taxonomy_words(fixture_models):
+    # Derived items repeat a few (category,) and (category, severity) pairs;
+    # an attached model keeps one tuple per pair, not one per item.
+    rows = []
+    for model in fixture_models.values():
+        attached = attach(model, derive_all(model))
+        rows += [row for row in attached._by_id.values() if row[1] in BRANCHES]
+    assert len(rows) > len({row[4] for row in rows})
+    assert len({id(row[4]) for row in rows}) == len({row[4] for row in rows})
+
+
 def test_attach_empty_itemset_is_identity(faq_model):
     empty = EvaluationItemSet(system_name=faq_model.system_name, items=[])
     attached = attach(faq_model, empty)
