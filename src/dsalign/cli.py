@@ -1,12 +1,13 @@
 """Command-line driver: parse, validate, derive, attach, export, report.
 
 Exit codes: 0 success, 1 error-level diagnostics (warnings too with
-``--strict``), 2 usage error, 3 I/O error, a failed write to stdout
-included.  Diagnostics go to stderr; artifacts go to stdout or the path
-given by ``--out``/``--items``.  A run that cannot write a line to stderr,
-closed or failing, exits 3 and writes nothing more.  ``main`` puts a stand-in
-whose writes fail with EBADF in place of a stream that Python set to None
-(its descriptor closed at start-up), so a closed stream fails as a full one.
+``--strict``), 2 usage error, 3 I/O error.  Diagnostics go to stderr;
+artifacts go to stdout or the path given by ``--out``/``--items``.  Any
+failed write, argparse's help and usage text included, exits 3: one
+``cannot write <stdout>`` line for stdout, nothing more for stderr.  ``main``
+puts a stand-in that keeps what is written and fails to flush it with EBADF
+in place of a stream that Python set to None (its descriptor closed at
+start-up), so a closed stream fails as a full one.
 
 ``COMMANDS`` is the one declaration of the CLI.  ``_read`` takes each
 well-formed run straight from it; help, usage errors and every form it does
@@ -127,33 +128,25 @@ def _load(path: str, reporter: _Reporter, upto: str) -> AlignmentModel | Evaluat
         return None
 
 
-class _StderrLost(Exception):
-    """Stderr could not take a line; ``run`` ends the process with EXIT_IO."""
-
-
 def _print_error(line: str) -> None:
     """Print ``line`` to stderr with a path's line breaks escaped, as diagnostics are.
 
-    Raises ``_StderrLost`` when stderr is closed or the write fails.
+    Raises ``OSError`` when stderr is closed or the write fails.
     """
-    try:
-        print(line.translate(_LINE_BREAKS), file=sys.stderr)
-    except OSError as err:
-        raise _StderrLost from err
+    print(line.translate(_LINE_BREAKS), file=sys.stderr, flush=True)
 
 
 def _write_artifact(text: str, out: str | None) -> int:
-    # Stdout when ``out`` is None or "-".  Each command writes stdout at most
-    # once, so a failed write leaves nothing buffered for ``run`` to flush.
-    to_stdout = out is None or out == "-"
+    # Stdout when ``out`` is None.  Each command writes stdout at most once,
+    # so a failed write leaves nothing buffered for ``run`` to flush.
     try:
-        if not to_stdout:
+        if out is not None:
             with open(out, "w", encoding="utf-8", newline="") as handle:
                 handle.write(text)
         else:
             sys.stdout.write(text)
     except OSError as err:  # BrokenPipeError included
-        _print_error(f"cannot write {'<stdout>' if to_stdout else out}: {err.strerror}")
+        _print_error(f"cannot write {'<stdout>' if out is None else out}: {err.strerror}")
         return EXIT_IO
     return EXIT_OK
 
@@ -174,7 +167,8 @@ def _cmd_derive(args: SimpleNamespace) -> int:
     if code != EXIT_OK:
         return code
     if args.items is not None:
-        code = _write_artifact(serialize_itemset(itemset), args.items)
+        items = None if args.items == "-" else args.items
+        code = _write_artifact(serialize_itemset(itemset), items)
         if code != EXIT_OK:
             return code
     if args.items != "-":
@@ -192,7 +186,7 @@ def _cmd_export(args: SimpleNamespace) -> int:
     if code != EXIT_OK:
         return code
     exporter = {"open_exchange": export.to_open_exchange, "dot": export.to_dot}[args.format]
-    return _write_artifact(exporter(target), args.out)
+    return _write_artifact(exporter(target), None if args.out == "-" else args.out)
 
 
 def _cmd_report(args: SimpleNamespace) -> int:
@@ -217,7 +211,7 @@ def _cmd_report(args: SimpleNamespace) -> int:
             parts.append(item_table(itemset, args.format))
             parts.append("\n" if args.format == "markdown" else "")
         text = "".join(parts).rstrip("\n") + "\n"
-    return _write_artifact(text, args.out)
+    return _write_artifact(text, None if args.out == "-" else args.out)
 
 
 def _cmd_fmt(args: SimpleNamespace) -> int:
@@ -244,7 +238,7 @@ def _cmd_fmt(args: SimpleNamespace) -> int:
                 return code
         else:
             texts.append(canonical)
-    if texts and _write_artifact("".join(texts), None) != EXIT_OK:
+    if _write_artifact("".join(texts), None) != EXIT_OK:
         return EXIT_IO
     code = reporter.exit_code()
     if code != EXIT_OK:
@@ -283,7 +277,12 @@ def build_parser() -> argparse.ArgumentParser:
     """The argparse parser for COMMANDS, which prints every help and usage text."""
     import argparse
 
-    parser = argparse.ArgumentParser(
+    class Parser(argparse.ArgumentParser):
+        def _print_message(self, message: str, file: io.TextIOBase | None = None) -> None:
+            if message:  # Python 3.10's body; 3.11+ would swallow a failed write
+                (file or sys.stderr).write(message)
+
+    parser = Parser(
         prog="dsalign",
         description="Model dialogue systems with their values, risks, and costs.",
     )
@@ -349,8 +348,9 @@ def _read(argv: list[str]) -> SimpleNamespace | None:
 class _ClosedStream(io.StringIO):
     """Stands in for a stream that Python set to None because its descriptor was closed."""
 
-    def write(self, text: str) -> int:
-        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    def flush(self) -> None:  # fails once written to, as a buffered stream does
+        if self.tell():
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -365,25 +365,25 @@ def main(argv: list[str] | None = None) -> int:
 def run() -> NoReturn:
     """Run ``main``, then end the process without interpreter teardown.
 
-    Runs the ``atexit`` handlers and flushes stdout and stderr, in the order
-    Python's finalization does; dsalign closes its files and starts no threads.
-    A run whose line stderr could not take ends at once with EXIT_IO, flushing
-    nothing, so no later output follows the lost line.
+    Help and usage errors end here too.  Runs the ``atexit`` handlers and
+    flushes stdout and stderr, in the order Python's finalization does; dsalign
+    closes its files and starts no threads.  A failed stderr write ends the run
+    with EXIT_IO, flushing nothing more, so no later output follows it.
     """
     try:
-        code = main()
+        try:
+            code = main()
+        except SystemExit as stop:  # argparse's help and usage errors
+            code = stop.code
         atexit._run_exitfuncs()
         try:
             sys.stdout.flush()
         except OSError as err:
             _print_error(f"cannot write <stdout>: {err.strerror}")
             code = EXIT_IO
-    except _StderrLost:
-        os._exit(EXIT_IO)
-    try:
         sys.stderr.flush()
-    except OSError:
-        sys.exit(code)  # Python's own handling of a broken stderr
+    except OSError:  # a failed stderr write: each other I/O site catches its own
+        code = EXIT_IO
     os._exit(code)
 
 

@@ -9,13 +9,12 @@ exit 0, write exactly the bytes of its file in ``fixtures/golden`` to stdout
 (nothing for ``check`` and ``fmt``) and nothing to stderr.  Four more runs
 check the exit codes the CLI's ending must carry: an invalid model (1), a
 missing file (3), a usage error (2) and ``--help`` (0); each must write to
-stderr exactly when it fails.  On POSIX, two runs close the child's stdout:
-``export --format dot`` must exit 3 with one ``cannot write <stdout>`` line,
-and ``fmt --check``, which prints nothing, must exit 0 with an empty stderr;
-two runs close its stderr: ``check`` of the invalid model must exit 3, and
-``check`` with no file must exit 2 (1 before Python 3.11, whose argparse lets
-the failed write of its usage error escape), each with an empty stdout.
-Standard library only; pytest does not collect
+stderr exactly when it fails.  On POSIX, three runs close the child's stdout:
+``export --format dot`` and ``--help`` must exit 3 with one
+``cannot write <stdout>`` line, and ``fmt --check``, which prints nothing,
+must exit 0 with an empty stderr; two runs close its stderr: ``check`` of the
+invalid model and ``check`` with no file, a usage error, must exit 3 with an
+empty stdout.  Standard library only; pytest does not collect
 this file, but ``tests/test_cli.py`` calls ``check`` on the interpreter that
 runs the tests.
 
@@ -45,13 +44,12 @@ INVALID_MODEL = 'system "Bad" {\n  component c "C" {\n    runs_on: server;\n  }\
 CLOSED = "closed"  # the run's file descriptor 1 or 2 is closed, so it has no stdout or stderr
 
 
-def runs(
-    invalid: str, version: tuple[int, ...] = sys.version_info[:2],
-) -> list[tuple[list[str], int, bytes | str | None, bool | str]]:
-    """Each run as (arguments, exit code, stdout, stderr) under an interpreter
-    of ``version``; ``invalid`` is the path of a model with an error.  Stdout
-    is its bytes, None for any, or ``CLOSED``; stderr is whether the run
-    writes to it, its exact text, or ``CLOSED``."""
+def runs(invalid: str) -> list[tuple[list[str], int, bytes | str | None, bool | str]]:
+    """Each run as (arguments, exit code, stdout, stderr); ``invalid`` is the
+    path of a model with an error.  Stdout is its bytes, None for any, or
+    ``CLOSED``; stderr is whether the run writes to it, its exact text, or
+    ``CLOSED``."""
+    lost = f"cannot write <stdout>: {os.strerror(errno.EBADF)}\n"
     cycle = [
         (args, 0, (GOLDEN / golden).read_bytes() if golden else b"", False)
         for args, golden in cli_commands(FIXTURE_NAMES)
@@ -62,11 +60,11 @@ def runs(
         (["-m", "dsalign", "check"], 2, b"", True),  # a usage error
         (["-m", "dsalign", "--help"], 0, None, False),
     ] + ([
-        (["-m", "dsalign", "export", FAQ, "--format", "dot"], 3, CLOSED,
-         f"cannot write <stdout>: {os.strerror(errno.EBADF)}\n"),
+        (["-m", "dsalign", "export", FAQ, "--format", "dot"], 3, CLOSED, lost),
+        (["-m", "dsalign", "--help"], 3, CLOSED, lost),
         (["-m", "dsalign", "fmt", "--check", FAQ], 0, CLOSED, False),
         (["-m", "dsalign", "check", invalid], 3, b"", CLOSED),
-        (["-m", "dsalign", "check"], 2 if version >= (3, 11) else 1, b"", CLOSED),
+        (["-m", "dsalign", "check"], 3, b"", CLOSED),  # a usage error
     ] if os.name == "posix" else [])
 
 
@@ -82,12 +80,11 @@ def check(interpreter: str) -> list[str]:
     """One line per run whose exit code, stdout or stderr differs from the expected."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     env.update(PYTHONPATH=str(REPO / "src"), PYTHONDONTWRITEBYTECODE="1", DSALIGN_NO_COLOR="1")
-    version = tuple(int(part) for part in python_version(interpreter).split(".")[:2])
     failures = []
     with tempfile.TemporaryDirectory() as tmp:
         invalid = Path(tmp) / "invalid.dsa"
         invalid.write_text(INVALID_MODEL, encoding="utf-8")
-        for args, code, stdout, errors in runs(str(invalid), version):
+        for args, code, stdout, errors in runs(str(invalid)):
             closed = 1 if stdout is CLOSED else 2 if errors is CLOSED else None
             proc = subprocess.run(
                 [interpreter, *args], stdout=None if closed == 1 else subprocess.PIPE,

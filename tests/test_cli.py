@@ -324,6 +324,22 @@ def test_fmt_write_rewrites_in_place(tmp_path):
     assert check.returncode == 0
 
 
+def test_fmt_write_rewrites_a_file_named_dash(tmp_path):
+    # "-" names stdout only as the value of ``--out`` or ``--items``; as an
+    # input it is a file, for ``fmt --write`` as for ``check``.
+    messy = (
+        'system "Messy" {\n  component c "C" { runs_on: server;\n'
+        '    function f "F"; uses: d; }\n  data d "D"\n}\n'
+    )
+    (tmp_path / "-").write_text(messy)
+    proc = subprocess.run(
+        [sys.executable, "-m", "dsalign", "fmt", "--write", "-"],
+        capture_output=True, text=True, cwd=tmp_path, env=_child_env(True),
+    )
+    assert (proc.returncode, proc.stdout) == (0, ""), proc.stderr
+    assert (tmp_path / "-").read_text() == run_cli("fmt", str(tmp_path / "-")).stdout != messy
+
+
 def test_fmt_write_and_check_are_exclusive(tmp_path):
     proc = run_cli("fmt", "--write", "--check", FAQ)
     assert proc.returncode == 2
@@ -409,6 +425,7 @@ def test_a_closed_stdout_is_an_io_error_only_for_a_write(tmp_path):
         (["derive", FAQ, "--items", str(tmp_path / "items.json")], failed),
         (["export", FAQ, "--format", "dot"], failed),
         (["report", FAQ], failed),
+        (["--help"], failed),
         (["check", FAQ], (0, "")),
         (["fmt", "--check", FAQ], (0, "")),
         (["fmt", "--write", str(copy)], (0, "")),
@@ -432,9 +449,8 @@ UNUSED_DATA = 'system "W" {\n  data d "D"\n}\n'  # W104 and nothing else
 def test_a_closed_stderr_is_an_io_error_only_for_a_diagnostic(tmp_path):
     # With file descriptor 2 closed, Python starts with no stderr.  A run with
     # nothing to report writes its artifact as it does with stderr open; a
-    # run with a line for stderr exits 3 and writes nothing, on stdout either.
-    # Argparse's usage error writes nothing and exits as it does with a full
-    # stderr; its help still goes to stdout.
+    # run with a line for stderr exits 3 and writes nothing, on stdout either,
+    # argparse's usage error included; its help still goes to stdout.
     unused = tmp_path / "unused.dsa"
     unused.write_text(UNUSED_DATA)
     fixtures = [str(FIXTURES / f"{n}.dsa") for n in sorted(FIXTURE_NAMES)]  # the golden's order
@@ -462,16 +478,7 @@ def test_a_closed_stderr_is_an_io_error_only_for_a_diagnostic(tmp_path):
         )
 
     usage = closed_stderr("check")
-    assert usage.stdout == b""
-    if os.path.exists("/dev/full"):
-        # Unbuffered, as the closed stream's write fails at once: a buffered
-        # stderr keeps the usage text, and the interpreter's final flush fails.
-        with open("/dev/full", "w") as full:
-            code = subprocess.run(
-                [sys.executable, "-m", "dsalign", "check"], stdout=subprocess.PIPE,
-                stderr=full, cwd=REPO, env=_child_env(False),
-            ).returncode
-        assert usage.returncode == code
+    assert (usage.returncode, usage.stdout) == (3, b"")
     helped = closed_stderr("check", "--help")
     assert (helped.returncode, helped.stdout) == (0, run_cli("check", "--help").stdout.encode())
 
@@ -480,13 +487,28 @@ def test_a_closed_stderr_is_an_io_error_only_for_a_diagnostic(tmp_path):
 def test_a_failed_write_to_stderr_is_an_io_error(tmp_path):
     unused = tmp_path / "unused.dsa"
     unused.write_text(UNUSED_DATA)
-    for argv in (["check", str(unused)], ["derive", str(unused), "--items", "-"]):
-        with open("/dev/full", "w") as full:
-            proc = subprocess.run(
-                [sys.executable, "-m", "dsalign", *argv], stdout=subprocess.PIPE,
-                stderr=full, cwd=REPO, env=_child_env(True),
-            )
-        assert (proc.returncode, proc.stdout) == (3, b""), argv
+    # The usage error of ``check`` with no file is argparse's own write.
+    for argv in (["check", str(unused)], ["derive", str(unused), "--items", "-"], ["check"]):
+        for buffered in (True, False):
+            with open("/dev/full", "w") as full:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "dsalign", *argv], stdout=subprocess.PIPE,
+                    stderr=full, cwd=REPO, env=_child_env(buffered),
+                )
+            assert (proc.returncode, proc.stdout) == (3, b""), (argv, buffered)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_help_to_a_full_stdout_is_an_io_error():
+    # Buffered, the help text waits in the buffer and the final flush fails.
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "dsalign", "--help"], stdout=full,
+            stderr=subprocess.PIPE, text=True, cwd=REPO, env=_child_env(True),
+        )
+    assert (proc.returncode, proc.stderr) == (
+        3, f"cannot write <stdout>: {os.strerror(errno.ENOSPC)}\n"
+    )
 
 
 def test_atexit_handlers_run_once_after_the_cli_output(tmp_path):

@@ -4,6 +4,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from dsalign import export
 from dsalign.derive import EvaluationItem, EvaluationItemSet, Rule, attach, derive_all
 from dsalign.dsl import format_model, parse
 from dsalign.export import to_dot, to_open_exchange
@@ -117,6 +118,26 @@ def test_each_element_carries_the_properties_of_its_own_attrs(name, fixture_mode
         if "severity" in e.attrs:
             expected["propid-severity"] = e.attrs["severity"]
         assert found == expected, e.id
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_each_properties_block_is_rendered_once(name, fixture_models, monkeypatch):
+    # Rendering a block per element instead of per key costs more than twice
+    # the time of the whole export on an 800-block model.
+    _, attached = attached_fixture(fixture_models, name)
+    keys = []
+    render = export._properties
+
+    def counted(*key):
+        keys.append(key[:3])
+        return render(*key)
+
+    monkeypatch.setattr(export, "_properties", counted)
+    to_open_exchange(attached)
+    distinct = {
+        (e.kind, e.attrs.get("category"), e.attrs.get("severity")) for e in attached.elements
+    }
+    assert len(keys) == len(distinct) and set(keys) == distinct
 
 
 @pytest.mark.parametrize(
