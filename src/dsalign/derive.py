@@ -19,6 +19,8 @@ motivation-layer elements with provenance edges.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .model import (
     ALL_LEAVES,
     AlignmentModel,
@@ -205,17 +207,15 @@ def attach(model: AlignmentModel, itemset: EvaluationItemSet) -> AlignmentModel:
     for item in itemset.items:
         if item.rule not in RULE_TABLE:
             raise ModelError("E201", f"item {item.id!r} has unknown rule {item.rule!r}")
-        if item.id in model:
+        if item.id in model._by_id:  # not ``in model``: no method call per id
             raise ModelError("E201", f"item {item.id!r} is already materialized")
         if item.id in principles:
             raise ModelError("E201", f"item {item.id!r} has the id of a derived Principle element")
         if item.id == slug:
             raise ModelError("E014", clash)
         for source in item.sources:
-            if source not in model:
-                raise ModelError(
-                    "E201", f"item {item.id!r} references unknown source {source!r}"
-                )
+            if source not in model._by_id:
+                raise ModelError("E201", f"item {item.id!r} references unknown source {source!r}")
     for item in risk_items:
         if item.category not in RISK_LEAVES:
             raise ModelError(
@@ -301,12 +301,14 @@ def serialize_itemset(itemset: EvaluationItemSet) -> str:
     except ImportError:  # an interpreter without the C accelerator
         from json.encoder import encode_basestring as enc
 
+    # Each distinct rule, category and severity is encoded once per call.
+    word, path = cache(enc), cache(lambda leaf: enc(leaf_path(leaf)))
     items = [
-        f'{{\n      "id": {enc(item.id)},\n      "rule": {enc(item.rule)},'
-        f'\n      "category": {enc(item.category_path)},'
+        f'{{\n      "id": {enc(item.id)},\n      "rule": {word(item.rule)},'
+        f'\n      "category": {path(item.category)},'
         f'\n      "description": {enc(item.description)},'
-        f'\n      "sources": {_json_list(list(map(enc, item.sources)), "      ")},'
-        f'\n      "severity": {"null" if item.severity is None else enc(item.severity)}\n    }}'
+        f'\n      "sources": {_sources(item.sources, enc)},'
+        f'\n      "severity": {"null" if item.severity is None else word(item.severity)}\n    }}'
         for item in itemset.items
     ]
     warnings = [
@@ -319,6 +321,13 @@ def serialize_itemset(itemset: EvaluationItemSet) -> str:
         f'{{\n  "system": {enc(itemset.system_name)},\n  "items": {_json_list(items, "  ")},'
         f'\n  "warnings": {_json_list(warnings, "  ")}\n}}\n'
     )
+
+
+def _sources(sources: tuple[str, ...], enc) -> str:
+    """An item's sources array; one source, as every derived item has, takes no list."""
+    if len(sources) == 1:
+        return f"[\n        {enc(*sources)}\n      ]"
+    return _json_list(list(map(enc, sources)), "      ")
 
 
 def _json_list(values: list[str], indent: str) -> str:

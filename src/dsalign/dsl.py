@@ -459,7 +459,7 @@ class _Parser:
     def parse_statement(self, i: int) -> int:
         """Read the statement at token ``i``: its keyword, id and name, then
         each entry by its row in ``model.STATEMENTS``; return the index after it."""
-        toks = self.toks
+        toks, declared = self.toks, self.spans.index
         keyword = toks[i]
         if keyword not in _STATEMENT_KINDS:
             self.expected("a statement", i)
@@ -525,8 +525,8 @@ class _Parser:
                     seen_single.add(key)
                 if relation is not None:
                     ids = refs.setdefault(key, [])
-                    while True:
-                        if (tok := toks[i]) not in KEYWORDS and is_valid_id(tok):
+                    while True:  # an id declared before this reference passed the check
+                        if (tok := toks[i]) in declared or tok not in KEYWORDS and is_valid_id(tok):
                             ids.append(i)
                             i += 1
                         else:
@@ -709,7 +709,7 @@ def format_model(model: AlignmentModel) -> str:
         keyword = statement.keyword
         role = f"{statement.role} " if statement.role else ""
         header = f"  {keyword} {role}{id} {_quote(name)}"
-        keyed = refs.get(id, {})
+        keyed = refs.get(id, ())
         attrs = dict(attrs)
         body: list[str] = []
         for key, entry in statement.entries.items():

@@ -85,19 +85,20 @@ def to_open_exchange(model: AlignmentModel) -> str:
     """Render the model in the Open Exchange 3.x layout (UTF-8 text, LF)."""
     _check_exportable(model)
     used_propdefs: set[str] = set()
-    # (kind, category, severity) -> properties block.  ``validate`` admits
-    # only str categories and severities, so equal keys render alike.
-    blocks: dict[tuple[str, str | None, str | None], str] = {}
+    # A derived item's (kind, attrs), or any other element's kind -> properties
+    # block: only items carry a category or severity, and ``validate`` admits only str ones.
+    blocks: dict[object, str] = {}
 
     # Identifiers come from ids and slugs, which hold only [a-z0-9_], so
     # they need no escaping.
     elements: list[str] = []
     for id, kind, name, doc, attrs in model._by_id.values():
-        attrs = dict(attrs)
-        key = (kind, attrs.get("category"), attrs.get("severity"))
+        key = (kind, attrs) if kind in _CLUSTERS else kind
         props = blocks.get(key)
         if props is None:
-            props = blocks[key] = _properties(*key, used_propdefs)
+            attrs = dict(attrs)
+            category, severity = attrs.get("category"), attrs.get("severity")
+            props = blocks[key] = _properties(kind, category, severity, used_propdefs)
         if doc:
             doc = f'      <documentation xml:lang="en">{_xml_text(doc)}</documentation>\n'
         elements.append(

@@ -512,7 +512,7 @@ class AlignmentModel:
             raise ModelError(
                 "E004", f"{kind} from {source_kind} to {target_kind} is not permitted"
             )
-        id = f"r{len(self._relations) + 1:03d}"
+        id = "r" + str(len(self._relations) + 1).zfill(3)  # as f"r{n:03d}", in half the time
         self._relations.append((id, kind, source, target))
         self._diagnostics = None
         return id
@@ -572,6 +572,7 @@ class AlignmentModel:
         """
         by_id = self._by_id
         slug = slugify(self._system_name)
+        association = RelationKind.ASSOCIATION
         if base is None:
             found: list[Diagnostic] = []
             unusual: list[Diagnostic] = []
@@ -585,9 +586,8 @@ class AlignmentModel:
             base.validate()  # sets ``base._diagnostics`` if nothing has validated it
             found, unusual = map(list, base._diagnostics)
             rows = list(by_id.values())[len(base._by_id):]
-            relations = self._relations[len(base._relations):]
-            links = {}  # no added relation gives an element its link
-        association = RelationKind.ASSOCIATION
+            relations = [r for r in self._relations[len(base._relations):] if r[1] is association]
+            links = {}  # no added relation gives an element its link: only W105 can apply
         linked: set[str] = set()  # ids of elements that have their V1-V6 link
         for rid, kind, source, target in relations:
             skind = by_id[source][1]

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from dsalign import derive_all
 from dsalign.derive import RULES, EvaluationItem, EvaluationItemSet, Rule, serialize_itemset
-from dsalign.model import ALL_LEAVES, Diagnostic, Severity
+from dsalign.model import ALL_LEAVES, Diagnostic, Severity, leaf_path
 
 from conftest import FIXTURE_NAMES, GOLDEN
 
@@ -61,6 +61,51 @@ def test_empty_lists_and_nulls_match_the_reference():
         EvaluationItemSet("S", [item, item], [warning, warning]),
     ):
         assert serialize_itemset(itemset) == reference_serialize(itemset)
+
+
+# Rules and categories repeat, ``privacy`` sits under two rules, and the items
+# have no, one and three sources (the three as a list) and both kinds of severity.
+FIXED = EvaluationItemSet("S", [
+    EvaluationItem("a", "human_resources", "develop \"x\"", ("c1",), Rule.R1_COST),
+    EvaluationItem("b", "human_resources", "operate x", ("c1",), Rule.R1_COST),
+    EvaluationItem("c", "it_resources", "fees", ["c1", "c2", "ü"], Rule.R1_COST),
+    EvaluationItem("d", "privacy", "leak", ("e1",), Rule.R2_RISK, "high"),
+    EvaluationItem("e", "privacy", "leak again", (), Rule.R2_RISK, "high"),
+    EvaluationItem("f", "privacy", "calm", ("e2",), Rule.R2_RISK, "low"),
+    EvaluationItem("g", "privacy", "kept private", ("u1",), Rule.R5_QUALITY),
+])
+
+
+def test_a_fixed_itemset_matches_the_reference():
+    assert serialize_itemset(FIXED) == reference_serialize(FIXED)
+
+
+def test_each_rule_category_and_severity_is_encoded_once(monkeypatch):
+    # ``serialize_itemset`` imports the encoder on each call, so it finds this one.
+    import _json
+
+    encoded = []
+    encode = _json.encode_basestring
+
+    def counting(text):
+        encoded.append(text)
+        return encode(text)
+
+    monkeypatch.setattr(_json, "encode_basestring", counting)
+    assert serialize_itemset(FIXED) == reference_serialize(FIXED)
+    items = FIXED.items
+    per_item = sum(2 + len(item.sources) for item in items)  # id, description, sources
+    distinct = {item.rule for item in items} | {item.category_path for item in items}
+    distinct |= {item.severity for item in items} - {None}
+    assert len(encoded) == 1 + per_item + len(distinct)  # 1: the system name
+    assert encoded.count(leaf_path("privacy")) == 1 and encoded.count(Rule.R1_COST) == 1
+
+
+@pytest.mark.parametrize("severity", [5, ["high"]])
+def test_a_severity_that_is_no_string_raises_type_error(severity):
+    item = EvaluationItem("i", "privacy", "", ("s",), Rule.R2_RISK, severity)
+    with pytest.raises(TypeError):
+        serialize_itemset(EvaluationItemSet("S", [item]))
 
 
 # Arbitrary Unicode, with lone surrogates, C0 controls, the characters JSON

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import REPO
 
-from dsalign.export import to_dot
+from dsalign.export import to_dot, to_open_exchange
 from dsalign.model import (
     ALL_LEAVES,
     ALLOWED_ATTRS,
@@ -191,6 +191,22 @@ def test_add_relation_unknown_endpoint():
     with pytest.raises(ModelError) as err:
         m.add_relation(R.ACCESS, "d", "nope")
     assert err.value.code == "E003"
+
+
+def test_relation_ids_keep_three_digits_then_grow():
+    # Two dialogue services have no V1-V6 rule, and an association between
+    # them is unusual: the model exports, and each relation gets a W105.
+    m = two_element_model(K.DIALOGUE_SERVICE, K.DIALOGUE_SERVICE)
+    returned = [m.add_relation(R.ASSOCIATION, "src", "dst") for _ in range(1001)]
+    expected = {1: "r001", 99: "r099", 100: "r100", 999: "r999", 1000: "r1000"}
+    assert {n: returned[n - 1] for n in expected} == expected
+    relations = m.relations
+    assert {n: relations[n - 1].id for n in expected} == expected
+    assert returned[-1] == "r1001" and len(set(returned)) == 1001
+    w105 = [d.subject for d in m.validate() if d.code == "W105"]
+    assert {n: w105[n - 1] for n in expected} == expected
+    identifiers = re.findall(r'<relationship identifier="id-(r\d+)"', to_open_exchange(m))
+    assert identifiers == returned
 
 
 # The permitted-connections table, written out independently of the
