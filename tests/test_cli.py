@@ -96,6 +96,20 @@ def test_byte_order_mark_is_dropped_on_load(tmp_path):
     assert proc.stderr == f"{bom}: not in canonical form\n"
 
 
+def test_crlf_is_accepted_and_fmt_writes_lf(tmp_path):
+    lf = (FIXTURES / "faq_chatbot.dsa").read_bytes()
+    crlf = tmp_path / "crlf.dsa"
+    crlf.write_bytes(lf.replace(b"\n", b"\r\n"))
+    proc = run_cli("check", str(crlf))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    # The canonical form ends its lines with LF only.
+    proc = run_cli("fmt", "--check", str(crlf))
+    assert (proc.returncode, proc.stderr) == (1, f"{crlf}: not in canonical form\n")
+    proc = run_cli("fmt", "--write", str(crlf))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    assert crlf.read_bytes() == lf
+
+
 def test_diagnostics_render_with_location(tmp_path):
     bad = tmp_path / "loc.dsa"
     bad.write_text('system "X" {\n  data d "D"\n  data d "Again"\n}\n')
