@@ -172,12 +172,10 @@ def _influence_warnings(model: AlignmentModel) -> list[Diagnostic]:
 
 def derive_all(model: AlignmentModel) -> EvaluationItemSet:
     """Run rules R1-R5 over a model that validates without errors (E200)."""
-    diagnostics = model.validate()
-    if any(d.severity is Severity.ERROR for d in diagnostics):
-        codes = ", ".join(sorted({d.code for d in diagnostics if d.severity is Severity.ERROR}))
-        raise ModelError("E200", f"model has validation errors ({codes})")
+    warnings = model.validate()  # a new list, which holds only warnings once E200 is passed
+    if codes := {d.code for d in warnings if d.severity is Severity.ERROR}:
+        raise ModelError("E200", f"model has validation errors ({', '.join(sorted(codes))})")
     items = [item for rule in RULES for item in derive_rule(model, rule)]
-    warnings = [d for d in diagnostics if d.severity is Severity.WARNING]
     warnings.extend(_influence_warnings(model))
     return EvaluationItemSet(system_name=model.system_name, items=items, warnings=warnings)
 

@@ -225,14 +225,14 @@ def _starts(toks: list[str], trails: list[str]) -> list[int]:
     return starts
 
 
-def _lex(text: str) -> tuple[list[str], list[str], list[int] | None, list[_Finding]]:
-    """Tokens, their trails, their start offsets, and the lexer's findings in source order.
+def _lex(text: str) -> tuple[list[str], list[str] | None, list[int] | None, list[_Finding]]:
+    """Tokens, their trails or their start offsets, and the lexer's findings in source order.
 
     A token is its source text, except that a string token is its value in
     quotes.  The last token is "" at the end of the file or, when the file
     ends in a comment, at that comment's '#'.  The offsets are summed only
-    when there are odd lexemes to report, and are None otherwise:
-    ``_starts(toks, trails)`` gives them then.
+    when there are odd lexemes to report, and the trails are None then;
+    otherwise the offsets are None and ``_starts(toks, trails)`` gives them.
     """
     # The leading ';' is a token whose trail takes the text's leading blanks.
     parts = _TOKEN_RE.split(";" + text)  # "", plain, odd, trail per token, then ""
@@ -263,7 +263,7 @@ def _lex(text: str) -> tuple[list[str], list[str], list[int] | None, list[_Findi
     if dropped:
         starts = [start for start, tok in zip(starts, toks) if tok is not None]
         toks = [tok for tok in toks if tok is not None]
-    return toks, trails, starts, found
+    return toks, None, starts, found
 
 
 # ---------------------------------------------------------------------------
@@ -570,18 +570,15 @@ class _Parser:
                     else:
                         self.expected("description string", i)
                         desc = ""
-                    if leaf:
+                    if leaf:  # the model keeps each list attr as a tuple
                         value = (leaf, desc) if severity is None else (leaf, severity, desc)
-                        attrs.setdefault(key, []).append(value)
+                        attrs[key] = attrs.get(key, ()) + (value,)
                 if toks[i] == ";":
                     i += 1
                 else:
                     self.expected("';'", i)
         if ident is None:
             return i
-        for key, value in attrs.items():  # the model keeps each list attr as a tuple
-            if value.__class__ is list:
-                attrs[key] = tuple(value)
         self.add_element(kind, ident, name, tuple(attrs.items()))
         if not refs:
             return i

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Mapping
+from itertools import islice
 import re
 from types import MappingProxyType
 
@@ -585,7 +586,7 @@ class AlignmentModel:
         else:
             base.validate()  # sets ``base._diagnostics`` if nothing has validated it
             found, unusual = map(list, base._diagnostics)
-            rows = list(by_id.values())[len(base._by_id):]
+            rows = islice(by_id.values(), len(base._by_id), None)
             relations = [r for r in self._relations[len(base._relations):] if r[1] is association]
             links = {}  # no added relation gives an element its link: only W105 can apply
         linked: set[str] = set()  # ids of elements that have their V1-V6 link

@@ -1,14 +1,20 @@
 from __future__ import annotations
 
+import atexit
+import contextlib
 import errno
+import gc
+import io
 import os
 import subprocess
 import sys
+import threading
+import warnings
 
 import pytest
 
 from conftest import FIXTURES, GOLDEN, FIXTURE_NAMES, REPO, run_cli
-from corpus_digests import HAND_WRITTEN
+from corpus_digests import CLI_FORMS, HAND_WRITTEN
 
 FAQ = str(FIXTURES / "faq_chatbot.dsa")
 
@@ -542,6 +548,37 @@ def test_atexit_handlers_run_once_after_the_cli_output(tmp_path):
             )
             assert proc.returncode == code, proc.stderr
             assert proc.stdout == text + "atexit ran\n"
+
+
+@pytest.mark.parametrize(
+    "form",
+    [
+        *CLI_FORMS,
+        ("fmt", "--write"),
+        ("export", "--format", "dot", "--out", "out.dot"),
+        ("derive", "--items", "items.json"),
+    ],
+    ids=" ".join,
+)
+def test_a_run_leaves_no_open_file_thread_or_exit_handler(form, tmp_path, monkeypatch):
+    # ``run`` ends in ``os._exit``, so nothing closes a file, waits for a
+    # thread or runs an exit handler after ``main`` returns: output left in an
+    # open file or a thread's hands would be lost without an error.
+    from dsalign import cli
+
+    (tmp_path / "m.dsa").write_bytes((FIXTURES / "faq_chatbot.dsa").read_bytes())
+    monkeypatch.chdir(tmp_path)
+    command, *options = form
+    threads, handlers = threading.active_count(), atexit._ncallbacks()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main([command, "m.dsa", *options])
+        gc.collect()
+    assert code == 0
+    assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
+    assert threading.active_count() == threads
+    assert atexit._ncallbacks() == handlers
 
 
 def test_the_corpus_cycle_matches_the_goldens_with_stdout_buffered():

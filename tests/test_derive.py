@@ -529,6 +529,44 @@ def test_attach_refuses_an_item_that_takes_a_derived_principle_id(faq_model):
     assert "principle_responsibility" not in faq_model and faq_model.validate() == before
 
 
+# ``attach`` adds every item element before any edge, so the model's own
+# refusals while it builds come in that order: E005 or E001 from an element,
+# then E004 from an edge.
+_BUILD_REFUSALS = {
+    "repeated_id": (
+        [EvaluationItem("item_a", "it_resources", "x", ["needs_faq_set"], Rule.R1_COST)] * 2,
+        "E001", "duplicate element id 'item_a'",
+    ),
+    "cost_at_a_data_model": (
+        [EvaluationItem("item_a", "it_resources", "x", ["faq_set"], Rule.R1_COST)],
+        "E004", "Influence from DataModel to CostItem is not permitted",
+    ),
+    "risk_at_a_component": (
+        [EvaluationItem("item_a", "privacy", "x", ["faq_search"], Rule.R2_RISK, "low")],
+        "E004", "Influence from SystemComponent to RiskItem is not permitted",
+    ),
+    # The second item's E005 (``test_attach_refuses_an_invalid_item_id`` has
+    # its messages) comes before the first item's E004.
+    "element_before_edge": (
+        [
+            EvaluationItem("item_a", "it_resources", "x", ["faq_set"], Rule.R1_COST),
+            EvaluationItem("Bad", "it_resources", "x", ["needs_faq_set"], Rule.R1_COST),
+        ],
+        "E005", "invalid identifier 'Bad'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _BUILD_REFUSALS)
+def test_attach_refusals_while_it_builds_leave_the_input_unchanged(faq_model, case):
+    items, code, message = _BUILD_REFUSALS[case]
+    rows, relations = dict(faq_model._by_id), list(faq_model._relations)
+    with pytest.raises(ModelError) as err:
+        attach(faq_model, EvaluationItemSet(faq_model.system_name, items))
+    assert (err.value.code, err.value.message) == (code, message)
+    assert faq_model._by_id == rows and faq_model._relations == relations
+
+
 def _influence_model(activities: int):
     """User activities u1..uN, each influencing operator activity o(i % 3 + 1)."""
     model = AlignmentModel("Influences")

@@ -13,6 +13,7 @@ rule yields items in some of them.
 from __future__ import annotations
 
 import re
+import sys
 import xml.etree.ElementTree as ET
 from collections import Counter
 
@@ -37,6 +38,11 @@ from dsalign.model import (
     Severity,
     is_valid_id,
 )
+
+from conftest import REPO
+
+sys.path.insert(0, str(REPO / "perfbench"))
+from pipeline import dot_balanced  # noqa: E402
 
 # Every kind but the motivation kinds: the item branches and principles.
 SURFACE_KINDS = [
@@ -154,25 +160,6 @@ def _relations(model):
     )
 
 
-def _braces_balance(dot: str) -> bool:
-    depth, in_string, escaped = 0, False, False
-    for ch in dot:
-        if in_string:
-            if escaped:
-                escaped = False
-            elif ch == "\\":
-                escaped = True
-            elif ch == '"':
-                in_string = False
-        elif ch == '"':
-            in_string = True
-        elif ch in "{}":
-            depth += 1 if ch == "{" else -1
-            if depth < 0:
-                return False
-    return depth == 0 and not in_string
-
-
 def _assert_items_follow_the_rules(m, itemset, attached):
     """R2-R5 give one item per attr entry; every item attaches as its rule says."""
     for rule, (kind, attr) in ENTRY_SOURCES.items():
@@ -234,7 +221,7 @@ def test_format_round_trips_or_refuses_and_exports_are_well_formed(m):
     ids = {e.get("identifier") for e in root.findall("oe:elements/oe:element", ns)}
     for rel in root.findall("oe:relationships/oe:relationship", ns):
         assert rel.get("source") in ids and rel.get("target") in ids
-    assert _braces_balance(to_dot(attached))
+    assert dot_balanced(to_dot(attached))
 
 
 # Characters near the id alphabet: non-ASCII letters and digits, among them

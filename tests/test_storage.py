@@ -41,6 +41,7 @@ from dsalign.model import (
 from conftest import FIXTURES, FIXTURE_NAMES, REPO
 
 sys.path.insert(0, str(REPO / "perfbench"))
+import mutants  # noqa: E402
 import synth  # noqa: E402
 
 K, R = ElementKind, RelationKind
@@ -233,10 +234,15 @@ def test_a_parse_kept_alive_holds_at_most_6_kib_per_block():
 _DECLARING = {s.role or s.keyword for s in STATEMENTS.values()} | {"function"}
 
 
+def _token_starts(text: str) -> list[int]:
+    """The start of each token but EOF, an invalid character's too, from one match per token."""
+    return [m.start() - 1 for m in _TOKEN_RE.finditer(";" + text)][1:]
+
+
 def _eager_spans(text: str, file: str) -> dict[str, SourceSpan]:
     """The spans as the parser built them eagerly: one per declared id token."""
     toks, *_ = _lex(text)
-    starts = [m.start() - 1 for m in _TOKEN_RE.finditer(";" + text)][1:]
+    starts = _token_starts(text)
     spans = {}
     for word, tok, start in zip(toks, toks[1:], starts[1:]):
         if word in _DECLARING:
@@ -253,6 +259,34 @@ def test_spans_equal_the_eager_dict_in_declaration_order(name):
     assert list(result.spans) == list(eager) == [e.id for e in result.model.elements]
     assert result.spans == eager and dict(result.spans) == eager
     assert [result.spans[id] for id in eager] == list(eager.values())
+
+
+def _lex_inputs():
+    """The fixtures, each also with an '@' and a '$' inserted, and the seed-1 mutant pool."""
+    bases = {n: (FIXTURES / f"{n}.dsa").read_text(encoding="utf-8") for n in FIXTURE_NAMES}
+    for text in bases.values():
+        yield text
+        yield text.replace("{", "{ @", 1)
+        yield text.replace("\n  ", "\n  $", 2)
+        head, tail = text.rsplit("}", 1)
+        yield f"{head}@ $}}{tail}"
+    for _, text in mutants.generate(bases, 4000, 1):
+        yield text
+
+
+def test_lex_hands_on_trails_or_offsets_and_either_gives_each_tokens_start():
+    odd = 0
+    for text in _lex_inputs():
+        toks, trails, starts, found = _lex(text)
+        assert (trails is None) != (starts is None), text
+        dropped = {start for start, _, code, _ in found if code == "E103"}
+        expected = [start for start in _token_starts(text) if start not in dropped]
+        if trails is None:
+            odd += bool(dropped)
+        else:
+            starts = dsl._starts(toks, trails)
+        assert len(starts) == len(toks) and starts[:-1] == expected, text
+    assert odd > 20  # the inputs that drop a character are the ones a stale trail list misreads
 
 
 def test_spans_are_read_only_and_refuse_unknown_ids():
