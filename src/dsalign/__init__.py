@@ -5,26 +5,17 @@ resulting typed graph, derive their evaluation items (values, risks, costs),
 and export the attached model as ArchiMate Open Exchange XML or DOT.
 """
 
-from .model import (
-    AlignmentModel,
-    Diagnostic,
-    ELEMENT_KINDS,
-    Element,
-    ElementKind,
-    ModelError,
-    RELATION_KINDS,
-    Relation,
-    RelationKind,
-    Severity,
-    SourceSpan,
-)
-from .dsl import ParseResult, format_model, load_file, parse
+from . import dsl, model
 
-# The names of ``derive``, ``export`` and ``report`` load their module on
-# first use (PEP 562), so a CLI command imports only the modules it runs.
+# The one table of the package's public names.  ``import dsalign`` loads only
+# ``model`` and ``dsl``; every name loads its module on first use (PEP 562),
+# so a CLI command imports only the modules it runs.
 _LAZY = {
     name: module
     for module, names in (
+        ("model", "AlignmentModel Diagnostic ELEMENT_KINDS Element ElementKind ModelError"
+                  " RELATION_KINDS Relation RelationKind Severity SourceSpan"),
+        ("dsl", "ParseResult format_model load_file parse"),
         ("derive", "EvaluationItem EvaluationItemSet RULES Rule attach derive_all serialize_itemset"),
         ("export", "to_dot to_open_exchange"),
         ("report", "Matrix build_matrix item_table matrix"),
@@ -34,36 +25,7 @@ _LAZY = {
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlignmentModel",
-    "Diagnostic",
-    "ELEMENT_KINDS",
-    "Element",
-    "ElementKind",
-    "EvaluationItem",
-    "EvaluationItemSet",
-    "Matrix",
-    "ModelError",
-    "ParseResult",
-    "RELATION_KINDS",
-    "RULES",
-    "Relation",
-    "RelationKind",
-    "Rule",
-    "Severity",
-    "SourceSpan",
-    "attach",
-    "build_matrix",
-    "derive_all",
-    "format_model",
-    "item_table",
-    "load_file",
-    "matrix",
-    "parse",
-    "serialize_itemset",
-    "to_dot",
-    "to_open_exchange",
-]
+__all__ = sorted(_LAZY)
 
 
 def __getattr__(name: str):

@@ -2,7 +2,8 @@
 
 Both exporters are pure functions of the model and produce
 byte-identical output for identical inputs: elements come out in model order,
-attributes in fixed order, ids derived 1:1 from element slugs.
+attributes in fixed order, identifiers ``id-`` plus the element or relation
+id or, for the model, the system name's slug.
 """
 
 from __future__ import annotations

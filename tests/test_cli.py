@@ -6,6 +6,7 @@ import errno
 import gc
 import io
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -709,36 +710,40 @@ def test_cli_import_loads_no_module_that_only_some_commands_need():
     unwanted = {"uuid", "platform", "json", "csv", "dataclasses", "inspect", "ast", "dis"}
     lazy = {"dsalign.derive", "dsalign.export", "dsalign.report"}
     env = {**os.environ, "PYTHONPATH": str(REPO / "src"), "COLUMNS": "80"}
-    for module in ("dsalign.cli", "dsalign"):
-        code = f"import {module}, sys; print(sorted({unwanted | parser | lazy!r} & set(sys.modules)))"
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "[]\n", module
-    # Each command the benchmark times, run as the benchmark runs it, loads
-    # exactly the dsalign modules it calls.
     base = {"dsalign", "dsalign.model", "dsalign.dsl", "dsalign.cli"}
     corpus = [str(FIXTURES / f"{n}.dsa") for n in FIXTURE_NAMES]
-    for argv, own in (
-        (["check", FAQ], set()),
-        (["derive", FAQ, "--items", "-"], {"dsalign.derive"}),
-        (["export", FAQ, "--format", "open_exchange"], {"dsalign.derive", "dsalign.export"}),
-        (["export", FAQ, "--format", "dot"], {"dsalign.derive", "dsalign.export"}),
-        (["export", FAQ, "--format", "dot", "--no-derived"], {"dsalign.export"}),
-        (["report", *corpus, "--matrix"], {"dsalign.derive", "dsalign.report"}),
-        (["fmt", "--check", FAQ], set()),
-    ):
-        proc = subprocess.run(
-            [sys.executable, "-X", "importtime", "-m", "dsalign", *argv],
-            capture_output=True, text=True, env=env,
-        )
-        assert proc.returncode == 0, proc.stderr
-        lines = proc.stderr.splitlines()
-        assert all(line.startswith("import time:") for line in lines), argv
-        loaded = {line.rsplit("|", 1)[1].strip() for line in lines[1:]}
-        assert {m for m in loaded if m.startswith("dsalign")} == base | own, argv
-        assert not loaded & (unwanted | parser), argv
+    # Each child runs twice: as the benchmark runs it, and under -S, where no
+    # module that ``site`` or a ``.pth`` file preloads can hide an import from
+    # -X importtime or stand in sys.modules for one that dsalign loads.
+    for flags in ([], ["-S"]):
+        for module in ("dsalign.cli", "dsalign"):
+            code = f"import {module}, sys; print(sorted({unwanted | parser | lazy!r} & set(sys.modules)))"
+            proc = subprocess.run(
+                [sys.executable, *flags, "-c", code], capture_output=True, text=True, env=env
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout == "[]\n", (flags, module)
+        # Each command the benchmark times loads exactly the dsalign modules
+        # it calls.
+        for argv, own in (
+            (["check", FAQ], set()),
+            (["derive", FAQ, "--items", "-"], {"dsalign.derive"}),
+            (["export", FAQ, "--format", "open_exchange"], {"dsalign.derive", "dsalign.export"}),
+            (["export", FAQ, "--format", "dot"], {"dsalign.derive", "dsalign.export"}),
+            (["export", FAQ, "--format", "dot", "--no-derived"], {"dsalign.export"}),
+            (["report", *corpus, "--matrix"], {"dsalign.derive", "dsalign.report"}),
+            (["fmt", "--check", FAQ], set()),
+        ):
+            proc = subprocess.run(
+                [sys.executable, *flags, "-X", "importtime", "-m", "dsalign", *argv],
+                capture_output=True, text=True, env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            lines = proc.stderr.splitlines()
+            assert all(line.startswith("import time:") for line in lines), (flags, argv)
+            loaded = {line.rsplit("|", 1)[1].strip() for line in lines[1:]}
+            assert {m for m in loaded if m.startswith("dsalign")} == base | own, (flags, argv)
+            assert not loaded & (unwanted | parser), (flags, argv)
     # Help still comes from argparse.
     proc = run_cli("--help", env=env)
     assert proc.returncode == 0, proc.stderr
@@ -765,3 +770,11 @@ def test_package_names_load_their_module_on_first_use():
     proc = subprocess.run([sys.executable, "-c", names], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "module 'dsalign' has no attribute 'no_such_name'\n"
+
+
+def test_package_version_is_the_project_version():
+    # pyproject.toml and the package each write the version; 3.10 has no tomllib.
+    import dsalign
+
+    project = re.search(r'^version = "([^"]+)"$', (REPO / "pyproject.toml").read_text(), re.M)
+    assert dsalign.__version__ == project[1]

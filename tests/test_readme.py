@@ -1,13 +1,15 @@
-"""README.md's examples run as written, and its CLI synopses match ``cli.COMMANDS``."""
+"""README.md's examples run as written, and its CLI synopses and tables match the code."""
 
 from __future__ import annotations
 
 import json
 import re
+from itertools import groupby
 
 from conftest import GOLDEN, REPO
 from dsalign import cli, derive_all, format_model, load_file, parse
-from dsalign.derive import summary_line
+from dsalign.derive import RULE_TABLE, summary_line
+from dsalign.model import _ELEMENT_RULES, BRANCHES, STATEMENTS
 
 README = (REPO / "README.md").read_text(encoding="utf-8")
 
@@ -93,3 +95,39 @@ def _synopsis(name: str) -> str:
 def test_the_cli_synopses_match_the_command_table():
     bullets = re.findall(r"^- `(dsalign [^`]*)`", _section("CLI reference"), re.M)
     assert [" ".join(bullet.split()) for bullet in bullets] == list(map(_synopsis, cli.COMMANDS))
+
+
+def test_the_taxonomy_bullets_match_the_branch_table():
+    bullets = re.findall(r"^- \*\*([^*]+)\*\*:(.*?)(?=^- |\Z)", _section("The taxonomy"), re.M | re.S)
+    assert [(path, tuple(re.findall(r"`(\w+)`", leaves))) for path, leaves in bullets] == list(
+        BRANCHES.values()
+    )
+
+
+def test_the_v1_to_v6_rows_match_the_element_rules():
+    rows = re.findall(r"^\| (V\d) +\| ([EW]\d+) +\| (\w+) +\|", _section("Validation rules"), re.M)
+    table = [row[:2] for kind_rows in _ELEMENT_RULES.values() for row in kind_rows]
+    assert rows == [(f"V{n}", code, severity) for n, (code, severity) in enumerate(table, 1)]
+
+
+def test_the_attach_edges_match_the_rule_table():
+    # One clause per run of rules that share an edge: "Influence for R1 and R2".
+    clauses = []
+    for edge, rows in groupby(RULE_TABLE.items(), key=lambda row: row[1][1]):
+        rules = [rule[:2] for rule, _ in rows]
+        span = {1: rules[0], 2: " and ".join(rules)}.get(len(rules), f"{rules[0]}-{rules[-1]}")
+        clauses.append(f"{edge} for {span}")
+    assert f"to item ({', '.join(clauses)})" in " ".join(README.split())
+
+
+def test_the_statement_table_matches_the_statements():
+    rows = re.findall(
+        r"^\| `(\w+)[^|]*\| ([^|]+?) +\| ([^|]+?) +\|$", _section("The `.dsa` language"), re.M
+    )
+    table: dict = {}  # keyword -> (its element kinds, its entry keys)
+    for kind, statement in STATEMENTS.items():
+        table.setdefault(statement.keyword, ([], tuple(statement.entries)))[0].append(kind)
+    assert [
+        (keyword, kinds.split(" / "), tuple(re.findall(r"`(\w+)", entries)))
+        for keyword, kinds, entries in rows
+    ] == [(keyword, kinds, entries) for keyword, (kinds, entries) in table.items()]
